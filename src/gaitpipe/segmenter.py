@@ -248,33 +248,66 @@ def match_clinic_walks(
     return ClinicMatch(matches=tuple(matches), unmatched=tuple(unmatched))
 
 
+_REQUIRED = object()
+
+
+def _xy(value: object) -> tuple[float, float]:
+    x, y = value
+    return float(x), float(y)
+
+
+def _optional_float(value: object) -> float | None:
+    return None if value is None else float(value)
+
+
 def read_walklog(path: str | os.PathLike) -> WalkLog:
+    """Read a walk log file.
+
+    Malformed content raises ValueError naming the file and the field.
+    """
+    name = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if obj.get("format") != WALKLOG_FORMAT:
-        raise ValueError(f"not a walk log file: {os.fspath(path)!r}")
+    if not isinstance(obj, dict) or obj.get("format") != WALKLOG_FORMAT:
+        raise ValueError(f"not a walk log file: {name!r}")
+    if not isinstance(obj.get("entries"), list):
+        raise ValueError(f"walk log {name!r}: 'entries' must be a list")
+
+    def field(raw: dict, key: str, convert, where: str, default=_REQUIRED):
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ValueError(f"walk log {name!r}: {where} has no {key!r}")
+            return default
+        try:
+            return convert(raw[key])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"walk log {name!r}: {where} has invalid {key!r}: {raw[key]!r}"
+            ) from None
+
     entries = []
-    for raw in obj["entries"]:
-        walk_type = raw["walk_type"]
+    for k, raw in enumerate(obj["entries"]):
+        where = f"entry {k}"
+        if not isinstance(raw, dict):
+            raise ValueError(f"walk log {name!r}: {where} is not an object")
+        walk_type = field(raw, "walk_type", str, where)
         if walk_type not in WALK_TYPES:
-            raise ValueError(f"unknown walk_type {walk_type!r}")
+            raise ValueError(f"walk log {name!r}: {where} has unknown walk_type {walk_type!r}")
         entries.append(
             WalkEntry(
-                participant=str(raw["participant"]),
-                walk_index=int(raw["walk_index"]),
+                participant=field(raw, "participant", str, where),
+                walk_index=field(raw, "walk_index", int, where),
                 walk_type=walk_type,
-                t_start=float(raw["t_start"]),
-                reference_step_length=(
-                    None
-                    if raw.get("reference_step_length") is None
-                    else float(raw["reference_step_length"])
+                t_start=field(raw, "t_start", float, where),
+                reference_step_length=field(
+                    raw, "reference_step_length", _optional_float, where, default=None
                 ),
             )
         )
     return WalkLog(
         entries=tuple(entries),
-        g_s=tuple(float(v) for v in obj.get("g_s", (0.0, 6.03))),
-        g_e=tuple(float(v) for v in obj.get("g_e", (0.0, 2.03))),
+        g_s=field(obj, "g_s", _xy, "header", default=(0.0, 6.03)),
+        g_e=field(obj, "g_e", _xy, "header", default=(0.0, 2.03)),
     )
 
 

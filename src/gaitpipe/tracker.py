@@ -10,12 +10,11 @@ run of consecutive misses.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
 from .config import DbscanConfig, PipelineConfig, TrackerConfig
 from .pointcloud import RadarPoint, Session
@@ -34,12 +33,6 @@ class Detection:
     points: tuple[RadarPoint, ...]
 
 
-class TrackStatus(Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    DEAD = "dead"
-
-
 @dataclass(frozen=True)
 class TrackState:
     """Filtered position at time t plus the point subset assigned that frame."""
@@ -54,7 +47,6 @@ class TrackState:
 class Track:
     track_id: int
     states: list[TrackState] = field(default_factory=list)
-    status: TrackStatus = TrackStatus.TENTATIVE
 
     @property
     def t_start(self) -> float:
@@ -75,8 +67,9 @@ def dbscan_labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     labeling independent of input order up to renaming. Cluster ids are
     assigned in order of each cluster's smallest core index.
 
-    Neighbor search uses an eps-sized grid hash, so typical frames stay
-    near O(n) rather than O(n^2).
+    Neighbor pairs come from a `scipy.spatial.cKDTree`; each core point's
+    component root is the smallest core index in its component, so ranking
+    the roots gives the cluster ids.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -88,61 +81,43 @@ def dbscan_labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         return labels
 
     xyz = np.asarray(xyz, dtype=float)
-    cells: dict[tuple[int, int, int], list[int]] = {}
-    keys = np.floor(xyz / eps).astype(int)
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-
-    eps2 = eps * eps
-
-    def neighbors(i: int) -> list[int]:
-        cx, cy, cz = keys[i]
-        out = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    bucket = cells.get((cx + dx, cy + dy, cz + dz))
-                    if not bucket:
-                        continue
-                    for j in bucket:
-                        d = xyz[i] - xyz[j]
-                        if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= eps2:
-                            out.append(j)
-        return out
-
-    neighborhoods = [neighbors(i) for i in range(n)]
-    core = np.array([len(nb) >= min_pts for nb in neighborhoods], dtype=bool)
-
-    # Connected components over core points.
-    cluster_id = 0
-    for seed in range(n):
-        if not core[seed] or labels[seed] != NOISE:
-            continue
-        queue = deque([seed])
-        labels[seed] = cluster_id
-        while queue:
-            i = queue.popleft()
-            for j in neighborhoods[i]:
-                if core[j] and labels[j] == NOISE:
-                    labels[j] = cluster_id
-                    queue.append(j)
-        cluster_id += 1
+    pairs = cKDTree(xyz).query_pairs(eps, output_type="ndarray")
+    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
+    i, j = pairs[:, 0], pairs[:, 1]
+    core_i, core_j = core[i], core[j]
+    root = _component_roots(n, pairs[core_i & core_j])
+    labels[core] = np.unique(root[core], return_inverse=True)[1]
 
     # Border points: nearest core neighbor, ties to the lower core index.
-    for i in range(n):
-        if core[i] or labels[i] != NOISE:
-            continue
-        best = None
-        for j in neighborhoods[i]:
-            if not core[j]:
-                continue
-            d = xyz[i] - xyz[j]
-            dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-            if best is None or dist2 < best[0] or (dist2 == best[0] and j < best[1]):
-                best = (dist2, j)
-        if best is not None:
-            labels[i] = labels[best[1]]
+    border = np.concatenate([i[core_j & ~core_i], j[core_i & ~core_j]])
+    near = np.concatenate([j[core_j & ~core_i], i[core_i & ~core_j]])
+    d = xyz[border] - xyz[near]
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    order = np.lexsort((near, d2, border))
+    border, near = border[order], near[order]
+    _, first = np.unique(border, return_index=True)
+    labels[border[first]] = labels[near[first]]
     return labels
+
+
+def _component_roots(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Smallest node index in each node's connected component over n nodes.
+
+    Min-label hooking of component roots plus pointer jumping: every round
+    links the roots at the two ends of each edge to the smaller of them,
+    then flattens each node's root pointer, until all edges agree.
+    """
+    root = np.arange(n)
+    a, b = pairs[:, 0], pairs[:, 1]
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            return root
+        np.minimum.at(root, ra, rb)
+        np.minimum.at(root, rb, ra)
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
 
 
 def dbscan(
@@ -190,31 +165,19 @@ def merge_close_detections(
     of near-coincident centroids repairs the split before association.
     """
     n = len(detections)
-    if n < 2:
-        return detections
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = detections[i], detections[j]
-            if math.hypot(a.centroid_x - b.centroid_x, a.centroid_y - b.centroid_y) <= merge_radius:
-                parent[find(j)] = find(i)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    if len(groups) == n:
+    close = [
+        (i, j)
+        for i, a in enumerate(detections)
+        for j, b in enumerate(detections[i + 1 :], start=i + 1)
+        if math.hypot(a.centroid_x - b.centroid_x, a.centroid_y - b.centroid_y) <= merge_radius
+    ]
+    if not close:
         return detections
 
+    root = _component_roots(n, np.array(close))
     merged = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        members = sorted(groups[root])
+    for r in np.unique(root):
+        members = np.flatnonzero(root == r)
         if len(members) == 1:
             merged.append(detections[members[0]])
             continue
@@ -328,14 +291,6 @@ class KalmanCV:
         self.cov = 0.5 * (self.cov + self.cov.T)
 
 
-def kalman_step(kf: KalmanCV, detection: Detection | None, dt: float) -> tuple[float, float]:
-    """Advance one frame: predict, then update if a detection is present."""
-    kf.predict(dt)
-    if detection is not None:
-        kf.update(detection.centroid_x, detection.centroid_y)
-    return kf.x, kf.y
-
-
 @dataclass
 class _LiveTrack:
     track_id: int
@@ -349,9 +304,8 @@ class _LiveTrack:
 def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Track]:
     """Run detection + association + filtering over a whole session.
 
-    Returns every track that reached confirmed status, ordered by track id;
-    a track's final status is CONFIRMED if it was still alive at the end of
-    the session, DEAD otherwise. Deterministic for a given (session, cfg).
+    Returns every track that reached confirmed status, ordered by track id.
+    Deterministic for a given (session, cfg).
     """
     cfg = cfg or PipelineConfig()
     db: DbscanConfig = cfg.dbscan
@@ -361,11 +315,6 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
     finished: list[Track] = []
     next_id = 0
     prev_t: float | None = None
-
-    def retire(lt: _LiveTrack, status: TrackStatus) -> None:
-        if lt.ever_confirmed:
-            lt.track.status = status
-            finished.append(lt.track)
 
     for frame in session.frames:
         dt = None if prev_t is None else frame.t - prev_t
@@ -394,17 +343,16 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
             lt.consecutive_misses = 0
             if not lt.ever_confirmed and lt.consecutive_hits >= tk.confirm_hits:
                 lt.ever_confirmed = True
-                lt.track.status = TrackStatus.CONFIRMED
 
         still_live = [live[i] for i, _ in matches]
         for ti in unmatched_tracks:
             lt = live[ti]
             lt.consecutive_misses += 1
             lt.consecutive_hits = 0
-            if lt.consecutive_misses >= tk.kill_misses:
-                retire(lt, TrackStatus.DEAD)
-            else:
+            if lt.consecutive_misses < tk.kill_misses:
                 still_live.append(lt)
+            elif lt.ever_confirmed:
+                finished.append(lt.track)
         still_live.sort(key=lambda lt: lt.track_id)
         live = still_live
 
@@ -415,13 +363,14 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
             track.states.append(
                 TrackState(t=frame.t, x=kf.x, y=kf.y, points=det.points)
             )
-            live.append(_LiveTrack(track_id=next_id, kf=kf, track=track))
-            if tk.confirm_hits <= 1:
-                live[-1].ever_confirmed = True
-                track.status = TrackStatus.CONFIRMED
+            live.append(
+                _LiveTrack(
+                    track_id=next_id, kf=kf, track=track,
+                    ever_confirmed=tk.confirm_hits <= 1,
+                )
+            )
             next_id += 1
 
-    for lt in live:
-        retire(lt, TrackStatus.CONFIRMED)
+    finished.extend(lt.track for lt in live if lt.ever_confirmed)
     finished.sort(key=lambda tr: tr.track_id)
     return finished

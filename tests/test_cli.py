@@ -189,6 +189,35 @@ def test_malformed_session_exit_2(tmp_path):
     assert main(["process", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+_ENTRY = {"participant": "p1", "walk_index": 0, "walk_type": "control", "t_start": 1.0}
+
+
+@pytest.mark.parametrize(
+    "walklog,field",
+    [
+        ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "t_start": None}]}, "t_start"),
+        ({"format": "gaitpipe-walklog",
+          "entries": [{k: v for k, v in _ENTRY.items() if k != "t_start"}]}, "t_start"),
+        ([{"format": "gaitpipe-walklog"}], "not a walk log"),
+        ({"format": "gaitpipe-walklog", "entries": {"0": _ENTRY}}, "entries"),
+        ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "walk_index": [0]}]}, "walk_index"),
+        ({"format": "gaitpipe-walklog", "entries": [_ENTRY], "g_s": "far"}, "g_s"),
+        ({"format": "gaitpipe-walklog", "entries": [3]}, "entry 0"),
+    ],
+    ids=["null_value", "missing_key", "top_level_list", "entries_not_list",
+         "non_numeric_index", "bad_walkway", "entry_not_object"],
+)
+def test_malformed_walklog_exit_2(sim_dir, tmp_path, capsys, walklog, field):
+    path = tmp_path / "bad.walklog.json"
+    path.write_text(json.dumps(walklog))
+    code = main(["process", "--input", str(sim_dir / "clinic_control-5.session.jsonl"),
+                 "--mode", "clinic", "--walklog", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(path) in err and field in err
+
+
 def test_zero_walk_home_session_is_success(tmp_path):
     assert main(["simulate", "--scenario", "home_perpendicular", "--seed", "3",
                  "--out", str(tmp_path)]) == 0

@@ -12,7 +12,6 @@ from gaitpipe.tracker import (
     associate,
     dbscan,
     dbscan_labels,
-    kalman_step,
     merge_close_detections,
     min_cost_assignment,
     track_frames,
@@ -64,15 +63,16 @@ def random_frame(rng, n):
 
 
 def test_dbscan_matches_naive_reference():
+    # Raw ids, not renamed ones: ids ordered by smallest core index set the
+    # detection order and so the track ids.
     rng = np.random.default_rng(11)
-    for _ in range(60):
-        n = int(rng.integers(0, 120))
-        xyz = random_frame(rng, n)
+    frames = [random_frame(rng, int(rng.integers(0, 120))) for _ in range(60)]
+    # Dense frames: one person-sized blob of hundreds of points.
+    frames += [rng.normal([0.0, 3.0, -0.3], 0.25, size=(n, 3)) for n in (600, 800, 1000)]
+    for xyz in frames:
         eps = float(rng.uniform(0.2, 0.8))
         min_pts = int(rng.integers(1, 6))
-        ours = canonical_labels(dbscan_labels(xyz, eps, min_pts))
-        ref = canonical_labels(naive_dbscan(xyz, eps, min_pts))
-        assert ours == ref
+        assert np.array_equal(dbscan_labels(xyz, eps, min_pts), naive_dbscan(xyz, eps, min_pts))
 
 
 def test_dbscan_order_independent():
@@ -147,7 +147,8 @@ def test_assignment_matches_brute_force():
 def test_kalman_fixed_point():
     kf = KalmanCV(1.0, 2.0, sigma_a=2.0, sigma_m=0.15)
     for _ in range(60):
-        kalman_step(kf, Detection(0.0, 1.0, 2.0, ()), dt=0.1)
+        kf.predict(0.1)
+        kf.update(1.0, 2.0)
     assert kf.x == pytest.approx(1.0, abs=1e-3)
     assert kf.y == pytest.approx(2.0, abs=1e-3)
 
@@ -155,7 +156,7 @@ def test_kalman_fixed_point():
 def test_kalman_prediction_only_advances_by_velocity():
     kf = KalmanCV(0.0, 0.0, sigma_a=2.0, sigma_m=0.15)
     kf.state = np.array([1.0, 2.0, 0.5, -0.25])
-    kalman_step(kf, None, dt=0.2)
+    kf.predict(0.2)
     assert kf.x == pytest.approx(1.0 + 0.5 * 0.2, abs=1e-12)
     assert kf.y == pytest.approx(2.0 - 0.25 * 0.2, abs=1e-12)
 
@@ -185,7 +186,8 @@ def test_kalman_beats_raw_measurements_on_cv_motion():
         if kf is None:
             kf = KalmanCV(z[0], z[1], sigma_a=2.0, sigma_m=sigma_m)
         else:
-            kalman_step(kf, Detection(t, z[0], z[1], ()), dt=0.1)
+            kf.predict(0.1)
+            kf.update(z[0], z[1])
         if k >= 20:
             errs.append(math.hypot(kf.x - true[0], kf.y - true[1]))
     rmse = float(np.sqrt(np.mean(np.square(errs))))
@@ -198,7 +200,8 @@ def test_kalman_tracks_noiseless_cv_exactly():
     for k in range(1, 60):
         t = 0.1 * k
         true = (0.3 * t, 6.0 - 1.1 * t)
-        kalman_step(kf, Detection(t, true[0], true[1], ()), dt=0.1)
+        kf.predict(0.1)
+        kf.update(true[0], true[1])
         if k >= 20:
             errs.append(math.hypot(kf.x - true[0], kf.y - true[1]))
     assert float(np.sqrt(np.mean(np.square(errs)))) < 0.01
