@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, PipelineConfig, apply_overrides, config_as_dict, load_config
-from .pointcloud import SessionFormatError, atomic_write_text, read_session, write_session
+from .pointcloud import atomic_write_text, read_session, write_session
 from .segmenter import read_walklog, write_walklog
 from .simulator import SCENARIO_NAMES, make_scenario, read_truth_header, simulate, write_truth
 from .stats import (
@@ -73,7 +73,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_truth(truth, out / f"{stem}.truth.jsonl")
     if scene.walklog is not None:
         write_walklog(scene.walklog, out / f"{stem}.walklog.json")
-    print(f"wrote {stem}.session.jsonl ({len(session.frames)} frames) to {out}")
+    print(f"wrote {stem}.session.jsonl ({len(session.times)} frames) to {out}")
     return EXIT_OK
 
 
@@ -116,8 +116,12 @@ def _process_one(
     dump_tracks: bool,
 ) -> dict:
     path = Path(session_path)
-    session = read_session(path)
-    walklog = read_walklog(walklog_path) if walklog_path else None
+    try:
+        session = read_session(path)
+        walklog = read_walklog(walklog_path) if walklog_path else None
+    except ValueError as exc:  # malformed session (SessionFormatError) or walk log
+        raise InputError(str(exc)) from None
+    cfg.check_frame_rate(session.frame_rate, f"session {path.name!r}: ")
     result = process_session(session, cfg, mode=mode, walklog=walklog)
 
     stem = _session_stem(path)
@@ -220,14 +224,11 @@ def cmd_process(args: argparse.Namespace) -> int:
             (str(session_path), cfg, args.mode, walklog_path, str(out), args.dump_tracks)
         )
 
-    try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                summaries = list(pool.map(_process_one, *zip(*jobs)))
-        else:
-            summaries = [_process_one(*job) for job in jobs]
-    except (SessionFormatError, ValueError) as exc:
-        raise InputError(str(exc)) from None
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            summaries = list(pool.map(_process_one, *zip(*jobs)))
+    else:
+        summaries = [_process_one(*job) for job in jobs]
 
     summaries.sort(key=lambda s: s["stem"])
 
@@ -484,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, SessionFormatError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # invariant violation

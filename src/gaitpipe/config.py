@@ -102,11 +102,7 @@ class PipelineConfig:
                 f"gait.min_peak_gap ({self.gait.min_peak_gap}) must exceed half the "
                 f"suppression window ({self.gait.nms_window / 2})"
             )
-        if self.gait.nms_window < 2.0 / self.frame_rate:
-            raise ConfigError(
-                f"gait.nms_window ({self.gait.nms_window}) must cover at least two "
-                f"frame intervals at {self.frame_rate} fps"
-            )
+        self.check_frame_rate(self.frame_rate)
         if self.gait.distance_mode not in DISTANCE_MODES:
             raise ConfigError(
                 f"gait.distance_mode must be one of {DISTANCE_MODES}, "
@@ -118,6 +114,17 @@ class PipelineConfig:
                 f"got {self.gait.peak_refine!r}"
             )
         return self
+
+    def check_frame_rate(self, frame_rate: float, source: str = "") -> None:
+        """Raise ConfigError unless gait.nms_window covers two frame intervals.
+
+        Run against the configured rate and against each session's header.
+        """
+        if not self.gait.nms_window >= 2.0 / frame_rate:
+            raise ConfigError(
+                f"{source}gait.nms_window ({self.gait.nms_window}) must cover at least "
+                f"two frame intervals at {frame_rate} fps"
+            )
 
 
 _SECTION_TYPES = {

@@ -88,11 +88,8 @@ def torso_speed(segment: LinearSegment, z_torso: float) -> TorsoSpeedSeries:
     sign = direction_sign(segment)
     samples = []
     for state in segment.states:
-        speeds = [
-            p.s
-            for p in state.points
-            if -z_torso <= p.z <= z_torso and sign * p.s > 0
-        ]
+        s = state.points[:, 3]
+        speeds = s[(np.abs(state.points[:, 2]) <= z_torso) & (sign * s > 0)].tolist()
         if not speeds:
             continue
         samples.append(

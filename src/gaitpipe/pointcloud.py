@@ -14,7 +14,10 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 FORMAT_NAME = "gaitpipe-frames"
 FORMAT_VERSION = 1
@@ -50,40 +53,66 @@ class RadarPoint(NamedTuple):
     s: float
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """All points reported at time t (seconds since session start)."""
 
     t: float
-    points: tuple[RadarPoint, ...] = ()
+    points: tuple[RadarPoint, ...] | np.ndarray = ()  # (n, 4) rows also build a Session
 
 
-@dataclass(frozen=True)
+def point_array(points) -> np.ndarray:
+    """(n, 4) float rows x, y, z, s from an array or a sequence of (x, y, z, s)."""
+    return np.asarray(points, dtype=float).reshape(-1, 4)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Session:
-    """An ordered frame stream plus capture metadata.
+    """An ordered frame stream plus capture metadata, stored as columns.
 
-    Immutable after load; safe to share read-only across threads.
+    `points` (N, 4) holds every frame's points back to back, rows x, y, z, s;
+    frame k at `times[k]` owns rows `offsets[k]:offsets[k + 1]`. Built from
+    Frames (or any (t, points) pairs); the arrays are read-only: immutable
+    after load; safe to share read-only across threads.
     """
 
     frame_rate: float
     site: str
     room_label: str
     device_id: str
-    frames: tuple[Frame, ...] = ()
+    times: np.ndarray    # (F,)
+    points: np.ndarray   # (N, 4)
+    offsets: np.ndarray  # (F + 1,)
     dropped_points: int = 0  # points rejected at ingest (non-finite or y < 0)
 
-    def __post_init__(self):
-        if self.frame_rate <= 0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
-        if self.site not in SITES:
-            raise ValueError(f"site must be one of {SITES}, got {self.site!r}")
-
-    def __iter__(self) -> Iterator[Frame]:
-        return iter(self.frames)
+    def __init__(self, frame_rate: float, site: str, room_label: str, device_id: str,
+                 frames: Iterable[Frame] = (), dropped_points: int = 0):
+        if not frame_rate > 0:
+            raise ValueError(f"frame_rate must be positive, got {frame_rate}")
+        if site not in SITES:
+            raise ValueError(f"site must be one of {SITES}, got {site!r}")
+        frames = [(t, point_array(pts)) for t, pts in frames]
+        columns = dict(
+            times=np.array([t for t, _ in frames], dtype=float),
+            points=np.concatenate([point_array(())] + [pts for _, pts in frames]),
+            offsets=np.cumsum([0] + [len(pts) for _, pts in frames]),
+        )
+        for a in columns.values():
+            a.flags.writeable = False
+        self.__dict__.update(frame_rate=frame_rate, site=site, room_label=room_label,
+                             device_id=device_id, dropped_points=dropped_points, **columns)
 
     @property
-    def duration(self) -> float:
-        return self.frames[-1].t if self.frames else 0.0
+    def frames(self) -> tuple[Frame, ...]:
+        """The frames as Frame/RadarPoint tuples, rebuilt from the columns on each access."""
+        rows = list(map(tuple.__new__, repeat(RadarPoint), self.points.tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(
+            Frame(t, tuple(rows[a:b])) for t, a, b in zip(self.times.tolist(), bounds, bounds[1:])
+        )
+
+    def frame_points(self) -> Iterator[tuple[float, np.ndarray]]:
+        """(t, that frame's (k, 4) rows of `points`) for each frame in time order."""
+        return zip(self.times.tolist(), np.split(self.points, self.offsets[1:-1]))
 
 
 def _num(value: float) -> float:
@@ -91,27 +120,34 @@ def _num(value: float) -> float:
     return float(f"{value:.6f}")
 
 
-def quantize_point(x: float, y: float, z: float, s: float) -> RadarPoint:
-    return RadarPoint(_num(x), _num(y), _num(z), _num(s))
+def _quantize(points: np.ndarray) -> np.ndarray:
+    """_num of every value in an array."""
+    text = map("{:.6f}".format, points.ravel().tolist())
+    return np.array(list(map(float, text))).reshape(points.shape)
 
 
-def _parse_point(raw: object, line: int) -> RadarPoint | None:
-    """Validate one [x, y, z, s] entry; return None if it should be dropped."""
+def _parse_point(raw: object, line: int) -> tuple[float, float, float, float]:
+    """Validate one [x, y, z, s] entry that is not plainly numeric."""
     if not isinstance(raw, list) or len(raw) != 4:
         raise SessionFormatError(
             f"point must be a 4-element [x, y, z, s] array, got {raw!r}", line
         )
     try:
-        x, y, z, s = (float(v) for v in raw)
-    except (TypeError, ValueError):
+        return tuple(float(v) for v in raw)
+    except (TypeError, ValueError, OverflowError):
         raise SessionFormatError(f"non-numeric point entry {raw!r}", line) from None
-    if not all(math.isfinite(v) for v in (x, y, z, s)):
-        return None
-    if y < 0:
-        # Spurious returns behind the sensor plane are expected from CFAR
-        # output; drop rather than fail the whole session.
-        return None
-    return RadarPoint(x, y, z, s)
+
+
+def _point_rows(pts: list, line: int) -> np.ndarray:
+    """One frame line's `pts` as (n, 4) rows: one `np.asarray` when that gives
+    numeric rows (never dtype=float, which turns null into NaN), else per point."""
+    try:
+        rows = np.asarray(pts)
+    except (ValueError, OverflowError):  # ragged nesting, or ints past float range
+        rows = None
+    if rows is not None and rows.ndim == 2 and rows.shape[1] == 4 and rows.dtype.kind in "biuf":
+        return rows
+    return point_array([_parse_point(raw, line) for raw in pts])
 
 
 def read_session(path: str | os.PathLike) -> Session:
@@ -170,14 +206,12 @@ def read_session(path: str | os.PathLike) -> Session:
             pts_raw = obj["pts"]
             if not isinstance(pts_raw, list):
                 raise SessionFormatError("'pts' must be an array", lineno)
-            points = []
-            for raw in pts_raw:
-                pt = _parse_point(raw, lineno)
-                if pt is None:
-                    dropped += 1
-                else:
-                    points.append(pt)
-            frames.append(Frame(t=t, points=tuple(points)))
+            rows = _point_rows(pts_raw, lineno)
+            # Spurious returns behind the sensor plane are expected from CFAR
+            # output; drop rather than fail the whole session.
+            keep = np.isfinite(rows).all(axis=1) & (rows[:, 1] >= 0)
+            dropped += len(rows) - int(np.count_nonzero(keep))
+            frames.append(Frame(t=t, points=rows[keep]))
 
     if header is None:
         raise SessionFormatError("empty file: header line required", 1)
@@ -197,13 +231,6 @@ def read_session(path: str | os.PathLike) -> Session:
     )
 
 
-def _frame_line(frame: Frame) -> str:
-    pts = ",".join(
-        f"[{p.x:.6f},{p.y:.6f},{p.z:.6f},{p.s:.6f}]" for p in frame.points
-    )
-    return f'{{"t":{frame.t:.6f},"pts":[{pts}]}}'
-
-
 def write_session(session: Session, path: str | os.PathLike) -> None:
     """Write a session file atomically (temp file + rename)."""
     header = {
@@ -215,7 +242,9 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
         "device": session.device_id,
     }
     lines = [json.dumps(header)]
-    lines.extend(_frame_line(frame) for frame in session.frames)
+    for t, pts in session.frame_points():
+        text = ",".join(["[{:.6f},{:.6f},{:.6f},{:.6f}]"] * len(pts)).format(*pts.ravel().tolist())
+        lines.append(f'{{"t":{t:.6f},"pts":[{text}]}}')
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -238,12 +267,12 @@ def build_session(
     site: str,
     room_label: str,
     device_id: str,
-    frames: Iterable[tuple[float, Iterable[tuple[float, float, float, float]]]],
+    frames: Iterable[tuple[float, np.ndarray]],
 ) -> Session:
-    """Assemble a session from raw (t, points) tuples, quantized to disk precision."""
+    """Assemble a session from raw (t, (n, 4) points) pairs, quantized to disk precision."""
     out = []
     for t, pts in frames:
-        out.append(Frame(t=_num(t), points=tuple(quantize_point(*p) for p in pts)))
+        out.append(Frame(t=_num(t), points=_quantize(point_array(pts))))
     return Session(
         frame_rate=frame_rate,
         site=site,

@@ -29,6 +29,7 @@ from .segmenter import WalkEntry, WalkLog
 
 TRUTH_FORMAT = "gaitpipe-truth"
 MIN_DOPPLER = 0.05  # static-clutter model: slower returns are not reported
+_NO_POINTS = np.empty((0, 4))
 
 WALKWAY_START = (0.0, 6.03)
 WALKWAY_END = (0.0, 2.03)
@@ -268,20 +269,17 @@ def _scatter_group(
     velocity_xy: np.ndarray,
     noise_doppler: float,
     dropout: float,
-) -> list[tuple[float, float, float, float]]:
+) -> np.ndarray:
+    """Up to n scatterer returns around center, as (m, 4) rows x, y, z, s."""
     if n <= 0:
-        return []
+        return _NO_POINTS
     xy = center + rng.normal(0.0, pos_sigma, size=(n, 2))
     z = rng.uniform(z_low, z_high, size=n)
     pts3 = np.column_stack([xy, z])
     vel3 = np.array([velocity_xy[0], velocity_xy[1], 0.0])
     doppler = _radial_doppler(pts3, vel3) + rng.normal(0.0, noise_doppler, size=n)
-    keep = rng.random(n) >= dropout
-    out = []
-    for i in range(n):
-        if keep[i] and abs(doppler[i]) >= MIN_DOPPLER and xy[i, 1] >= 0:
-            out.append((float(xy[i, 0]), float(xy[i, 1]), float(z[i]), float(doppler[i])))
-    return out
+    rows = np.concatenate([pts3, doppler[:, None]], axis=1)
+    return rows[(rng.random(n) >= dropout) & (np.abs(doppler) >= MIN_DOPPLER) & (xy[:, 1] >= 0)]
 
 
 def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
@@ -304,7 +302,7 @@ def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
 
     frames = []
     for idx, t in enumerate(frame_times):
-        pts: list[tuple[float, float, float, float]] = []
+        pts: list[np.ndarray] = [_NO_POINTS]
         for w_i, (spec, kin) in enumerate(zip(scene.walkers, kinematics)):
             if not kin.active(t):
                 continue
@@ -321,11 +319,11 @@ def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
                 )
             )
 
-            pts += _scatter_group(
+            pts.append(_scatter_group(
                 rng, center, spec.points_torso, spec.noise_pos,
                 -spec.torso_half_band, spec.torso_half_band,
                 velocity, spec.noise_doppler, spec.dropout,
-            )
+            ))
             if spec.points_arms:
                 # Two arms anti-phase at the stride period: the backswing arm's
                 # Doppler flips sign (rejected by the torso gate), the forward
@@ -343,12 +341,12 @@ def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
                 half_arms = spec.points_arms // 2
                 for arm_sign, n_arm in ((+1, half_arms), (-1, spec.points_arms - half_arms)):
                     # Hands reach hip level, so arm returns span below the torso.
-                    pts += _scatter_group(
+                    pts.append(_scatter_group(
                         rng, center, n_arm, 1.5 * spec.noise_pos,
                         -0.5, 0.35,
                         (speed + arm_sign * swing) * direction,
                         spec.noise_doppler, spec.dropout,
-                    )
+                    ))
             if spec.points_legs:
                 tau = t - kin.t_start
                 half = spec.points_legs // 2
@@ -359,11 +357,11 @@ def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
                     leg_speed = max(0.0, factor) * speed
                     # Lower body fills z from the hips down, keeping the
                     # person one density-connected cluster.
-                    pts += _scatter_group(
+                    pts.append(_scatter_group(
                         rng, center, n_leg, spec.noise_pos,
                         -1.0, -0.15,
                         leg_speed * direction, spec.noise_doppler, spec.dropout,
-                    )
+                    ))
 
         for pet in scene.pets:
             ang = pet.phase + pet.speed / max(pet.wander_radius, 1e-6) * t
@@ -371,13 +369,13 @@ def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
                 [math.cos(ang), math.sin(ang)]
             )
             velocity = pet.speed * np.array([-math.sin(ang), math.cos(ang)])
-            pts += _scatter_group(
+            pts.append(_scatter_group(
                 rng, center, pet.n_points, 0.05,
                 pet.z_low, pet.z_high,
                 velocity, pet.noise_doppler, 0.0,
-            )
+            ))
 
-        frames.append((t, pts))
+        frames.append((t, np.concatenate(pts)))
 
     session = build_session(
         frame_rate=scene.frame_rate,

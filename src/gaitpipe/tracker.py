@@ -11,36 +11,49 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .config import DbscanConfig, PipelineConfig, TrackerConfig
-from .pointcloud import RadarPoint, Session
+from .pointcloud import Session, point_array
 
 NOISE = -1
 _FORBIDDEN = 1e12  # cost surrogate for pairs outside the gate
 
 
-@dataclass(frozen=True)
-class Detection:
+class _WithPoints:
+    """Dataclass base: `points` held as (k, 4) rows x, y, z, s, compared by value."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", point_array(self.points))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            map(np.array_equal, vars(self).values(), vars(other).values())
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Detection(_WithPoints):
     """One clustered object in a frame: centroid of its member points."""
 
     t: float
     centroid_x: float
     centroid_y: float
-    points: tuple[RadarPoint, ...]
+    points: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrackState:
+@dataclass(frozen=True, eq=False)
+class TrackState(_WithPoints):
     """Filtered position at time t plus the point subset assigned that frame."""
 
     t: float
     x: float
     y: float
-    points: tuple[RadarPoint, ...]
+    points: np.ndarray
 
 
 @dataclass
@@ -60,12 +73,12 @@ class Track:
 def dbscan_labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """Density-cluster points in 3D; return a label per point (-1 = noise).
 
-    Core points have at least min_pts neighbors within eps (themselves
-    included, distances inclusive of eps). Clusters are the connected
-    components of core points; border points join the cluster of their
-    nearest core point, ties broken by lower point index, which makes the
-    labeling independent of input order up to renaming. Cluster ids are
-    assigned in order of each cluster's smallest core index.
+    Core points have at least min_pts neighbors, themselves included; two
+    points are neighbors when dx*dx + dy*dy + dz*dz <= eps*eps. Clusters are
+    the connected components of core points; border points join the cluster
+    of their nearest core point, ties broken by lower point index, which
+    makes the labeling independent of input order up to renaming. Cluster
+    ids are assigned in order of each cluster's smallest core index.
 
     Neighbor pairs come from a `scipy.spatial.cKDTree`; each core point's
     component root is the smallest core index in its component, so ranking
@@ -121,35 +134,31 @@ def _component_roots(n: int, pairs: np.ndarray) -> np.ndarray:
 
 
 def dbscan(
-    points: tuple[RadarPoint, ...] | list[RadarPoint],
+    points: np.ndarray,
     eps: float,
     min_pts: int,
     min_cluster_size: int = 1,
     t: float = 0.0,
 ) -> list[Detection]:
-    """Cluster a frame's points into detections.
+    """Cluster a frame's (k, 4) points into detections.
 
     Noise points are discarded; clusters with fewer than min_cluster_size
     points are dropped as pets/clutter. Detections are returned in cluster
     label order with centroids over member (x, y).
     """
-    if not points:
-        return []
-    xyz = np.array([(p.x, p.y, p.z) for p in points], dtype=float)
-    labels = dbscan_labels(xyz, eps, min_pts)
+    points = point_array(points)
+    labels = dbscan_labels(points[:, :3], eps, min_pts)
     detections = []
-    for cid in range(labels.max() + 1):
-        members = np.flatnonzero(labels == cid)
+    for cid in range(labels.max(initial=NOISE) + 1):
+        members = points[labels == cid]
         if len(members) < min_cluster_size:
             continue
-        cx = float(np.mean(xyz[members, 0]))
-        cy = float(np.mean(xyz[members, 1]))
         detections.append(
             Detection(
                 t=t,
-                centroid_x=cx,
-                centroid_y=cy,
-                points=tuple(points[i] for i in members),
+                centroid_x=float(np.mean(members[:, 0])),
+                centroid_y=float(np.mean(members[:, 1])),
+                points=members,
             )
         )
     return detections
@@ -181,9 +190,9 @@ def merge_close_detections(
         if len(members) == 1:
             merged.append(detections[members[0]])
             continue
-        points = tuple(p for i in members for p in detections[i].points)
-        cx = math.fsum(p.x for p in points) / len(points)
-        cy = math.fsum(p.y for p in points) / len(points)
+        points = np.concatenate([detections[i].points for i in members])
+        cx = math.fsum(points[:, 0].tolist()) / len(points)
+        cy = math.fsum(points[:, 1].tolist()) / len(points)
         merged.append(
             Detection(
                 t=detections[members[0]].t, centroid_x=cx, centroid_y=cy, points=points
@@ -233,11 +242,26 @@ def associate(
     return matches, unmatched_tracks, unmatched_dets
 
 
+_H = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+
+
+@lru_cache(maxsize=64)
+def _cv_model(dt: float, sigma_a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transition F and process noise Q of the constant-velocity model over dt."""
+    F = np.eye(4)
+    F[0, 2] = F[1, 3] = dt
+    g = np.array([[0.5 * dt * dt, 0], [0, 0.5 * dt * dt], [dt, 0], [0, dt]])
+    Q = sigma_a**2 * (g @ g.T)
+    F.flags.writeable = Q.flags.writeable = False  # one cached pair serves every filter
+    return F, Q
+
+
 class KalmanCV:
     """Constant-velocity Kalman filter over state (x, y, vx, vy).
 
     Process noise is the white-acceleration model scaled by sigma_a; the
     measurement is the detection centroid with isotropic noise sigma_m.
+    F and Q are built once per distinct frame interval, R once per filter.
     """
 
     def __init__(
@@ -250,6 +274,7 @@ class KalmanCV:
     ):
         self.sigma_a = sigma_a
         self.sigma_m = sigma_m
+        self.R = sigma_m**2 * np.eye(2)
         self.state = np.array([x, y, 0.0, 0.0], dtype=float)
         self.cov = np.diag([sigma_m**2, sigma_m**2, v0_sigma**2, v0_sigma**2])
 
@@ -264,22 +289,13 @@ class KalmanCV:
     def predict(self, dt: float) -> None:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        F = np.array(
-            [[1, 0, dt, 0],
-             [0, 1, 0, dt],
-             [0, 0, 1, 0],
-             [0, 0, 0, 1]],
-            dtype=float,
-        )
-        g = np.array([[0.5 * dt * dt, 0], [0, 0.5 * dt * dt], [dt, 0], [0, dt]])
-        Q = self.sigma_a**2 * (g @ g.T)
+        F, Q = _cv_model(dt, self.sigma_a)
         self.state = F @ self.state
         self.cov = F @ self.cov @ F.T + Q
         self.cov = 0.5 * (self.cov + self.cov.T)
 
     def update(self, zx: float, zy: float) -> None:
-        H = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
-        R = self.sigma_m**2 * np.eye(2)
+        H, R = _H, self.R
         z = np.array([zx, zy], dtype=float)
         innovation = z - H @ self.state
         S = H @ self.cov @ H.T + R
@@ -316,16 +332,14 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
     next_id = 0
     prev_t: float | None = None
 
-    for frame in session.frames:
-        dt = None if prev_t is None else frame.t - prev_t
-        prev_t = frame.t
+    for t, points in session.frame_points():
+        dt = None if prev_t is None else t - prev_t
+        prev_t = t
         if dt is not None:
             for lt in live:
                 lt.kf.predict(dt)
 
-        detections = dbscan(
-            frame.points, db.eps, db.min_pts, db.min_cluster_size, t=frame.t
-        )
+        detections = dbscan(points, db.eps, db.min_pts, db.min_cluster_size, t=t)
         detections = merge_close_detections(detections, db.merge_radius)
         predicted = [(lt.kf.x, lt.kf.y) for lt in live]
         matches, unmatched_tracks, unmatched_dets = associate(
@@ -337,7 +351,7 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
             det = detections[dj]
             lt.kf.update(det.centroid_x, det.centroid_y)
             lt.track.states.append(
-                TrackState(t=frame.t, x=lt.kf.x, y=lt.kf.y, points=det.points)
+                TrackState(t=t, x=lt.kf.x, y=lt.kf.y, points=det.points)
             )
             lt.consecutive_hits += 1
             lt.consecutive_misses = 0
@@ -361,7 +375,7 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
             kf = KalmanCV(det.centroid_x, det.centroid_y, tk.sigma_a, tk.sigma_m)
             track = Track(track_id=next_id)
             track.states.append(
-                TrackState(t=frame.t, x=kf.x, y=kf.y, points=det.points)
+                TrackState(t=t, x=kf.x, y=kf.y, points=det.points)
             )
             live.append(
                 _LiveTrack(

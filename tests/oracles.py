@@ -14,15 +14,16 @@ import numpy as np
 
 
 def naive_dbscan(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
-    """O(n^2) reference DBSCAN with the same border rule as the library:
-    border points attach to their nearest core point, ties to lower index."""
+    """O(n^2) reference DBSCAN with the same rules as the library: two points
+    are neighbors when dx*dx + dy*dy + dz*dz <= eps*eps, and border points
+    attach to their nearest core point, ties to lower index."""
     n = len(xyz)
     labels = np.full(n, -1, dtype=int)
     if n == 0:
         return labels
     diff = xyz[:, None, :] - xyz[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    adjacency = dist <= eps
+    d2 = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1] + diff[..., 2] * diff[..., 2]
+    adjacency = d2 <= eps * eps
     core = adjacency.sum(axis=1) >= min_pts
 
     # Union-find over core points connected within eps.
@@ -61,12 +62,55 @@ def naive_dbscan(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         best_j = -1
         best_d = math.inf
         for j in range(n):
-            if core[j] and adjacency[i, j] and (dist[i, j] < best_d):
-                best_d = dist[i, j]
+            if core[j] and adjacency[i, j] and (d2[i, j] < best_d):
+                best_d = d2[i, j]
                 best_j = j
         if best_j >= 0:
             labels[i] = labels[best_j]
     return labels
+
+
+def reference_frame_points(frame_pts: list) -> tuple:
+    """The session reader's per-point rule, one Python call per point.
+
+    frame_pts holds each frame line's parsed `pts` value, frame k on file
+    line k + 2 (after the header). Returns ("reject", line, message) for the
+    first bad line, else ("accept", kept points per frame, number dropped).
+    An entry is rejected unless it is a 4-element list of values float()
+    accepts, then dropped when non-finite or y < 0. Integers past the float
+    range are rejected as non-numeric (float() raises OverflowError).
+    """
+    kept, dropped = [], 0
+    for line, pts in enumerate(frame_pts, start=2):
+        if not isinstance(pts, list):
+            return ("reject", line, "'pts' must be an array")
+        frame = []
+        for raw in pts:
+            if not isinstance(raw, list) or len(raw) != 4:
+                return ("reject", line,
+                        f"point must be a 4-element [x, y, z, s] array, got {raw!r}")
+            try:
+                x, y, z, s = (float(v) for v in raw)
+            except (TypeError, ValueError, OverflowError):
+                return ("reject", line, f"non-numeric point entry {raw!r}")
+            if not all(math.isfinite(v) for v in (x, y, z, s)) or y < 0:
+                dropped += 1
+            else:
+                frame.append((x, y, z, s))
+        kept.append(frame)
+    return ("accept", kept, dropped)
+
+
+def reference_torso_speeds(
+    frames: list[list[tuple[float, float, float, float]]], z_torso: float, sign: int
+) -> list[tuple[float, int] | None]:
+    """Per-point torso gate: (|mean qualifying Doppler|, count) per frame,
+    None where no point has |z| <= z_torso and Doppler of the given sign."""
+    out = []
+    for points in frames:
+        speeds = [s for _, _, z, s in points if -z_torso <= z <= z_torso and sign * s > 0]
+        out.append((abs(math.fsum(speeds) / len(speeds)), len(speeds)) if speeds else None)
+    return out
 
 
 def canonical_labels(labels: np.ndarray) -> list[int]:

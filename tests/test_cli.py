@@ -218,6 +218,29 @@ def test_malformed_walklog_exit_2(sim_dir, tmp_path, capsys, walklog, field):
     assert str(path) in err and field in err
 
 
+def test_session_frame_rate_too_low_for_nms_window_exit_2(tmp_path, capsys):
+    # At 4 fps two frame intervals are 0.5 s, more than the default 0.4 s window.
+    path = tmp_path / "slow.session.jsonl"
+    path.write_text('{"format":"gaitpipe-frames","version":1,"frame_rate":4.0,'
+                    '"site":"home","room":"r","device":"d"}\n'
+                    '{"t":0.0,"pts":[]}\n{"t":0.25,"pts":[]}\n')
+    code = main(["process", "--input", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "slow.session.jsonl" in err and "4.0 fps" in err
+
+
+def test_value_error_inside_pipeline_exits_1(sim_dir, tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("invariant violated")
+
+    monkeypatch.setattr("gaitpipe.cli.process_session", broken)
+    code = main(["process", "--input", str(sim_dir / "home_radial-6.session.jsonl"),
+                 "--jobs", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("internal error: ValueError")
+
+
 def test_zero_walk_home_session_is_success(tmp_path):
     assert main(["simulate", "--scenario", "home_perpendicular", "--seed", "3",
                  "--out", str(tmp_path)]) == 0

@@ -20,7 +20,7 @@ from gaitpipe.segmenter import LinearSegment, classify, segment_geometry, split_
 from gaitpipe.simulator import SceneSpec, WalkerSpec, make_scenario, simulate
 from gaitpipe.tracker import TrackState, track_frames
 
-from oracles import brute_force_peaks
+from oracles import brute_force_peaks, reference_torso_speeds
 
 
 def segment_from_states(states, track_id=0):
@@ -67,6 +67,30 @@ def test_gate_application():
     assert len(series) == 2
     assert all(s.n_torso_points == 2 for s in series.samples)
     assert series.samples[0].v == pytest.approx(1.0)  # |(-1.2 + -0.8)/2|
+
+
+def test_gate_matches_per_point_reference():
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        frames = [
+            [
+                (0.0, 3.0, float(z), float(s))
+                # Band edges and zero Doppler are drawn as often as the rest.
+                for z, s in zip(
+                    rng.choice([-0.25, 0.25, 0.0, *rng.uniform(-0.6, 0.6, 5)], size=n),
+                    rng.choice([0.0, *rng.normal(-0.5, 1.0, 5)], size=n),
+                )
+            ]
+            for n in rng.integers(0, 12, size=8)
+        ]
+        series = torso_speed(approach_segment(frames), z_torso=0.25)
+        expected = reference_torso_speeds(frames, 0.25, APPROACH)
+        assert [(s.v, s.n_torso_points) for s in series.samples] == [
+            e for e in expected if e is not None
+        ]
+        assert [s.t for s in series.samples] == [
+            0.1 * i for i, e in enumerate(expected) if e is not None
+        ]
 
 
 def test_constant_speed_mean():

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gaitpipe.pointcloud import (
     NonMonotonicTimeError,
@@ -11,6 +12,8 @@ from gaitpipe.pointcloud import (
     read_session,
     write_session,
 )
+
+from oracles import reference_frame_points
 
 HEADER = (
     '{"format":"gaitpipe-frames","version":1,"frame_rate":10.0,'
@@ -170,3 +173,66 @@ def test_random_sessions_round_trip(tmp_path):
         out = tmp_path / f"r{trial}.jsonl"
         write_session(session, out)
         assert read_session(out).frames == session.frames
+
+
+_NUMBERS = st.one_of(
+    st.floats(-5, 5),
+    st.integers(-3, 3),
+    st.sampled_from([float("nan"), float("inf"), -0.0, True, False, 2**63, 2**64 - 1]),
+)
+_SCALARS = st.one_of(
+    st.floats(),  # NaN, infinities and negative y included
+    st.integers(-(2**70), 2**70),
+    st.just(10**400),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1.5", " -2 ", "nan", "inf", "1e3", "1_0", "abc", ""]),
+)
+_NUMERIC_PTS = st.lists(st.lists(_NUMBERS, min_size=4, max_size=4), max_size=8)
+# One value of a numeric point swapped for any scalar (a null, a numeric
+# string, ...), drawn twice as often as a list of the wrong length, a nested
+# list or a bare scalar.
+_ONE_ODD_VALUE = st.tuples(
+    st.lists(_NUMBERS, min_size=4, max_size=4), st.integers(0, 3), _SCALARS
+).map(lambda a: a[0][: a[1]] + [a[2]] + a[0][a[1] + 1 :])
+_ODD_ENTRY = st.integers(0, 4).flatmap(lambda k: (
+    _ONE_ODD_VALUE,
+    _ONE_ODD_VALUE,
+    st.lists(_SCALARS, max_size=6),
+    st.lists(st.lists(_NUMBERS, max_size=4), min_size=4, max_size=4),
+    _SCALARS,
+)[k])
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    frame_pts=st.lists(_NUMERIC_PTS, min_size=1, max_size=4),
+    odd=_ODD_ENTRY,
+    line=st.integers(0, 3),
+    pos=st.integers(0, 8),
+    as_pts=st.integers(0, 9),
+)
+def test_reader_matches_per_point_rule(tmp_path, frame_pts, odd, line, pos, as_pts):
+    # Plainly numeric frames with one odd entry, which now and then stands
+    # in for a whole line's `pts`.
+    line %= len(frame_pts)
+    if as_pts == 0:
+        frame_pts[line] = odd
+    else:
+        frame_pts[line].insert(pos, odd)
+    lines = [HEADER] + [
+        json.dumps({"t": 0.1 * (k + 1), "pts": pts}) for k, pts in enumerate(frame_pts)
+    ]
+    path = write_lines(tmp_path, *lines)
+    expected = reference_frame_points([json.loads(text)["pts"] for text in lines[1:]])
+    try:
+        session = read_session(path)  # anything but SessionFormatError fails the test
+    except SessionFormatError as exc:
+        assert expected[0] == "reject"
+        assert (exc.line, str(exc)) == (expected[1], f"line {expected[1]}: {expected[2]}")
+        return
+    assert expected[0] == "accept"
+    _, kept, dropped = expected
+    assert session.dropped_points == dropped
+    # repr tells -0.0 from 0.0, so the values must match bit for bit.
+    assert repr([[tuple(p) for p in f.points] for f in session.frames]) == repr(kept)

@@ -73,6 +73,11 @@ def test_dbscan_matches_naive_reference():
         eps = float(rng.uniform(0.2, 0.8))
         min_pts = int(rng.integers(1, 6))
         assert np.array_equal(dbscan_labels(xyz, eps, min_pts), naive_dbscan(xyz, eps, min_pts))
+    # 0.1 m lattices put many pairs at exactly eps, where the squared-distance
+    # rule and a square-root comparison can disagree.
+    for _ in range(40):
+        xyz = rng.integers(0, 20, size=(int(rng.integers(20, 80)), 3)) * 0.1
+        assert np.array_equal(dbscan_labels(xyz, 0.5, 3), naive_dbscan(xyz, 0.5, 3))
 
 
 def test_dbscan_order_independent():
@@ -249,7 +254,7 @@ def test_track_points_subset_of_frame(single_walker):
     frames_by_t = {f.t: set(f.points) for f in session.frames}
     for track in track_frames(session, PipelineConfig()):
         for state in track.states:
-            assert set(state.points) <= frames_by_t[state.t]
+            assert set(map(tuple, state.points.tolist())) <= frames_by_t[state.t]
 
 
 def test_tracker_deterministic(single_walker):
