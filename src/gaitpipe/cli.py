@@ -297,16 +297,18 @@ def _truth_reference(truth_dir: Path, stem: str, record: dict) -> float:
     truth_path = truth_dir / f"{stem}.truth.jsonl"
     if not truth_path.exists():
         raise InputError(f"missing ground truth for session {stem!r}: {truth_path}")
-    header = read_truth_header(truth_path)
-    walkers = header.get("walkers", [])
-    if not walkers:
-        raise InputError(f"ground truth for {stem!r} lists no walkers")
-    t_start = record.get("t_start")
-    if t_start is not None:
-        for w in walkers:
-            if w["t_start"] - 1.0 <= t_start <= w["t_end"] + 1.0:
-                return float(w["true_step_length"])
-    return float(walkers[0]["true_step_length"])
+    try:
+        walkers = read_truth_header(truth_path).get("walkers", [])
+        if not walkers:
+            raise InputError(f"ground truth for {stem!r} lists no walkers")
+        t_start = record.get("t_start")
+        if t_start is not None:
+            for w in walkers:
+                if w["t_start"] - 1.0 <= t_start <= w["t_end"] + 1.0:
+                    return float(w["true_step_length"])
+        return float(walkers[0]["true_step_length"])
+    except (KeyError, TypeError, ValueError) as exc:  # not JSON, not a truth file, bad walker
+        raise InputError(f"ground truth {str(truth_path)!r}: {type(exc).__name__}: {exc}") from None
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

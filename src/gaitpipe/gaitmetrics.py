@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,13 +48,18 @@ class TorsoSpeedSeries:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.samples])
 
-    @property
+    @cached_property
     def speeds(self) -> np.ndarray:
         return np.array([s.v for s in self.samples])
+
+    @cached_property
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tracked x and y of each sample."""
+        return np.array([s.x for s in self.samples]), np.array([s.y for s in self.samples])
 
 
 @dataclass(frozen=True)
@@ -182,10 +188,8 @@ def _position_at(series: TorsoSpeedSeries, t_peak: float) -> tuple[float, float]
     Peak times normally are sample times, making this exact; refined
     (sub-sample) peaks interpolate linearly.
     """
-    t = series.times
-    x = np.interp(t_peak, t, [s.x for s in series.samples])
-    y = np.interp(t_peak, t, [s.y for s in series.samples])
-    return float(x), float(y)
+    xs, ys = series.positions
+    return float(np.interp(t_peak, series.times, xs)), float(np.interp(t_peak, series.times, ys))
 
 
 def _doppler_integral(series: TorsoSpeedSeries, t_a: float, t_b: float) -> float:

@@ -186,6 +186,18 @@ def read_session(path: str | os.PathLike) -> Session:
                 for key in ("frame_rate", "site", "room", "device"):
                     if key not in obj:
                         raise SessionFormatError(f"header missing {key!r}", lineno)
+                try:
+                    frame_rate = float(obj["frame_rate"])
+                except (TypeError, ValueError, OverflowError):
+                    frame_rate = math.nan
+                if not frame_rate > 0:
+                    raise SessionFormatError(
+                        f"frame_rate must be a positive number, got {obj['frame_rate']!r}", lineno
+                    )
+                if obj["site"] not in SITES:
+                    raise SessionFormatError(
+                        f"site must be one of {SITES}, got {obj['site']!r}", lineno
+                    )
                 header = obj
                 continue
 
@@ -215,11 +227,6 @@ def read_session(path: str | os.PathLike) -> Session:
 
     if header is None:
         raise SessionFormatError("empty file: header line required", 1)
-
-    try:
-        frame_rate = float(header["frame_rate"])
-    except (TypeError, ValueError):
-        raise SessionFormatError(f"non-numeric frame_rate {header['frame_rate']!r}", 1) from None
 
     return Session(
         frame_rate=frame_rate,

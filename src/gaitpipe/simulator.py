@@ -441,7 +441,7 @@ def write_truth(truth: GroundTruth, path: str | os.PathLike) -> None:
 def read_truth_header(path: str | os.PathLike) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-    if header.get("format") != TRUTH_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != TRUTH_FORMAT:
         raise ValueError(f"not a ground-truth file: {os.fspath(path)!r}")
     return header
 

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import f as f_dist
-
-from .tracker import Track
+from scipy.special import fdtri
 
 _DEGENERATE_TOL = 1e-12
 
@@ -39,16 +37,6 @@ class RatingsMatrix:
         if not np.isfinite(values).all():
             raise ValueError("ratings must be finite with no missing entries")
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[float | None]]) -> "RatingsMatrix":
-        """Build a matrix dropping rows with any missing value (listwise)."""
-        complete = [
-            [float(v) for v in row]
-            for row in rows
-            if all(v is not None and math.isfinite(float(v)) for v in row)
-        ]
-        return cls(np.array(complete, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -119,8 +107,8 @@ def icc2k(m: RatingsMatrix | np.ndarray | Sequence, confidence: float = 0.95) ->
             n * (1 + (k - 1) * icc2) - k * icc2
         ) ** 2
         v = vn / vd
-        fl = f_dist.ppf(1 - alpha / 2, n - 1, v)
-        fu = f_dist.ppf(1 - alpha / 2, v, n - 1)
+        fl = fdtri(n - 1, v, 1 - alpha / 2)
+        fu = fdtri(v, n - 1, 1 - alpha / 2)
         lo2 = n * (msr - fl * mse) / (fl * (k * msc + (k * n - k - n) * mse) + n * msr)
         hi2 = n * (fu * msr - mse) / (k * msc + (k * n - k - n) * mse + n * fu * msr)
         lo = lo2 * k / (1 + (k - 1) * lo2)
@@ -148,8 +136,8 @@ def icc3k(m: RatingsMatrix | np.ndarray | Sequence, confidence: float = 0.95) ->
     fvalue = msr / mse
     df1 = n - 1
     df2 = (n - 1) * (k - 1)
-    fl = fvalue / f_dist.ppf(1 - alpha / 2, df1, df2)
-    fu = fvalue * f_dist.ppf(1 - alpha / 2, df2, df1)
+    fl = fvalue / fdtri(df1, df2, 1 - alpha / 2)
+    fu = fvalue * fdtri(df2, df1, 1 - alpha / 2)
     return IccResult(icc, 1 - 1 / fl, 1 - 1 / fu, n, k)
 
 
@@ -215,10 +203,6 @@ class DetectionRate:
     @property
     def rate(self) -> float:
         return self.detected / self.total if self.total else 0.0
-
-    def type_rate(self, walk_type: str) -> float:
-        detected, total = self.by_type[walk_type]
-        return detected / total if total else 0.0
 
 
 def detection_rate(
@@ -325,13 +309,3 @@ def heatmap_from_xy(
     counts = np.zeros((int(iy.max()) - y0 + 1, int(ix.max()) - x0 + 1), dtype=int)
     np.add.at(counts, (iy - y0, ix - x0), 1)
     return OccupancyHeatmap(origin_x=x0, origin_y=y0, cell=cell, counts=counts)
-
-
-def occupancy_heatmap(tracks: Iterable[Track], cell: float = 0.25) -> OccupancyHeatmap:
-    """Grid of track-state visit counts; outlines commonly used pathways."""
-    xs, ys = [], []
-    for track in tracks:
-        for state in track.states:
-            xs.append(state.x)
-            ys.append(state.y)
-    return heatmap_from_xy(xs, ys, cell)

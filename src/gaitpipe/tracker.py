@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -242,26 +241,15 @@ def associate(
     return matches, unmatched_tracks, unmatched_dets
 
 
-_H = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
-
-
-@lru_cache(maxsize=64)
-def _cv_model(dt: float, sigma_a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Transition F and process noise Q of the constant-velocity model over dt."""
-    F = np.eye(4)
-    F[0, 2] = F[1, 3] = dt
-    g = np.array([[0.5 * dt * dt, 0], [0, 0.5 * dt * dt], [dt, 0], [0, dt]])
-    Q = sigma_a**2 * (g @ g.T)
-    F.flags.writeable = Q.flags.writeable = False  # one cached pair serves every filter
-    return F, Q
-
-
 class KalmanCV:
     """Constant-velocity Kalman filter over state (x, y, vx, vy).
 
     Process noise is the white-acceleration model scaled by sigma_a; the
     measurement is the detection centroid with isotropic noise sigma_m.
-    F and Q are built once per distinct frame interval, R once per filter.
+    F and Q are block-diagonal per axis, R is isotropic and the initial
+    covariance is diagonal, so both axes share one symmetric (position,
+    velocity) covariance [[pp, pv], [pv, vv]] and the cross-axis terms stay
+    zero: the filter runs in closed form on plain floats.
     """
 
     def __init__(
@@ -272,44 +260,55 @@ class KalmanCV:
         sigma_m: float,
         v0_sigma: float = 1.5,
     ):
-        self.sigma_a = sigma_a
-        self.sigma_m = sigma_m
-        self.R = sigma_m**2 * np.eye(2)
-        self.state = np.array([x, y, 0.0, 0.0], dtype=float)
-        self.cov = np.diag([sigma_m**2, sigma_m**2, v0_sigma**2, v0_sigma**2])
+        self.x, self.y, self.vx, self.vy = float(x), float(y), 0.0, 0.0
+        self.q = sigma_a**2
+        self.r = sigma_m**2
+        self.pp, self.pv, self.vv = self.r, 0.0, v0_sigma**2
 
     @property
-    def x(self) -> float:
-        return float(self.state[0])
+    def state(self) -> np.ndarray:
+        return np.array([self.x, self.y, self.vx, self.vy])
+
+    @state.setter
+    def state(self, value) -> None:
+        self.x, self.y, self.vx, self.vy = map(float, value)
 
     @property
-    def y(self) -> float:
-        return float(self.state[1])
+    def cov(self) -> np.ndarray:
+        """The 4x4 covariance over (x, y, vx, vy)."""
+        return np.kron([[self.pp, self.pv], [self.pv, self.vv]], np.eye(2))
 
     def predict(self, dt: float) -> None:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        F, Q = _cv_model(dt, self.sigma_a)
-        self.state = F @ self.state
-        self.cov = F @ self.cov @ F.T + Q
-        self.cov = 0.5 * (self.cov + self.cov.T)
+        self.x += dt * self.vx
+        self.y += dt * self.vy
+        # F P F^T + q g g^T with F = [[1, dt], [0, 1]] and g = (dt^2/2, dt).
+        g = 0.5 * dt * dt
+        pv = self.pv + dt * self.vv
+        self.pp += dt * (self.pv + pv) + self.q * g * g
+        self.pv = pv + self.q * g * dt
+        self.vv += self.q * dt * dt
 
     def update(self, zx: float, zy: float) -> None:
-        H, R = _H, self.R
-        z = np.array([zx, zy], dtype=float)
-        innovation = z - H @ self.state
-        S = H @ self.cov @ H.T + R
-        K = self.cov @ H.T @ np.linalg.inv(S)
-        self.state = self.state + K @ innovation
-        # Joseph form keeps the covariance symmetric positive-definite.
-        ikh = np.eye(4) - K @ H
-        self.cov = ikh @ self.cov @ ikh.T + K @ R @ K.T
-        self.cov = 0.5 * (self.cov + self.cov.T)
+        pp, pv, r = self.pp, self.pv, self.r
+        s = pp + r
+        kp, kv = pp / s, pv / s
+        ex, ey = zx - self.x, zy - self.y
+        self.x += kp * ex
+        self.y += kp * ey
+        self.vx += kv * ex
+        self.vy += kv * ey
+        # Joseph form (I - K H) P (I - K H)^T + K r K^T keeps the covariance
+        # positive-definite; c is the (velocity, position) entry of (I - K H) P.
+        a, c = 1.0 - kp, pv - kv * pp
+        self.pp = a * a * pp + r * kp * kp
+        self.pv = a * c + r * kp * kv
+        self.vv += -kv * pv - kv * c + r * kv * kv
 
 
 @dataclass
 class _LiveTrack:
-    track_id: int
     kf: KalmanCV
     track: Track
     consecutive_hits: int = 1
@@ -367,7 +366,7 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
                 still_live.append(lt)
             elif lt.ever_confirmed:
                 finished.append(lt.track)
-        still_live.sort(key=lambda lt: lt.track_id)
+        still_live.sort(key=lambda lt: lt.track.track_id)
         live = still_live
 
         for dj in unmatched_dets:
@@ -378,10 +377,7 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
                 TrackState(t=t, x=kf.x, y=kf.y, points=det.points)
             )
             live.append(
-                _LiveTrack(
-                    track_id=next_id, kf=kf, track=track,
-                    ever_confirmed=tk.confirm_hits <= 1,
-                )
+                _LiveTrack(kf=kf, track=track, ever_confirmed=tk.confirm_hits <= 1)
             )
             next_id += 1
 

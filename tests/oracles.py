@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.stats import f as f_dist
 
 
 def naive_dbscan(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -142,6 +143,37 @@ def brute_force_assignment(cost: np.ndarray) -> float:
     return best
 
 
+class MatrixKalmanCV:
+    """Constant-velocity Kalman filter in full 4x4 matrix algebra over state
+    (x, y, vx, vy): F, Q, H and R built as matrices, the gain through an
+    explicit inverse of S, and the Joseph-form covariance update."""
+
+    def __init__(self, x, y, sigma_a, sigma_m, v0_sigma=1.5):
+        self.sigma_a = sigma_a
+        self.R = sigma_m**2 * np.eye(2)
+        self.state = np.array([x, y, 0.0, 0.0], dtype=float)
+        self.cov = np.diag([sigma_m**2, sigma_m**2, v0_sigma**2, v0_sigma**2])
+
+    def predict(self, dt):
+        F = np.eye(4)
+        F[0, 2] = F[1, 3] = dt
+        g = np.array([[0.5 * dt * dt, 0], [0, 0.5 * dt * dt], [dt, 0], [0, dt]])
+        Q = self.sigma_a**2 * (g @ g.T)
+        self.state = F @ self.state
+        self.cov = F @ self.cov @ F.T + Q
+        self.cov = 0.5 * (self.cov + self.cov.T)
+
+    def update(self, zx, zy):
+        H = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+        innovation = np.array([zx, zy], dtype=float) - H @ self.state
+        S = H @ self.cov @ H.T + self.R
+        K = self.cov @ H.T @ np.linalg.inv(S)
+        self.state = self.state + K @ innovation
+        ikh = np.eye(4) - K @ H
+        self.cov = ikh @ self.cov @ ikh.T + K @ self.R @ K.T
+        self.cov = 0.5 * (self.cov + self.cov.T)
+
+
 def anova_mean_squares(values: np.ndarray) -> tuple[float, float, float]:
     """(MSR, MSC, MSE) from explicit two-way ANOVA sums of squares."""
     values = np.asarray(values, dtype=float)
@@ -168,6 +200,40 @@ def anova_icc2k(values: np.ndarray) -> float:
 def anova_icc3k(values: np.ndarray) -> float:
     msr, _, mse = anova_mean_squares(values)
     return (msr - mse) / msr
+
+
+def icc_ci_mcgraw_wong(
+    msr: float, msc: float, mse: float, n: int, k: int, confidence: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Confidence intervals of ICC(A,k) and ICC(C,k) from the mean squares,
+    after McGraw & Wong (1996), with F quantiles from scipy.stats.f.ppf.
+
+    ICC(A,k): the single-measure ICC(A,1) interval with Satterthwaite's
+    degrees of freedom, stepped up by Spearman-Brown; both bounds NaN when
+    either is not finite. ICC(C,k): the exact F interval.
+    """
+    q = 1 - (1 - confidence) / 2
+    with np.errstate(all="ignore"):
+        rho = (msr - mse) / (msr + (k - 1) * mse + k * (msc - mse) / n)
+        a = k * rho / (n * (1 - rho))
+        b = 1 + k * rho * (n - 1) / (n * (1 - rho))
+        v = (a * msc + b * mse) ** 2 / (
+            (a * msc) ** 2 / (k - 1) + (b * mse) ** 2 / ((n - 1) * (k - 1))
+        )
+        f_low, f_up = f_dist.ppf(q, n - 1, v), f_dist.ppf(q, v, n - 1)
+        c = k * msc + (k * n - k - n) * mse
+        low1 = n * (msr - f_low * mse) / (f_low * c + n * msr)
+        up1 = n * (f_up * msr - mse) / (c + n * f_up * msr)
+        low, up = (k * r / (1 + (k - 1) * r) for r in (low1, up1))
+    if not (math.isfinite(low) and math.isfinite(up)):
+        low = up = math.nan
+    f_obs = msr / mse
+    df_e = (n - 1) * (k - 1)
+    consistency = (
+        1 - f_dist.ppf(q, n - 1, df_e) / f_obs,
+        1 - 1 / (f_obs * f_dist.ppf(q, df_e, n - 1)),
+    )
+    return (low, up), consistency
 
 
 def radial_angle_by_vectors(

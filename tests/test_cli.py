@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaitpipe
 from gaitpipe.cli import main
 from gaitpipe.stats import icc2k, icc3k
 
@@ -319,6 +323,48 @@ def test_evaluate_missing_truth_file(sim_dir, tmp_path):
     empty_truth.mkdir()
     assert main(["evaluate", "--results", str(proc), "--truth", str(empty_truth),
                  "--out", str(tmp_path / "ev")]) == 2
+
+
+_TRUTH = '{"format": "gaitpipe-truth", "walkers": [%s]}'
+
+
+@pytest.mark.parametrize(
+    "header,field",
+    [
+        ("not json", "JSONDecodeError"),
+        ('{"format": "other"}', "not a ground-truth file"),
+        ("[1, 2]", "not a ground-truth file"),
+        (_TRUTH % '{"t_end": 99.0, "true_step_length": 0.6}', "t_start"),
+        (_TRUTH % '{"t_start": 0.0, "t_end": 99.0}', "true_step_length"),
+    ],
+    ids=["not_json", "other_format", "not_object", "walker_no_t_start", "walker_no_step_length"],
+)
+def test_evaluate_malformed_truth_exit_2(sim_dir, tmp_path, capsys, header, field):
+    proc = tmp_path / "proc"
+    assert main(["process", "--input", str(sim_dir / "home_radial-6.session.jsonl"),
+                 "--out", str(proc)]) == 0
+    truth = tmp_path / "truth"
+    truth.mkdir()
+    path = truth / "home_radial-6.truth.jsonl"
+    path.write_text(header + "\n")
+    capsys.readouterr()
+    code = main(["evaluate", "--results", str(proc), "--truth", str(truth),
+                 "--out", str(tmp_path / "ev")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(path) in err and field in err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # F quantiles come from scipy.special; scipy.stats would add about
+    # 20 MB and 0.4 s to every command's start-up.
+    src = str(Path(gaitpipe.__file__).resolve().parents[1])
+    probe = ("import sys, gaitpipe.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_icc_command(tmp_path):

@@ -78,6 +78,17 @@ def test_invalid_json_and_missing_header(tmp_path):
     with pytest.raises(SessionFormatError):
         read_session(path3)
 
+    # Header values a Session rejects are format errors on the header line,
+    # here line 2 after a blank line.
+    bad_values = [("site", "garden"), ("frame_rate", 0), ("frame_rate", float("nan")),
+                  ("frame_rate", "fast")]
+    for key, value in bad_values:
+        header = json.dumps({**json.loads(HEADER), key: value})
+        path4 = write_lines(tmp_path, "", header, '{"t":0.1,"pts":[]}')
+        with pytest.raises(SessionFormatError) as excinfo:
+            read_session(path4)
+        assert excinfo.value.line == 2 and key in str(excinfo.value)
+
 
 def test_behind_sensor_and_nonfinite_points_dropped(tmp_path):
     path = write_lines(

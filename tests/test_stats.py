@@ -5,18 +5,18 @@ import pytest
 
 from gaitpipe.stats import (
     RatingsMatrix,
+    _mean_squares,
     detection_rate,
     error_table,
     heatmap_from_xy,
     icc2k,
     icc3k,
     interval_reliability,
-    occupancy_heatmap,
     valid_track_stats,
 )
 from gaitpipe.tracker import Track, TrackState
 
-from oracles import anova_icc2k, anova_icc3k
+from oracles import anova_icc2k, anova_icc3k, icc_ci_mcgraw_wong
 
 # Shrout & Fleiss (1979), six targets rated by four judges. Published
 # averages: ICC(2,k)=0.62, ICC(3,k)=0.91; psych::ICC CIs (0.071, 0.93)
@@ -41,11 +41,6 @@ def test_ratings_matrix_validation():
         RatingsMatrix(np.zeros((3, 1)))
     with pytest.raises(ValueError):
         RatingsMatrix(np.array([[1.0, np.nan], [2.0, 3.0]]))
-
-
-def test_ratings_matrix_from_rows_drops_incomplete():
-    m = RatingsMatrix.from_rows([(1.0, 2.0), (None, 3.0), (4.0, 5.0), (6.0, float("nan"))])
-    assert m.values.shape == (2, 2)
 
 
 def test_icc_perfect_agreement():
@@ -92,6 +87,39 @@ def test_icc_matches_anova_oracle():
         m = rng.normal(5, 2, size=(n, k)) + rng.normal(0, 1, size=(n, 1))
         assert icc2k(m).icc == pytest.approx(anova_icc2k(m), abs=1e-9)
         assert icc3k(m).icc == pytest.approx(anova_icc3k(m), abs=1e-9)
+
+
+def test_icc_ci_matches_f_ppf_oracle():
+    # Intervals against McGraw & Wong's construction with scipy.stats.f.ppf
+    # quantiles, fed the same mean squares, over random matrices and
+    # near-degenerate ones.
+    rng = np.random.default_rng(40)
+    matrices = []
+    for _ in range(60):
+        n, k = int(rng.integers(2, 15)), int(rng.integers(2, 6))
+        matrices.append(rng.normal(5, 2, size=(n, k)) + rng.normal(0, 1, size=(n, 1)))
+    for _ in range(60):
+        # Residuals near the degeneracy tolerance, near-equal rows, or one
+        # rater offset far from the rest.
+        n, k = int(rng.integers(2, 10)), int(rng.integers(2, 5))
+        base = rng.normal(0.6, 0.1, size=(n, 1)) * rng.choice([1.0, 1e-5])
+        noise = rng.normal(0, 10.0 ** rng.uniform(-6, -2), size=(n, k))
+        offset = np.zeros((1, k))
+        offset[0, -1] = rng.choice([0.0, 1e-6, 5.0])
+        matrices.append(base + noise + offset)
+
+    checked = 0
+    for m in matrices:
+        n, k = m.shape
+        for confidence in (0.9, 0.95, 0.99):
+            r2, r3 = icc2k(m, confidence), icc3k(m, confidence)
+            if r2.degenerate or r3.degenerate:
+                continue
+            ci2, ci3 = icc_ci_mcgraw_wong(*_mean_squares(m), n, k, confidence)
+            np.testing.assert_allclose((r2.ci_low, r2.ci_high), ci2, rtol=1e-7, atol=1e-9)
+            np.testing.assert_allclose((r3.ci_low, r3.ci_high), ci3, rtol=1e-9, atol=1e-12)
+            checked += 1
+    assert checked > 200
 
 
 def test_icc_at_most_one_and_offset_ordering():
@@ -184,7 +212,6 @@ def test_detection_rate_bounds():
     rate = detection_rate([("control", True), ("fast", False), ("fast", True)])
     assert rate.rate == pytest.approx(2 / 3)
     assert rate.by_type["fast"] == (1, 2)
-    assert rate.type_rate("fast") == pytest.approx(0.5)
 
 
 # ----------------------------------------------------- interval reliability
@@ -260,15 +287,22 @@ def straight_track():
     return track
 
 
+def track_heatmap(tracks, cell):
+    """Visit-count grid over every track state, collected as `process` does."""
+    xs = [s.x for tr in tracks for s in tr.states]
+    ys = [s.y for tr in tracks for s in tr.states]
+    return heatmap_from_xy(xs, ys, cell)
+
+
 def test_heatmap_straight_track_on_line():
-    grid = occupancy_heatmap([straight_track()], cell=0.25)
+    grid = track_heatmap([straight_track()], cell=0.25)
     assert grid.counts.sum() == 20
     nonzero_cols = {j for i, j in zip(*np.nonzero(grid.counts))}
     assert nonzero_cols == {int(np.floor(0.3 / 0.25)) - grid.origin_x}
 
 
 def test_heatmap_empty_zero():
-    grid = occupancy_heatmap([], cell=0.25)
+    grid = track_heatmap([], cell=0.25)
     assert grid.counts.size == 0
     assert grid.to_csv().startswith("#")
 
@@ -293,7 +327,7 @@ def test_heatmap_argmax_on_walked_path():
     scene = make_scenario("home_radial")
     session, _ = simulate(scene)
     tracks = track_frames(session, PipelineConfig())
-    grid = occupancy_heatmap(tracks, cell=0.25)
+    grid = track_heatmap(tracks, cell=0.25)
     iy, ix = np.unravel_index(np.argmax(grid.counts), grid.counts.shape)
     x_center = (grid.origin_x + ix + 0.5) * grid.cell
     # The preset walks up and down the x = 0.3 line.

@@ -17,7 +17,7 @@ from gaitpipe.tracker import (
     track_frames,
 )
 
-from oracles import brute_force_assignment, canonical_labels, naive_dbscan
+from oracles import MatrixKalmanCV, brute_force_assignment, canonical_labels, naive_dbscan
 
 
 def pt(x, y, z=0.0, s=-1.0):
@@ -210,6 +210,32 @@ def test_kalman_tracks_noiseless_cv_exactly():
         if k >= 20:
             errs.append(math.hypot(kf.x - true[0], kf.y - true[1]))
     assert float(np.sqrt(np.mean(np.square(errs)))) < 0.01
+
+
+def test_kalman_matches_matrix_reference():
+    # 200 random runs: random frame intervals, noise levels, missed
+    # detections and state overwrites, closed form against 4x4 algebra.
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        x0, y0 = rng.uniform(-5, 5), rng.uniform(0, 8)
+        sigmas = (rng.uniform(0.1, 5.0), rng.uniform(0.02, 0.5))
+        v0_sigma = rng.uniform(0.1, 3.0)
+        kf = KalmanCV(x0, y0, *sigmas, v0_sigma=v0_sigma)
+        ref = MatrixKalmanCV(x0, y0, *sigmas, v0_sigma=v0_sigma)
+        for _ in range(100):
+            if rng.random() < 0.05:
+                state = np.concatenate([rng.uniform(-5, 8, 2), rng.uniform(-2, 2, 2)])
+                kf.state = state
+                ref.state = state.copy()
+            dt = rng.uniform(0.02, 0.5)
+            kf.predict(dt)
+            ref.predict(dt)
+            if rng.random() < 0.7:
+                zx, zy = (float(v) for v in rng.uniform(-5, 8, 2))
+                kf.update(zx, zy)
+                ref.update(zx, zy)
+            assert np.max(np.abs(kf.state - ref.state)) <= 1e-12
+            assert np.max(np.abs(kf.cov - ref.cov)) <= 1e-12
 
 
 # ------------------------------------------------------------ track_frames
