@@ -1,9 +1,9 @@
 """Command-line surface: simulate, process, evaluate, icc.
 
-Exit codes: 0 success, 2 for unreadable/malformed inputs or invalid
-configuration, 1 for internal invariant violations. All artifacts are
-written atomically and contain no timestamps, so repeated runs over the
-same inputs are byte-identical.
+Exit codes: 0 success; 2 for a bad input file (named in the message, see
+`_read`), config value or flag; 1 only for internal invariant
+violations. All artifacts are written atomically and contain no
+timestamps, so repeated runs over the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -40,6 +40,18 @@ EXIT_INPUT = 2
 
 class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
+
+
+# The input's fault, not ours: exit code 2.
+_INPUT_ERRORS = (InputError, ConfigError, OSError)
+
+
+def _read(kind: str, path, reader):
+    """Return reader(path); an unreadable or malformed file is an InputError naming it."""
+    try:
+        return reader(path)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{kind} {str(path)!r}: {type(exc).__name__}: {exc}") from None
 
 
 def _json_dump(obj: dict, path: Path) -> None:
@@ -107,7 +119,22 @@ def _segments_csv(segments) -> str:
     return buf.getvalue()
 
 
-def _process_one(
+def _process_one(session_path: str, *args) -> dict:
+    """Write one session's bundle and return its summary for report.json.
+
+    On failure the summary is {"stem", "error", "exit_code"}: exit code 2
+    for bad input, 1 for a bug. One bad session never loses the others.
+    """
+    stem = _session_stem(Path(session_path))
+    try:
+        return _write_bundle(session_path, *args)
+    except _INPUT_ERRORS as exc:
+        return {"stem": stem, "error": str(exc), "exit_code": EXIT_INPUT}
+    except Exception as exc:  # invariant violation
+        return {"stem": stem, "error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_INTERNAL}
+
+
+def _write_bundle(
     session_path: str,
     cfg: PipelineConfig,
     mode: str,
@@ -116,15 +143,13 @@ def _process_one(
     dump_tracks: bool,
 ) -> dict:
     path = Path(session_path)
-    try:
-        session = read_session(path)
-        walklog = read_walklog(walklog_path) if walklog_path else None
-    except ValueError as exc:  # malformed session (SessionFormatError) or walk log
-        raise InputError(str(exc)) from None
-    cfg.check_frame_rate(session.frame_rate, f"session {path.name!r}: ")
+    stem = _session_stem(path)
+    session = _read("session", session_path, read_session)
+    sibling = path.with_name(f"{stem}.walklog.json")
+    walklog = _read("walk log", walklog_path or sibling, read_walklog) if mode == "clinic" else None
+    cfg.check_frame_rate(session.frame_rate, f"session {session_path!r}: ")
     result = process_session(session, cfg, mode=mode, walklog=walklog)
 
-    stem = _session_stem(path)
     session_out = Path(out_dir) / stem
     session_out.mkdir(parents=True, exist_ok=True)
 
@@ -185,7 +210,7 @@ def _collect_sessions(input_arg: str) -> list[Path]:
 
 
 def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config)
+    cfg = _read("config", args.config, load_config)
     overrides = {
         "segmenter.rdp_epsilon": args.rdp_epsilon,
         "segmenter.min_length": args.min_length,
@@ -197,32 +222,12 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_process(args: argparse.Namespace) -> int:
-    try:
-        cfg = _load_cfg(args)
-    except ConfigError as exc:
-        raise InputError(str(exc)) from None
-
+    cfg = _load_cfg(args)
     sessions = _collect_sessions(args.input)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
-    for session_path in sessions:
-        walklog_path = args.walklog if args.mode == "clinic" else None
-        if args.mode == "clinic" and walklog_path is None:
-            candidate = session_path.with_name(
-                _session_stem(session_path) + ".walklog.json"
-            )
-            if candidate.exists():
-                walklog_path = str(candidate)
-            else:
-                raise InputError(
-                    f"clinic mode requires a walk log: pass --walklog or place "
-                    f"{_session_stem(session_path)}.walklog.json next to the session"
-                )
-        jobs.append(
-            (str(session_path), cfg, args.mode, walklog_path, str(out), args.dump_tracks)
-        )
+    jobs = [(str(p), cfg, args.mode, args.walklog, str(out), args.dump_tracks) for p in sessions]
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -231,11 +236,12 @@ def cmd_process(args: argparse.Namespace) -> int:
         summaries = [_process_one(*job) for job in jobs]
 
     summaries.sort(key=lambda s: s["stem"])
+    failures = [s for s in summaries if "error" in s]
 
     per_room_xy: dict[str, tuple[list, list]] = {}
     valid_flags: dict[str, list[bool]] = {}
     outcomes = []
-    for summary in summaries:
+    for summary in (s for s in summaries if "error" not in s):
         room = summary["room"]
         xs, ys = summary.pop("track_xy")
         bucket = per_room_xy.setdefault(room, ([], []))
@@ -268,70 +274,68 @@ def cmd_process(args: argparse.Namespace) -> int:
         },
     }
     _json_dump(report, out / "report.json")
-    print(
-        f"processed {len(sessions)} session(s): {rate.detected}/{rate.total} walks measured"
-    )
-    return EXIT_OK
+    done = len(sessions) - len(failures)
+    print(f"processed {done} session(s): {rate.detected}/{rate.total} walks measured")
+    for failure in failures:
+        prefix = "internal error" if failure["exit_code"] == EXIT_INTERNAL else "error"
+        print(f"{prefix}: {failure['error']}", file=sys.stderr)
+    # A bug (1) outranks bad input (2).
+    return min((f["exit_code"] for f in failures), default=EXIT_OK)
 
 
 # ---------------------------------------------------------------- evaluate
 
 
-def _read_walk_records(results_dir: Path) -> dict[str, list[dict]]:
-    records: dict[str, list[dict]] = {}
-    for walks_file in sorted(results_dir.glob("*/walks.jsonl")):
-        stem = walks_file.parent.name
-        rows = []
-        with open(walks_file, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append(json.loads(line))
-        records[stem] = rows
-    if not records:
-        raise InputError(f"no walks.jsonl files under {results_dir}")
-    return records
+def _read_walks(path) -> list[dict]:
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"line {lineno}: expected a JSON object")
+            for key in ("walk_type", "t_start", "avg_step_len_m", "reference_step_length"):
+                kinds = (str, type(None)) if key == "walk_type" else (int, float, type(None))
+                if not isinstance(row.get(key), kinds):
+                    raise ValueError(f"line {lineno}: {key!r} has the wrong type: {row[key]!r}")
+            rows.append(row)
+    return rows
 
 
-def _truth_reference(truth_dir: Path, stem: str, record: dict) -> float:
-    truth_path = truth_dir / f"{stem}.truth.jsonl"
-    if not truth_path.exists():
-        raise InputError(f"missing ground truth for session {stem!r}: {truth_path}")
-    try:
-        walkers = read_truth_header(truth_path).get("walkers", [])
-        if not walkers:
-            raise InputError(f"ground truth for {stem!r} lists no walkers")
-        t_start = record.get("t_start")
-        if t_start is not None:
-            for w in walkers:
-                if w["t_start"] - 1.0 <= t_start <= w["t_end"] + 1.0:
-                    return float(w["true_step_length"])
-        return float(walkers[0]["true_step_length"])
-    except (KeyError, TypeError, ValueError) as exc:  # not JSON, not a truth file, bad walker
-        raise InputError(f"ground truth {str(truth_path)!r}: {type(exc).__name__}: {exc}") from None
+def _read_reference(path) -> dict[str, float]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.DictReader(fh, restval="")
+        if not {"key", "reference_m"} <= set(rows.fieldnames or ()):
+            raise ValueError("needs 'key' and 'reference_m' columns")
+        return {row["key"]: float(row["reference_m"]) for row in rows}
+
+
+def _truth_reference(walkers: list[dict], record: dict) -> float:
+    t = record.get("t_start")
+    near = [w for w in walkers if t is not None and w["t_start"] - 1.0 <= t <= w["t_end"] + 1.0]
+    return float((near or walkers)[0]["true_step_length"])
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if (args.truth is None) == (args.reference is None):
         raise InputError("provide exactly one of --truth or --reference")
     results_dir = Path(args.results)
-    if not results_dir.is_dir():
-        raise InputError(f"results directory {results_dir} does not exist")
-    records = _read_walk_records(results_dir)
-
-    reference: dict[str, float] = {}
+    walks_files = sorted(results_dir.glob("*/walks.jsonl"))
+    if not walks_files:
+        raise InputError(f"no walks.jsonl files under {results_dir}")
     if args.reference is not None:
-        try:
-            with open(args.reference, "r", encoding="utf-8") as fh:
-                for row in csv.DictReader(fh):
-                    reference[row["key"]] = float(row["reference_m"])
-        except (OSError, KeyError, ValueError) as exc:
-            raise InputError(f"bad reference csv: {exc}") from None
+        reference = _read("reference csv", args.reference, _read_reference)
 
     pairs = []       # (estimate, reference, walk_type) for measured walks
     outcomes = []    # (walk_type, detected)
-    for stem in sorted(records):
-        for ordinal, record in enumerate(records[stem]):
+    for walks_file in walks_files:
+        stem = walks_file.parent.name
+        walkers = None  # the truth header, read once per session
+        for ordinal, record in enumerate(_read("walks", walks_file, _read_walks)):
             walk_type = record.get("walk_type")
             est = record.get("avg_step_len_m")
             outcomes.append((walk_type, est is not None))
@@ -340,12 +344,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if args.reference is not None:
                 key = f"{stem}/{ordinal}"
                 if key not in reference:
-                    raise InputError(f"reference csv missing key {key!r}")
-                ref = reference[key]
+                    raise InputError(f"reference csv {args.reference!r}: no key {key!r}")
+                ref, source = reference[key], f"reference csv {args.reference!r}"
             elif record.get("reference_step_length") is not None:
-                ref = float(record["reference_step_length"])
+                ref, source = float(record["reference_step_length"]), f"walks {str(walks_file)!r}"
             else:
-                ref = _truth_reference(Path(args.truth), stem, record)
+                truth_path = Path(args.truth) / f"{stem}.truth.jsonl"
+                if walkers is None:
+                    walkers = _read("ground truth", truth_path, read_truth_header)["walkers"]
+                ref, source = _truth_reference(walkers, record), f"ground truth {str(truth_path)!r}"
+            if not ref > 0:
+                raise InputError(f"{source}: walk {stem}/{ordinal} has reference {ref}, not > 0")
             pairs.append((est, ref, walk_type))
 
     out = Path(args.out)
@@ -409,17 +418,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- icc
 
 
-def cmd_icc(args: argparse.Namespace) -> int:
-    try:
-        rows = []
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if row:
-                    rows.append([float(v) for v in row])
-        matrix = RatingsMatrix(np.array(rows, dtype=float))
-    except (OSError, ValueError) as exc:
-        raise InputError(f"bad ratings matrix: {exc}") from None
+def _read_matrix(path) -> RatingsMatrix:
+    with open(path, "r", encoding="utf-8") as fh:
+        return RatingsMatrix([[float(v) for v in row] for row in csv.reader(fh) if row])
 
+
+def cmd_icc(args: argparse.Namespace) -> int:
+    matrix = _read("ratings matrix", args.matrix, _read_matrix)
     result = {
         "icc2k": icc2k(matrix).as_dict(),
         "icc3k": icc3k(matrix).as_dict(),
@@ -484,10 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConfigError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # invariant violation

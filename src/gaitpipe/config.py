@@ -72,27 +72,12 @@ class PipelineConfig:
     reporting: ReportingConfig = field(default_factory=ReportingConfig)
 
     def validate(self) -> "PipelineConfig":
-        positives = [
-            ("frame_rate", self.frame_rate),
-            ("dbscan.eps", self.dbscan.eps),
-            ("dbscan.min_pts", self.dbscan.min_pts),
-            ("dbscan.min_cluster_size", self.dbscan.min_cluster_size),
-            ("dbscan.merge_radius", self.dbscan.merge_radius),
-            ("tracker.gate", self.tracker.gate),
-            ("tracker.sigma_a", self.tracker.sigma_a),
-            ("tracker.sigma_m", self.tracker.sigma_m),
-            ("tracker.confirm_hits", self.tracker.confirm_hits),
-            ("tracker.kill_misses", self.tracker.kill_misses),
-            ("segmenter.rdp_epsilon", self.segmenter.rdp_epsilon),
-            ("segmenter.min_length", self.segmenter.min_length),
-            ("segmenter.max_angle_deg", self.segmenter.max_angle_deg),
-            ("segmenter.clinic_tol", self.segmenter.clinic_tol),
-            ("gait.z_torso", self.gait.z_torso),
-            ("gait.nms_window", self.gait.nms_window),
-            ("gait.min_peak_gap", self.gait.min_peak_gap),
-            ("gait.max_step_len", self.gait.max_step_len),
-            ("gait.max_step_time", self.gait.max_step_time),
-            ("reporting.heatmap_cell", self.reporting.heatmap_cell),
+        # Every field that is not a string is a count or a size.
+        positives = [("frame_rate", self.frame_rate)] + [
+            (f"{name}.{f.name}", getattr(getattr(self, name), f.name))
+            for name, section_type in _SECTION_TYPES.items()
+            for f in fields(section_type)
+            if f.type != "str"
         ]
         for name, value in positives:
             if not value > 0:
@@ -159,12 +144,12 @@ def load_config(path: str | os.PathLike | None) -> PipelineConfig:
     if path is None:
         return cfg.validate()
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {os.fspath(path)!r}: {exc}") from None
+        raise ConfigError(f"cannot read config: {exc.strerror}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 

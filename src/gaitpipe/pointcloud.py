@@ -198,6 +198,10 @@ def read_session(path: str | os.PathLike) -> Session:
                     raise SessionFormatError(
                         f"site must be one of {SITES}, got {obj['site']!r}", lineno
                     )
+                # The room names an output file, so it must not be a path.
+                room = str(obj["room"])
+                if room in ("", ".", "..") or any(c in room for c in "/\\\0"):
+                    raise SessionFormatError(f"room must be a plain name, got {room!r}", lineno)
                 header = obj
                 continue
 
@@ -231,7 +235,7 @@ def read_session(path: str | os.PathLike) -> Session:
     return Session(
         frame_rate=frame_rate,
         site=str(header["site"]),
-        room_label=str(header["room"]),
+        room_label=room,
         device_id=str(header["device"]),
         frames=tuple(frames),
         dropped_points=dropped,

@@ -263,36 +263,33 @@ def _optional_float(value: object) -> float | None:
 def read_walklog(path: str | os.PathLike) -> WalkLog:
     """Read a walk log file.
 
-    Malformed content raises ValueError naming the file and the field.
+    Malformed content raises ValueError naming the entry and field, not the file.
     """
-    name = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict) or obj.get("format") != WALKLOG_FORMAT:
-        raise ValueError(f"not a walk log file: {name!r}")
+        raise ValueError("not a walk log file")
     if not isinstance(obj.get("entries"), list):
-        raise ValueError(f"walk log {name!r}: 'entries' must be a list")
+        raise ValueError("'entries' must be a list")
 
     def field(raw: dict, key: str, convert, where: str, default=_REQUIRED):
         if key not in raw:
             if default is _REQUIRED:
-                raise ValueError(f"walk log {name!r}: {where} has no {key!r}")
+                raise ValueError(f"{where} has no {key!r}")
             return default
         try:
             return convert(raw[key])
         except (TypeError, ValueError):
-            raise ValueError(
-                f"walk log {name!r}: {where} has invalid {key!r}: {raw[key]!r}"
-            ) from None
+            raise ValueError(f"{where} has invalid {key!r}: {raw[key]!r}") from None
 
     entries = []
     for k, raw in enumerate(obj["entries"]):
         where = f"entry {k}"
         if not isinstance(raw, dict):
-            raise ValueError(f"walk log {name!r}: {where} is not an object")
+            raise ValueError(f"{where} is not an object")
         walk_type = field(raw, "walk_type", str, where)
         if walk_type not in WALK_TYPES:
-            raise ValueError(f"walk log {name!r}: {where} has unknown walk_type {walk_type!r}")
+            raise ValueError(f"{where} has unknown walk_type {walk_type!r}")
         entries.append(
             WalkEntry(
                 participant=field(raw, "participant", str, where),

@@ -439,10 +439,18 @@ def write_truth(truth: GroundTruth, path: str | os.PathLike) -> None:
 
 
 def read_truth_header(path: str | os.PathLike) -> dict:
+    """Read a ground-truth header; ValueError says what is wrong with it."""
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
     if not isinstance(header, dict) or header.get("format") != TRUTH_FORMAT:
-        raise ValueError(f"not a ground-truth file: {os.fspath(path)!r}")
+        raise ValueError("not a ground-truth file")
+    walkers = header.get("walkers")
+    if not walkers or not isinstance(walkers, list) or not all(isinstance(w, dict) for w in walkers):
+        raise ValueError("'walkers' must be a non-empty list of objects")
+    for k, walker in enumerate(walkers):
+        for key in ("t_start", "t_end", "true_step_length"):
+            if not isinstance(walker.get(key), (int, float)):
+                raise ValueError(f"walker {k}: {key!r} must be a number, got {walker.get(key)!r}")
     return header
 
 

@@ -150,7 +150,7 @@ def test_config_defaults_equivalence(sim_dir, tmp_path):
     assert read_tree(out_a) == read_tree(out_b)
 
 
-def test_bad_config_rejected(sim_dir, tmp_path):
+def test_bad_config_rejected(sim_dir, tmp_path, capsys):
     cfg_path = tmp_path / "bad.toml"
     cfg_path.write_text("[gait]\nmin_peak_gap = 0.2\nnms_window = 0.4\n")
     session = str(sim_dir / "home_radial-6.session.jsonl")
@@ -159,6 +159,13 @@ def test_bad_config_rejected(sim_dir, tmp_path):
     cfg_path.write_text("[gait]\nunknown_knob = 1\n")
     assert main(["process", "--input", session, "--config", str(cfg_path),
                  "--out", str(tmp_path / "o2")]) == 2
+    # A '%' is text, not configparser interpolation syntax.
+    cfg_path.write_text("[gait]\nz_torso = 5%\n")
+    capsys.readouterr()
+    assert main(["process", "--input", session, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o3")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {str(cfg_path)!r}") and "z_torso" in err
 
 
 def test_parameter_override_flags(sim_dir, tmp_path):
@@ -207,13 +214,14 @@ _ENTRY = {"participant": "p1", "walk_index": 0, "walk_type": "control", "t_start
         ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "walk_index": [0]}]}, "walk_index"),
         ({"format": "gaitpipe-walklog", "entries": [_ENTRY], "g_s": "far"}, "g_s"),
         ({"format": "gaitpipe-walklog", "entries": [3]}, "entry 0"),
+        ("not json", "JSONDecodeError"),
     ],
     ids=["null_value", "missing_key", "top_level_list", "entries_not_list",
-         "non_numeric_index", "bad_walkway", "entry_not_object"],
+         "non_numeric_index", "bad_walkway", "entry_not_object", "not_json"],
 )
 def test_malformed_walklog_exit_2(sim_dir, tmp_path, capsys, walklog, field):
     path = tmp_path / "bad.walklog.json"
-    path.write_text(json.dumps(walklog))
+    path.write_text(walklog if isinstance(walklog, str) else json.dumps(walklog))
     code = main(["process", "--input", str(sim_dir / "clinic_control-5.session.jsonl"),
                  "--mode", "clinic", "--walklog", str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -243,6 +251,80 @@ def test_value_error_inside_pipeline_exits_1(sim_dir, tmp_path, capsys, monkeypa
                  "--jobs", "1", "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith("internal error: ValueError")
+
+
+def _abc_sessions(sim_dir: Path, root: Path) -> Path:
+    """Good sessions a and c around a session b whose line 2 is not JSON."""
+    good = (sim_dir / "home_radial-6.session.jsonl").read_text().splitlines(keepends=True)
+    root.mkdir()
+    (root / "a.session.jsonl").write_text("".join(good))
+    (root / "b.session.jsonl").write_text("".join([good[0], "{bad\n"] + good[2:]))
+    (root / "c.session.jsonl").write_text("".join(good))
+    return root
+
+
+def test_bad_session_does_not_stop_batch(sim_dir, tmp_path, capsys):
+    sessions = _abc_sessions(sim_dir, tmp_path / "in")
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        code = main(["process", "--input", str(sessions), "--jobs", jobs, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: session ") and "b.session.jsonl" in err
+        assert "line 2" in err and "Traceback" not in err
+        trees.append(read_tree(out))
+    assert trees[0] == trees[1]
+    assert {name.split("/")[0] for name in trees[0]} == {"a", "c", "heatmap_living.csv",
+                                                         "report.json"}
+
+    report = json.loads(trees[0]["report.json"])
+    failed = report["sessions"]["b"]
+    assert failed["exit_code"] == 2 and "b.session.jsonl" in failed["error"]
+    assert sorted(failed) == ["error", "exit_code"]
+    # Totals count only the sessions that succeeded.
+    one = report["sessions"]["a"]
+    assert report["sessions"]["c"] == one
+    assert report["n_walks"] == 2 * one["n_walks"]
+
+
+def test_bug_in_batch_outranks_bad_input(sim_dir, tmp_path, capsys, monkeypatch):
+    from gaitpipe import cli
+
+    def broken_for_c(session, *args, **kwargs):
+        calls.append(session)
+        if len(calls) == 2:  # a, then c: b fails before it gets here
+            raise ValueError("invariant violated")
+        return real(session, *args, **kwargs)
+
+    calls, real = [], cli.process_session
+    monkeypatch.setattr("gaitpipe.cli.process_session", broken_for_c)
+    out = tmp_path / "out"
+    code = main(["process", "--input", str(_abc_sessions(sim_dir, tmp_path / "in")),
+                 "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err[0].startswith("error: session ") and "b.session.jsonl" in err[0]
+    assert err[1] == "internal error: ValueError: invariant violated"
+    sessions = json.loads((out / "report.json").read_text())["sessions"]
+    assert sessions["c"] == {"error": "ValueError: invariant violated", "exit_code": 1}
+    assert "n_walks" in sessions["a"]
+
+
+def test_room_label_cannot_escape_out(tmp_path, capsys):
+    rt = tmp_path / "rt2"
+    rt.mkdir()
+    path = rt / "heatmap_q.session.jsonl"
+    path.write_text('{"format":"gaitpipe-frames","version":1,"frame_rate":10.0,'
+                    '"site":"home","room":"q/../../escaped","device":"d"}\n'
+                    '{"t":0.0,"pts":[]}\n')
+    code = main(["process", "--input", str(path), "--out", str(rt / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err and "room" in err
+    outside = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                     if p.is_file() and rt / "out" not in p.parents)
+    assert outside == ["rt2/heatmap_q.session.jsonl"]
 
 
 def test_zero_walk_home_session_is_success(tmp_path):
@@ -356,6 +438,74 @@ def test_evaluate_malformed_truth_exit_2(sim_dir, tmp_path, capsys, header, fiel
     assert str(path) in err and field in err
 
 
+def _results_tree(root: Path, *records: dict) -> Path:
+    (root / "results" / "s").mkdir(parents=True)
+    lines = [json.dumps(r) if isinstance(r, dict) else r for r in records]
+    (root / "results" / "s" / "walks.jsonl").write_text("\n".join(lines) + "\n")
+    return root / "results"
+
+
+_WALK = {"walk_type": "control", "t_start": 2.0, "avg_step_len_m": 0.55}
+
+
+@pytest.mark.parametrize(
+    "line,field",
+    [("{bad", "invalid JSON"), ("[1]", "expected a JSON object"),
+     (json.dumps({**_WALK, "avg_step_len_m": "far"}), "avg_step_len_m"),
+     (json.dumps({**_WALK, "walk_type": ["control"]}), "walk_type")],
+    ids=["not_json", "not_object", "non_numeric_estimate", "walk_type_list"],
+)
+def test_evaluate_malformed_walks_exit_2(tmp_path, capsys, line, field):
+    results = _results_tree(tmp_path, _WALK, line)
+    ref = tmp_path / "ref.csv"
+    ref.write_text("key,reference_m\ns/0,0.55\ns/1,0.55\n")
+    code = main(["evaluate", "--results", str(results), "--reference", str(ref),
+                 "--out", str(tmp_path / "ev")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(results / "s" / "walks.jsonl") in err and "line 2" in err and field in err
+
+
+@pytest.mark.parametrize("value", [0, -0.5])
+@pytest.mark.parametrize("source", ["truth", "reference", "walks"])
+def test_evaluate_non_positive_reference_exit_2(tmp_path, capsys, source, value):
+    record = {**_WALK, "reference_step_length": value} if source == "walks" else _WALK
+    results = _results_tree(tmp_path, record)
+    truth = tmp_path / "truth"
+    truth.mkdir()
+    (truth / "s.truth.jsonl").write_text(json.dumps(
+        {"format": "gaitpipe-truth",
+         "walkers": [{"t_start": 2.0, "t_end": 9.0, "true_step_length": value}]}) + "\n")
+    ref = tmp_path / "ref.csv"
+    ref.write_text(f"key,reference_m\ns/0,{value}\n")
+    named = {"truth": truth / "s.truth.jsonl", "reference": ref,
+             "walks": results / "s" / "walks.jsonl"}[source]
+    how = ["--reference", str(ref)] if source == "reference" else ["--truth", str(truth)]
+    code = main(["evaluate", "--results", str(results), *how, "--out", str(tmp_path / "ev")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and str(named) in err and "s/0" in err
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [("id,ref\ns/0,0.55\n", "'key' and 'reference_m' columns"),
+     ("key,reference_m\ns/0,far\n", "far"),
+     ("key,reference_m\ns/0\n", "could not convert")],
+    ids=["wrong_columns", "non_numeric", "short_row"],
+)
+def test_evaluate_malformed_reference_csv_exit_2(tmp_path, capsys, text, field):
+    results = _results_tree(tmp_path, _WALK)
+    ref = tmp_path / "ref.csv"
+    ref.write_text(text)
+    code = main(["evaluate", "--results", str(results), "--reference", str(ref),
+                 "--out", str(tmp_path / "ev")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: reference csv") and str(ref) in err and field in err
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # F quantiles come from scipy.special; scipy.stats would add about
     # 20 MB and 0.4 s to every command's start-up.
@@ -367,7 +517,7 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
-def test_icc_command(tmp_path):
+def test_icc_command(tmp_path, capsys):
     rng = np.random.default_rng(4)
     matrix = rng.normal(0.6, 0.1, size=(10, 2))
     csv_path = tmp_path / "matrix.csv"
@@ -382,3 +532,4 @@ def test_icc_command(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert main(["icc", "--matrix", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err

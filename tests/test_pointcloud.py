@@ -82,6 +82,9 @@ def test_invalid_json_and_missing_header(tmp_path):
     # here line 2 after a blank line.
     bad_values = [("site", "garden"), ("frame_rate", 0), ("frame_rate", float("nan")),
                   ("frame_rate", "fast")]
+    # The room names an output file, so a path in it is a format error.
+    bad_values += [("room", room) for room in
+                   ("", ".", "..", "a/b", "q/../../escaped", "a\\b", "a\0b")]
     for key, value in bad_values:
         header = json.dumps({**json.loads(HEADER), key: value})
         path4 = write_lines(tmp_path, "", header, '{"t":0.1,"pts":[]}')
