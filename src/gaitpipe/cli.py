@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 2 for a bad input file (named in the message, see
 `_read`), config value or flag; 1 only for internal invariant
-violations. All artifacts are written atomically and contain no
-timestamps, so repeated runs over the same inputs are byte-identical.
+violations, which also print their traceback. All artifacts are written
+atomically and contain no timestamps, so repeated runs over the same
+inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,12 +14,14 @@ import csv
 import io
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, PipelineConfig, apply_overrides, config_as_dict, load_config
+from .config import ConfigError, PipelineConfig, apply_overrides, load_config
 from .pointcloud import atomic_write_text, read_session, write_session
 from .segmenter import read_walklog, write_walklog
 from .simulator import SCENARIO_NAMES, make_scenario, read_truth_header, simulate, write_truth
@@ -31,7 +34,7 @@ from .stats import (
     icc3k,
     valid_track_stats,
 )
-from .pipeline import process_session
+from .pipeline import MODES, process_session
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -123,7 +126,8 @@ def _process_one(session_path: str, *args) -> dict:
     """Write one session's bundle and return its summary for report.json.
 
     On failure the summary is {"stem", "error", "exit_code"}: exit code 2
-    for bad input, 1 for a bug. One bad session never loses the others.
+    for bad input, 1 for a bug, which also carries its "traceback" text.
+    One bad session never loses the others.
     """
     stem = _session_stem(Path(session_path))
     try:
@@ -131,7 +135,8 @@ def _process_one(session_path: str, *args) -> dict:
     except _INPUT_ERRORS as exc:
         return {"stem": stem, "error": str(exc), "exit_code": EXIT_INPUT}
     except Exception as exc:  # invariant violation
-        return {"stem": stem, "error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_INTERNAL}
+        return {"stem": stem, "error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_INTERNAL,
+                "traceback": traceback.format_exc()}
 
 
 def _write_bundle(
@@ -237,6 +242,7 @@ def cmd_process(args: argparse.Namespace) -> int:
 
     summaries.sort(key=lambda s: s["stem"])
     failures = [s for s in summaries if "error" in s]
+    tracebacks = [f.pop("traceback", "") for f in failures]  # kept out of report.json
 
     per_room_xy: dict[str, tuple[list, list]] = {}
     valid_flags: dict[str, list[bool]] = {}
@@ -259,7 +265,7 @@ def cmd_process(args: argparse.Namespace) -> int:
     tracks_stats = valid_track_stats(valid_flags)
     report = {
         "mode": args.mode,
-        "config": config_as_dict(cfg),
+        "config": asdict(cfg),
         "sessions": {s.pop("stem"): s for s in summaries},
         "n_walks": rate.total,
         "n_measured": rate.detected,
@@ -276,9 +282,10 @@ def cmd_process(args: argparse.Namespace) -> int:
     _json_dump(report, out / "report.json")
     done = len(sessions) - len(failures)
     print(f"processed {done} session(s): {rate.detected}/{rate.total} walks measured")
-    for failure in failures:
+    for failure, trace in zip(failures, tracebacks):
         prefix = "internal error" if failure["exit_code"] == EXIT_INTERNAL else "error"
         print(f"{prefix}: {failure['error']}", file=sys.stderr)
+        print(trace, end="", file=sys.stderr)
     # A bug (1) outranks bad input (2).
     return min((f["exit_code"] for f in failures), default=EXIT_OK)
 
@@ -457,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_proc = sub.add_parser("process", help="run the pipeline over session files")
     p_proc.add_argument("--input", required=True, help="session file or directory")
     p_proc.add_argument("--config", default=None)
-    p_proc.add_argument("--mode", choices=("home", "clinic"), default="home")
+    p_proc.add_argument("--mode", choices=MODES, default="home")
     p_proc.add_argument("--walklog", default=None)
     p_proc.add_argument("--out", required=True)
     p_proc.add_argument("--jobs", type=int, default=1)
@@ -494,6 +501,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except Exception as exc:  # invariant violation
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(traceback.format_exc(), end="", file=sys.stderr)
         return EXIT_INTERNAL
 
 

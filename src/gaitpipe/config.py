@@ -64,7 +64,6 @@ class ReportingConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    frame_rate: float = 10.0
     dbscan: DbscanConfig = field(default_factory=DbscanConfig)
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     segmenter: SegmenterConfig = field(default_factory=SegmenterConfig)
@@ -73,21 +72,19 @@ class PipelineConfig:
 
     def validate(self) -> "PipelineConfig":
         # Every field that is not a string is a count or a size.
-        positives = [("frame_rate", self.frame_rate)] + [
-            (f"{name}.{f.name}", getattr(getattr(self, name), f.name))
-            for name, section_type in _SECTION_TYPES.items()
-            for f in fields(section_type)
-            if f.type != "str"
-        ]
-        for name, value in positives:
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+        for section_field in fields(self):
+            section = getattr(self, section_field.name)
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if f.type != "str" and not value > 0:
+                    raise ConfigError(
+                        f"{section_field.name}.{f.name} must be positive, got {value}"
+                    )
         if not self.gait.min_peak_gap > self.gait.nms_window / 2:
             raise ConfigError(
                 f"gait.min_peak_gap ({self.gait.min_peak_gap}) must exceed half the "
                 f"suppression window ({self.gait.nms_window / 2})"
             )
-        self.check_frame_rate(self.frame_rate)
         if self.gait.distance_mode not in DISTANCE_MODES:
             raise ConfigError(
                 f"gait.distance_mode must be one of {DISTANCE_MODES}, "
@@ -103,7 +100,8 @@ class PipelineConfig:
     def check_frame_rate(self, frame_rate: float, source: str = "") -> None:
         """Raise ConfigError unless gait.nms_window covers two frame intervals.
 
-        Run against the configured rate and against each session's header.
+        The frame rate comes from a session header, the only place it is
+        recorded, so this runs once per session rather than at load time.
         """
         if not self.gait.nms_window >= 2.0 / frame_rate:
             raise ConfigError(
@@ -112,13 +110,7 @@ class PipelineConfig:
             )
 
 
-_SECTION_TYPES = {
-    "dbscan": DbscanConfig,
-    "tracker": TrackerConfig,
-    "segmenter": SegmenterConfig,
-    "gait": GaitConfig,
-    "reporting": ReportingConfig,
-}
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(PipelineConfig)}
 
 
 def _coerce(name: str, raw: str, target_type: type):
@@ -140,9 +132,8 @@ def load_config(path: str | os.PathLike | None) -> PipelineConfig:
     strings may be bare or quoted. Unknown sections or keys are errors so
     typos never silently fall back to defaults.
     """
-    cfg = PipelineConfig()
     if path is None:
-        return cfg.validate()
+        return PipelineConfig().validate()
 
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
@@ -155,12 +146,6 @@ def load_config(path: str | os.PathLike | None) -> PipelineConfig:
 
     sections: dict[str, object] = {}
     for section in parser.sections():
-        if section == "pipeline":
-            for key, raw in parser.items(section):
-                if key != "frame_rate":
-                    raise ConfigError(f"unknown key [pipeline] {key}")
-                cfg = replace(cfg, frame_rate=_coerce("frame_rate", raw, float))
-            continue
         if section not in _SECTION_TYPES:
             raise ConfigError(f"unknown section [{section}]")
         section_type = _SECTION_TYPES[section]
@@ -172,10 +157,7 @@ def load_config(path: str | os.PathLike | None) -> PipelineConfig:
             ftype = {"float": float, "int": int, "str": str}[known[key]]
             kwargs[key] = _coerce(f"{section}.{key}", raw, ftype)
         sections[section] = section_type(**kwargs)
-
-    for name, value in sections.items():
-        cfg = replace(cfg, **{name: value})
-    return cfg.validate()
+    return PipelineConfig(**sections).validate()
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict[str, float | str]) -> PipelineConfig:
@@ -184,17 +166,7 @@ def apply_overrides(cfg: PipelineConfig, overrides: dict[str, float | str]) -> P
         if value is None:
             continue
         section_name, _, key = dotted.partition(".")
-        if not key:
-            cfg = replace(cfg, **{section_name: value})
-            continue
         section = getattr(cfg, section_name)
         cfg = replace(cfg, **{section_name: replace(section, **{key: value})})
     return cfg.validate()
 
-
-def config_as_dict(cfg: PipelineConfig) -> dict:
-    out: dict = {"frame_rate": cfg.frame_rate}
-    for name, section_type in _SECTION_TYPES.items():
-        section = getattr(cfg, name)
-        out[name] = {f.name: getattr(section, f.name) for f in fields(section_type)}
-    return out

@@ -27,6 +27,10 @@ WALK_TYPES = ("control", "fast", "narrow", "obstacle", "dual_task")
 
 WALKLOG_FORMAT = "gaitpipe-walklog"
 
+# The clinic walkway's start and end in radar coordinates, meters.
+WALKWAY_START = (0.0, 6.03)
+WALKWAY_END = (0.0, 2.03)
+
 
 @dataclass
 class LinearSegment:
@@ -80,8 +84,8 @@ class WalkLog:
     """
 
     entries: tuple[WalkEntry, ...]
-    g_s: tuple[float, float] = (0.0, 6.03)
-    g_e: tuple[float, float] = (0.0, 2.03)
+    g_s: tuple[float, float] = WALKWAY_START
+    g_e: tuple[float, float] = WALKWAY_END
 
     def __post_init__(self):
         seen: dict[str, set[float]] = {}
@@ -303,8 +307,8 @@ def read_walklog(path: str | os.PathLike) -> WalkLog:
         )
     return WalkLog(
         entries=tuple(entries),
-        g_s=field(obj, "g_s", _xy, "header", default=(0.0, 6.03)),
-        g_e=field(obj, "g_e", _xy, "header", default=(0.0, 2.03)),
+        g_s=field(obj, "g_s", _xy, "header", default=WALKWAY_START),
+        g_e=field(obj, "g_e", _xy, "header", default=WALKWAY_END),
     )
 
 

@@ -25,14 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pointcloud import Session, atomic_write_text, build_session
-from .segmenter import WalkEntry, WalkLog
+from .segmenter import WALKWAY_END, WALKWAY_START, WalkEntry, WalkLog
 
 TRUTH_FORMAT = "gaitpipe-truth"
 MIN_DOPPLER = 0.05  # static-clutter model: slower returns are not reported
 _NO_POINTS = np.empty((0, 4))
-
-WALKWAY_START = (0.0, 6.03)
-WALKWAY_END = (0.0, 2.03)
 
 
 @dataclass(frozen=True)

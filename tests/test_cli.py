@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +11,11 @@ import pytest
 
 import gaitpipe
 from gaitpipe.cli import main
+from gaitpipe.pointcloud import write_session
+from gaitpipe.simulator import make_scenario, simulate
 from gaitpipe.stats import icc2k, icc3k
 
 DEFAULTS_TOML = """\
-[pipeline]
-frame_rate = 10.0
-
 [dbscan]
 eps = 0.4
 min_pts = 3
@@ -148,6 +148,43 @@ def test_config_defaults_equivalence(sim_dir, tmp_path):
     assert main(["process", "--input", session, "--config", str(cfg_path),
                  "--out", str(out_b)]) == 0
     assert read_tree(out_a) == read_tree(out_b)
+    config = json.loads((out_a / "report.json").read_text())["config"]
+    assert sorted(config) == ["dbscan", "gait", "reporting", "segmenter", "tracker"]
+
+
+def test_pipeline_section_rejected(sim_dir, tmp_path, capsys):
+    # The frame rate lives only in each session header.
+    cfg_path = tmp_path / "old.toml"
+    cfg_path.write_text("[pipeline]\nframe_rate = 10.0\n")
+    code = main(["process", "--input", str(sim_dir / "home_radial-6.session.jsonl"),
+                 "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: config {str(cfg_path)!r}")
+    assert "unknown section [pipeline]" in err
+
+
+def test_nms_window_checked_against_each_session_header(tmp_path, capsys):
+    # 0.15 s covers two frame intervals at 20 fps, not at 10 fps or 4 fps.
+    cfg_path = tmp_path / "fast.toml"
+    cfg_path.write_text("[gait]\nnms_window = 0.15\nmin_peak_gap = 0.1\n")
+    session, _ = simulate(replace(make_scenario("home_radial", seed=6), frame_rate=20.0))
+    fast = tmp_path / "fast.session.jsonl"
+    write_session(session, fast)
+    assert main(["process", "--input", str(fast), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o20")]) == 0
+    capsys.readouterr()
+
+    slow = tmp_path / "slow.session.jsonl"
+    slow.write_text('{"format":"gaitpipe-frames","version":1,"frame_rate":4.0,'
+                    '"site":"home","room":"r","device":"d"}\n'
+                    '{"t":0.0,"pts":[]}\n{"t":0.25,"pts":[]}\n')
+    code = main(["process", "--input", str(slow), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o4")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "slow.session.jsonl" in err and "4.0 fps" in err
+    assert "Traceback" not in err
 
 
 def test_bad_config_rejected(sim_dir, tmp_path, capsys):
@@ -253,6 +290,17 @@ def test_value_error_inside_pipeline_exits_1(sim_dir, tmp_path, capsys, monkeypa
     assert capsys.readouterr().err.startswith("internal error: ValueError")
 
 
+def test_bug_outside_a_session_prints_traceback(sim_dir, tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("invariant violated")
+
+    monkeypatch.setattr("gaitpipe.cli._collect_sessions", broken)
+    code = main(["process", "--input", str(sim_dir), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("internal error: RuntimeError: invariant violated\nTraceback")
+
+
 def _abc_sessions(sim_dir: Path, root: Path) -> Path:
     """Good sessions a and c around a session b whose line 2 is not JSON."""
     good = (sim_dir / "home_radial-6.session.jsonl").read_text().splitlines(keepends=True)
@@ -302,10 +350,13 @@ def test_bug_in_batch_outranks_bad_input(sim_dir, tmp_path, capsys, monkeypatch)
     out = tmp_path / "out"
     code = main(["process", "--input", str(_abc_sessions(sim_dir, tmp_path / "in")),
                  "--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
+    text = capsys.readouterr().err
+    err = text.splitlines()
     assert code == 1
     assert err[0].startswith("error: session ") and "b.session.jsonl" in err[0]
     assert err[1] == "internal error: ValueError: invariant violated"
+    # The bug keeps its traceback on stderr, which names the raising function.
+    assert "Traceback" in text and "broken_for_c" in text
     sessions = json.loads((out / "report.json").read_text())["sessions"]
     assert sessions["c"] == {"error": "ValueError: invariant violated", "exit_code": 1}
     assert "n_walks" in sessions["a"]

@@ -1,10 +1,11 @@
+from dataclasses import asdict, fields
+
 import pytest
 
 from gaitpipe.config import (
     ConfigError,
     PipelineConfig,
     apply_overrides,
-    config_as_dict,
     load_config,
 )
 
@@ -54,9 +55,9 @@ def test_validation_rules(tmp_path):
     path.write_text("[gait]\nmin_peak_gap = 0.15\nnms_window = 0.4\n")
     with pytest.raises(ConfigError):
         load_config(path)
-    path.write_text("[gait]\nnms_window = 0.1\n")  # under two frame intervals
+    path.write_text("[gait]\nnms_window = 0.1\n")  # under two frame intervals at 10 fps
     with pytest.raises(ConfigError):
-        load_config(path)
+        load_config(path).check_frame_rate(10.0)
     path.write_text("[dbscan]\neps = -0.4\n")
     with pytest.raises(ConfigError):
         load_config(path)
@@ -92,9 +93,13 @@ def test_apply_overrides():
         apply_overrides(PipelineConfig(), {"gait.min_peak_gap": 0.1})
 
 
-def test_config_as_dict_round_trips_fields():
-    d = config_as_dict(PipelineConfig())
-    assert d["frame_rate"] == 10.0
+def test_config_asdict_holds_every_section_field():
+    cfg = PipelineConfig()
+    d = asdict(cfg)
+    assert list(d) == ["dbscan", "tracker", "segmenter", "gait", "reporting"]
+    for name, section in d.items():
+        assert section == {f.name: getattr(getattr(cfg, name), f.name)
+                           for f in fields(getattr(cfg, name))}
     assert d["segmenter"]["max_angle_deg"] == 15.0
     assert d["gait"]["max_step_len"] == 1.0
     assert d["reporting"]["heatmap_cell"] == 0.25

@@ -17,13 +17,14 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaitpipe.cli import main
-from gaitpipe.config import PipelineConfig, config_as_dict
+from gaitpipe.config import PipelineConfig
 
 REPLACEMENTS = [None, "x", "", [1], -1, -1.0, math.nan]
 NOT_JSON = ["not json", "", "{", "[]", "null"]
@@ -140,8 +141,7 @@ def test_fuzz_walklog(clinic):
 
 
 def test_fuzz_config(clinic):
-    cfg = config_as_dict(PipelineConfig())
-    cfg = {"pipeline": {"frame_rate": cfg.pop("frame_rate")}, **cfg}
+    cfg = asdict(PipelineConfig())
     session = clinic / "clinic_control-5.session.jsonl"
 
     @FUZZ
