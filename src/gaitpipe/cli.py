@@ -227,6 +227,8 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
 
 
 def cmd_process(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise InputError("--jobs must be at least 1")
     cfg = _load_cfg(args)
     sessions = _collect_sessions(args.input)
     out = Path(args.out)

@@ -10,11 +10,9 @@ a TOML-style config file with [section] key = value lines.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
-
-DISTANCE_MODES = ("track_displacement", "doppler_integral")
-PEAK_REFINE_MODES = ("none", "parabolic")
 
 
 class ConfigError(ValueError):
@@ -53,8 +51,6 @@ class GaitConfig:
     min_peak_gap: float = 0.3   # minimum peak-to-peak time, seconds
     max_step_len: float = 1.0   # outlier bound, meters
     max_step_time: float = 3.0  # outlier bound, seconds
-    distance_mode: str = "track_displacement"
-    peak_refine: str = "none"   # sub-sample peak timing: none | parabolic
 
 
 @dataclass(frozen=True)
@@ -71,29 +67,20 @@ class PipelineConfig:
     reporting: ReportingConfig = field(default_factory=ReportingConfig)
 
     def validate(self) -> "PipelineConfig":
-        # Every field that is not a string is a count or a size.
+        # Every field is a count or a size.
         for section_field in fields(self):
             section = getattr(self, section_field.name)
             for f in fields(section):
                 value = getattr(section, f.name)
-                if f.type != "str" and not value > 0:
+                if not 0 < value < math.inf:
                     raise ConfigError(
-                        f"{section_field.name}.{f.name} must be positive, got {value}"
+                        f"{section_field.name}.{f.name} must be finite and positive, "
+                        f"got {value}"
                     )
         if not self.gait.min_peak_gap > self.gait.nms_window / 2:
             raise ConfigError(
                 f"gait.min_peak_gap ({self.gait.min_peak_gap}) must exceed half the "
                 f"suppression window ({self.gait.nms_window / 2})"
-            )
-        if self.gait.distance_mode not in DISTANCE_MODES:
-            raise ConfigError(
-                f"gait.distance_mode must be one of {DISTANCE_MODES}, "
-                f"got {self.gait.distance_mode!r}"
-            )
-        if self.gait.peak_refine not in PEAK_REFINE_MODES:
-            raise ConfigError(
-                f"gait.peak_refine must be one of {PEAK_REFINE_MODES}, "
-                f"got {self.gait.peak_refine!r}"
             )
         return self
 
@@ -116,20 +103,16 @@ _SECTION_TYPES = {f.name: f.default_factory for f in fields(PipelineConfig)}
 def _coerce(name: str, raw: str, target_type: type):
     text = raw.strip().strip('"').strip("'")
     try:
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
+        return target_type(text)
     except ValueError:
         raise ConfigError(f"{name}: expected a number, got {raw!r}") from None
-    return text
 
 
 def load_config(path: str | os.PathLike | None) -> PipelineConfig:
     """Load a config file, or return defaults when path is None.
 
     The file is TOML-style: [section] headers with key = value lines;
-    strings may be bare or quoted. Unknown sections or keys are errors so
+    values may be bare or quoted. Unknown sections or keys are errors so
     typos never silently fall back to defaults.
     """
     if path is None:
@@ -154,13 +137,13 @@ def load_config(path: str | os.PathLike | None) -> PipelineConfig:
         for key, raw in parser.items(section):
             if key not in known:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            ftype = {"float": float, "int": int, "str": str}[known[key]]
+            ftype = {"float": float, "int": int}[known[key]]
             kwargs[key] = _coerce(f"{section}.{key}", raw, ftype)
         sections[section] = section_type(**kwargs)
     return PipelineConfig(**sections).validate()
 
 
-def apply_overrides(cfg: PipelineConfig, overrides: dict[str, float | str]) -> PipelineConfig:
+def apply_overrides(cfg: PipelineConfig, overrides: dict[str, float | None]) -> PipelineConfig:
     """Apply dotted-name overrides such as {'segmenter.rdp_epsilon': 0.4}."""
     for dotted, value in overrides.items():
         if value is None:

@@ -110,12 +110,7 @@ def torso_speed(segment: LinearSegment, z_torso: float) -> TorsoSpeedSeries:
     return TorsoSpeedSeries(samples=tuple(samples), direction_sign=sign)
 
 
-def detect_peaks(
-    series: TorsoSpeedSeries,
-    nms_window: float,
-    min_peak_gap: float,
-    refine: str = "none",
-) -> list[float]:
+def detect_peaks(series: TorsoSpeedSeries, nms_window: float, min_peak_gap: float) -> list[float]:
     """Peak times of the torso-speed series.
 
     Candidates are samples that are strict maxima of a centered nms_window
@@ -123,8 +118,7 @@ def detect_peaks(
     inside the series span. Candidates are then accepted greedily in
     descending speed order (ties to the earlier sample), each kept only if
     it is at least min_peak_gap from every already-accepted peak. Returned
-    in time order; refine="parabolic" replaces each accepted time with the
-    vertex of the parabola through it and its neighbor samples.
+    in time order.
     """
     n = len(series)
     if n == 0:
@@ -155,50 +149,17 @@ def detect_peaks(
         if all(abs(t[i] - t[j]) >= min_peak_gap - slack for j in accepted):
             accepted.append(i)
     accepted.sort(key=lambda i: t[i])
-    if refine == "parabolic":
-        return [_parabolic_refine(t, v, i) for i in accepted]
     return [float(t[i]) for i in accepted]
 
 
-def _parabolic_refine(t: np.ndarray, v: np.ndarray, i: int) -> float:
-    """Vertex time of the parabola through a peak sample and its neighbors.
-
-    Falls back to the sample time at the series edges or when the triplet
-    is not concave; the vertex is clamped to the neighbor interval.
-    """
-    if i == 0 or i == len(t) - 1:
-        return float(t[i])
-    # Fit v = a*dt^2 + b*dt + c around t[i] using the two neighbors.
-    dt1 = t[i - 1] - t[i]
-    dt2 = t[i + 1] - t[i]
-    denom = dt1 * dt2 * (dt1 - dt2)
-    if denom == 0:
-        return float(t[i])
-    a = (dt2 * (v[i - 1] - v[i]) - dt1 * (v[i + 1] - v[i])) / denom
-    b = (dt1 * dt1 * (v[i + 1] - v[i]) - dt2 * dt2 * (v[i - 1] - v[i])) / denom
-    if a >= 0:
-        return float(t[i])
-    vertex = float(t[i] - b / (2 * a))
-    return min(max(vertex, float(t[i - 1])), float(t[i + 1]))
-
-
 def _position_at(series: TorsoSpeedSeries, t_peak: float) -> tuple[float, float]:
-    """Tracked position at a peak time, interpolated between samples.
+    """Tracked position at a peak time.
 
-    Peak times normally are sample times, making this exact; refined
-    (sub-sample) peaks interpolate linearly.
+    Peak times are sample times, so the interpolation lands exactly on
+    the sample's tracked position.
     """
     xs, ys = series.positions
     return float(np.interp(t_peak, series.times, xs)), float(np.interp(t_peak, series.times, ys))
-
-
-def _doppler_integral(series: TorsoSpeedSeries, t_a: float, t_b: float) -> float:
-    t = series.times
-    v = series.speeds
-    mask = (t >= t_a) & (t <= t_b)
-    if mask.sum() < 2:
-        return 0.0
-    return float(np.trapezoid(v[mask], t[mask]))
 
 
 def measure_steps(
@@ -210,20 +171,16 @@ def measure_steps(
     """Turn consecutive peak pairs into step measurements.
 
     Step length is the distance between the tracked positions at the two
-    peak times (or the Doppler-speed integral when configured); steps
-    longer than max_step_len or slower than max_step_time are dropped as
-    missed-step outliers. The average is reported only when at least two
-    steps survive.
+    peak times; steps longer than max_step_len or slower than
+    max_step_time are dropped as missed-step outliers. The average is
+    reported only when at least two steps survive.
     """
     steps = []
     for t_a, t_b in zip(peak_times, peak_times[1:]):
         step_time = t_b - t_a
-        if gait.distance_mode == "doppler_integral":
-            step_length = _doppler_integral(series, t_a, t_b)
-        else:
-            xa, ya = _position_at(series, t_a)
-            xb, yb = _position_at(series, t_b)
-            step_length = math.hypot(xa - xb, ya - yb)
+        xa, ya = _position_at(series, t_a)
+        xb, yb = _position_at(series, t_b)
+        step_length = math.hypot(xa - xb, ya - yb)
         if step_length <= 0 or step_length > gait.max_step_len:
             continue
         if step_time > gait.max_step_time:
@@ -252,5 +209,5 @@ def measure_steps(
 def analyze_segment(segment: LinearSegment, gait: GaitConfig) -> WalkResult:
     """Full per-segment gait analysis: torso series, peaks, steps."""
     series = torso_speed(segment, gait.z_torso)
-    peaks = detect_peaks(series, gait.nms_window, gait.min_peak_gap, gait.peak_refine)
+    peaks = detect_peaks(series, gait.nms_window, gait.min_peak_gap)
     return measure_steps(segment, series, peaks, gait)

@@ -59,6 +59,10 @@ class WalkerSpec:
             raise ValueError(
                 "need base_speed > speed_amp >= 0 so the torso never reverses"
             )
+        if not self.step_period > 0:
+            raise ValueError(f"step_period must be positive, got {self.step_period}")
+        if self.ramp_time is not None and not self.ramp_time > 0:
+            raise ValueError(f"ramp_time must be positive, got {self.ramp_time}")
         if self.base_speed * self.step_period > 1.0 + 1e-9:
             raise ValueError("nominal step length base_speed*step_period exceeds 1 m")
         if self.start_time < 0:
@@ -95,7 +99,7 @@ class SceneSpec:
     walklog: WalkLog | None = None
 
     def __post_init__(self):
-        if self.duration <= 0 or self.frame_rate <= 0:
+        if not (self.duration > 0 and self.frame_rate > 0):
             raise ValueError("duration and frame_rate must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")

@@ -1,9 +1,10 @@
+import configparser
 import csv
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,42 +12,12 @@ import pytest
 
 import gaitpipe
 from gaitpipe.cli import main
+from gaitpipe.config import PipelineConfig
 from gaitpipe.pointcloud import write_session
 from gaitpipe.simulator import make_scenario, simulate
 from gaitpipe.stats import icc2k, icc3k
 
-DEFAULTS_TOML = """\
-[dbscan]
-eps = 0.4
-min_pts = 3
-min_cluster_size = 5
-merge_radius = 0.4
-
-[tracker]
-gate = 1.0
-sigma_a = 2.0
-sigma_m = 0.15
-confirm_hits = 3
-kill_misses = 5
-
-[segmenter]
-rdp_epsilon = 0.5
-min_length = 2.0
-max_angle_deg = 15.0
-clinic_tol = 1.0
-
-[gait]
-z_torso = 0.25
-nms_window = 0.4
-min_peak_gap = 0.3
-max_step_len = 1.0
-max_step_time = 3.0
-distance_mode = "track_displacement"
-peak_refine = "none"
-
-[reporting]
-heatmap_cell = 0.25
-"""
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_tree(root: Path) -> dict[str, bytes]:
@@ -78,6 +49,14 @@ def test_simulate_outputs(sim_dir):
 
 def test_simulate_unknown_scenario(tmp_path):
     assert main(["simulate", "--scenario", "nope", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("period", ["0", "nan"])
+def test_simulate_bad_step_period_exit_2(tmp_path, capsys, period):
+    assert main(["simulate", "--scenario", "clinic_control", "--step-period", period,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "step_period must be positive" in err and "Traceback" not in err
 
 
 def test_process_clinic_and_evaluate(sim_dir, tmp_path):
@@ -139,8 +118,17 @@ def test_process_clinic_without_walklog(sim_dir, tmp_path):
 
 
 def test_config_defaults_equivalence(sim_dir, tmp_path):
+    # The README's config block is the documented copy of the defaults.
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("```toml\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser.read_string(block)
+    # A key left out of the block would silently fall back to its default.
+    assert {name: sorted(parser[name]) for name in parser.sections()} == {
+        name: sorted(section) for name, section in asdict(PipelineConfig()).items()
+    }
     cfg_path = tmp_path / "defaults.toml"
-    cfg_path.write_text(DEFAULTS_TOML)
+    cfg_path.write_text(block)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     session = str(sim_dir / "home_radial-6.session.jsonl")
@@ -162,6 +150,19 @@ def test_pipeline_section_rejected(sim_dir, tmp_path, capsys):
     assert code == 2
     assert err.startswith(f"error: config {str(cfg_path)!r}")
     assert "unknown section [pipeline]" in err
+
+
+@pytest.mark.parametrize("line", ['distance_mode = "track_displacement"', 'peak_refine = "none"'])
+def test_removed_gait_knobs_rejected(sim_dir, tmp_path, capsys, line):
+    # One step rule: tracked-position distance between sample-time peaks.
+    cfg_path = tmp_path / "old.toml"
+    cfg_path.write_text(f"[gait]\n{line}\n")
+    code = main(["process", "--input", str(sim_dir / "home_radial-6.session.jsonl"),
+                 "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: config {str(cfg_path)!r}")
+    assert f"unknown key [gait] {line.split()[0]}" in err
 
 
 def test_nms_window_checked_against_each_session_header(tmp_path, capsys):
@@ -203,6 +204,13 @@ def test_bad_config_rejected(sim_dir, tmp_path, capsys):
                  "--out", str(tmp_path / "o3")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {str(cfg_path)!r}") and "z_torso" in err
+    # An infinite noise level would reach the Kalman filter as an exit-1 bug.
+    cfg_path.write_text("[tracker]\nsigma_a = inf\n")
+    assert main(["process", "--input", session, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o4")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {str(cfg_path)!r}")
+    assert "tracker.sigma_a must be finite and positive" in err
 
 
 def test_parameter_override_flags(sim_dir, tmp_path):
@@ -404,6 +412,14 @@ def test_repeat_runs_byte_identical(tmp_path):
                      "--out", str(ev)]) == 0
         trees.append(read_tree(tmp_path / run))
     assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exit_2(sim_dir, tmp_path, capsys, jobs):
+    assert main(["process", "--input", str(sim_dir), "--jobs", jobs,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_parallel_jobs_match_serial(sim_dir, tmp_path):

@@ -32,12 +32,10 @@ def test_load_partial_file(tmp_path):
 
 def test_quoted_strings_and_comments(tmp_path):
     path = tmp_path / "cfg.toml"
-    path.write_text(
-        '[gait]\ndistance_mode = "doppler_integral"  # switch\nz_torso = 0.3\n'
-    )
+    path.write_text("[gait]\nz_torso = \"0.3\"  # note\nmax_step_len = '0.9'\n")
     cfg = load_config(path)
-    assert cfg.gait.distance_mode == "doppler_integral"
     assert cfg.gait.z_torso == 0.3
+    assert cfg.gait.max_step_len == 0.9
 
 
 def test_unknown_section_and_key_rejected(tmp_path):
@@ -61,12 +59,13 @@ def test_validation_rules(tmp_path):
     path.write_text("[dbscan]\neps = -0.4\n")
     with pytest.raises(ConfigError):
         load_config(path)
-    path.write_text("[gait]\npeak_refine = cubic\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
-    path.write_text("[gait]\ndistance_mode = teleport\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for line in ("[tracker]\nsigma_a = inf\n", "[tracker]\nsigma_m = inf\n",
+                 "[dbscan]\neps = nan\n"):
+        path.write_text(line)
+        with pytest.raises(ConfigError, match="finite and positive"):
+            load_config(path)
+    with pytest.raises(ConfigError, match="finite and positive"):
+        apply_overrides(PipelineConfig(), {"gait.z_torso": float("inf")})
 
 
 def test_nonnumeric_value_rejected(tmp_path):

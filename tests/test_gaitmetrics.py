@@ -161,33 +161,6 @@ def test_tie_broken_by_earlier_time():
     assert peaks == [pytest.approx(0.2)]
 
 
-def test_parabolic_refinement_beats_quantization():
-    # Crests at 0.15 + 0.6k fall between the 10 fps samples; the parabola
-    # through each accepted peak recovers them far inside the 0.05 s
-    # quantization bound.
-    t = np.array([k / 10 for k in range(31)])
-    v = 2.0 + np.sin(2 * math.pi * (t - 0.3) / 0.6)
-    series = mk_series(t, v)
-    raw = detect_peaks(series, 0.4, 0.3)
-    refined = detect_peaks(series, 0.4, 0.3, refine="parabolic")
-    assert len(raw) == len(refined)
-    true_crests = [0.45 + 0.6 * k for k in range(5)]
-    for peak in refined:
-        err = min(abs(peak - c) for c in true_crests)
-        assert err < 0.02
-    # Refinement only moves times within a sample, never the peak count.
-    assert all(abs(a - b) <= 0.05 + 1e-9 for a, b in zip(raw, refined))
-
-
-def test_refined_pipeline_still_accurate(radial_scene):
-    _, _, truth, seg = radial_scene
-    cfg = GaitConfig(peak_refine="parabolic")
-    result = analyze_segment(seg, cfg)
-    true_len = truth.walkers[0].true_step_length
-    assert result.avg_step_length is not None
-    assert abs(result.avg_step_length - true_len) / true_len < 0.10
-
-
 def test_peaks_match_oracle_on_random_series():
     rng = np.random.default_rng(31)
     for _ in range(80):
@@ -376,11 +349,3 @@ def test_mirror_symmetry_exact(radial_scene):
     flipped = walk_lengths(mirrored)
     assert original and original == pytest.approx(flipped, abs=1e-9)
 
-
-def test_doppler_integral_mode(radial_scene):
-    _, _, truth, seg = radial_scene
-    cfg = GaitConfig(distance_mode="doppler_integral")
-    result = analyze_segment(seg, cfg)
-    true_len = truth.walkers[0].true_step_length
-    assert result.avg_step_length is not None
-    assert abs(result.avg_step_length - true_len) / true_len < 0.15

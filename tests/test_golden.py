@@ -19,7 +19,7 @@ GOLDEN = {
         "session.jsonl": "0c25516e63810691807fdd2ef34417ec87814d22784f6a648457b41ee90e93e1",
         "walks.jsonl": "249d9f18e84f57f52d1ed9d4991d24e3c22164d980639f2338cc3899e5f3d5d1",
         "segments.csv": "df03a77865983bcf9742c9ae04783193c6d11c908ffe27b1a12da6f1c964a9f8",
-        "report.json": "40c430c04f44548fcb075b19b462551e6a51d7d6cc77ccd8d93a3450bb92d275",
+        "report.json": "5aad90a683b52b88dabc0415cef0c0ce3489480f9f119b3cb2762e2847d5e654",
     },
     # The one valid segment overlaps the second resident's track and is
     # suppressed, so walks.jsonl is empty; the segments and the report
@@ -28,13 +28,13 @@ GOLDEN = {
         "session.jsonl": "9e5152d818bc8308e5981c1d3b305aaa65ff7019cc96bcf71c32f7e8217f8950",
         "walks.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "segments.csv": "cc5f5e55d581e88bc81153ffb7dee8e20f1a16b667053df52666571787619718",
-        "report.json": "5fdcf6bba3130f47322b1c98240f9b2306256f8c203793d004e8e944e7ded1ce",
+        "report.json": "e5ea84387b09cf2959558cae122e32b50340f0f1cd7aa2b317d46e490190a2d9",
     },
     ("home_with_pet", 107, "home"): {
         "session.jsonl": "fbfcc7a3f0a83f00fe8af97122561a1b2d4005bf2381750bb5136f9af2f3deda",
         "walks.jsonl": "f0e662b9979542d2b5cf514d6223556445facac99c275a92b1606b74a435072e",
         "segments.csv": "765dbe72949827287249f2aa6f1c975e7c410601017f53ab1db976101573ef86",
-        "report.json": "c2c44ca994e414f9ff0c12fc029b2e89066c2f172417912700e1601a7adbda85",
+        "report.json": "a84cb2b199e8387dc9874f968396068335e9d64f91a2d166f5f39d2a70b042b8",
     },
 }
 
@@ -45,7 +45,7 @@ GOLDEN_DENSE = {
     "session.jsonl": "308b3502b2c6de82b98f864da0819c7d04c4201a527c226057717ca8ebb4d766",
     "walks.jsonl": "19c6fe4553b004fb987e4230c5b6ac08fb5e100f4181c6af234f4b14d223c5ed",
     "segments.csv": "d340d3fc864efee15cf1767a6da3c49c50cbc89b1e1e7e50ec636398b6580f8a",
-    "report.json": "b1cee8870569ff13b036f3bdb12d2e003d1a98979c8bef424eb0d1e47e2cfa56",
+    "report.json": "32bb95cd538f7a951e24ff3a4012c3ac29b80bbcbbfe22be84e7db55c60d6fee",
 }
 
 

@@ -127,6 +127,18 @@ def test_walker_spec_validation():
         WalkerSpec(walker_id="w", path=((0, 5), (0, 1)), base_speed=1.6, step_period=0.7)
     with pytest.raises(ValueError):
         SceneSpec(name="x", site="home", duration=0.0, seed=1)
+    # A negative period never reaches the first speed crest; 0 and NaN
+    # would fail only later, inside the kinematics.
+    path = ((0, 5), (0, 1))
+    for value in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="step_period must be positive"):
+            WalkerSpec(walker_id="w", path=path, step_period=value)
+        with pytest.raises(ValueError, match="ramp_time must be positive"):
+            WalkerSpec(walker_id="w", path=path, ramp_time=value)
+        with pytest.raises(ValueError):
+            SceneSpec(name="x", site="home", duration=value, seed=1)
+        with pytest.raises(ValueError):
+            SceneSpec(name="x", site="home", duration=9.0, seed=1, frame_rate=value)
 
 
 def test_scenario_library_presets():
