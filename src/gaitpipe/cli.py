@@ -260,7 +260,10 @@ def cmd_process(args: argparse.Namespace) -> int:
 
     for room in sorted(per_room_xy):
         xs, ys = per_room_xy[room]
-        grid = heatmap_from_xy(xs, ys, cfg.reporting.heatmap_cell)
+        try:
+            grid = heatmap_from_xy(xs, ys, cfg.reporting.heatmap_cell)
+        except ValueError as exc:
+            raise ConfigError(f"reporting.heatmap_cell, room {room!r}: {exc}") from None
         atomic_write_text(out / f"heatmap_{room}.csv", grid.to_csv())
 
     rate = detection_rate(outcomes)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,48 +25,27 @@ RECEDE = +1
 
 
 @dataclass(frozen=True)
-class SpeedSample:
-    t: float
-    x: float
-    y: float
-    v: float              # |mean torso Doppler| at this frame, m/s
-    n_torso_points: int
-
-
-@dataclass(frozen=True)
 class TorsoSpeedSeries:
-    """Per-frame torso speed along a segment, direction-normalized.
+    """Per-frame torso speed along a segment, as four equal-length columns.
 
-    direction_sign is -1 for approach (range shrinking) and +1 for recede.
-    Frames with no qualifying torso points are omitted entirely.
+    Row i is one frame with qualifying torso points: its time, its speed
+    (|mean torso Doppler|, m/s) and the track's position then. Frames with
+    no qualifying torso points are omitted entirely.
     """
 
-    samples: tuple[SpeedSample, ...]
-    direction_sign: int
+    times: np.ndarray
+    speeds: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @cached_property
-    def speeds(self) -> np.ndarray:
-        return np.array([s.v for s in self.samples])
-
-    @cached_property
-    def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Tracked x and y of each sample."""
-        return np.array([s.x for s in self.samples]), np.array([s.y for s in self.samples])
+        return len(self.times)
 
 
 @dataclass(frozen=True)
 class StepMeasurement:
     step_length: float
     step_time: float
-    t_peak_a: float
-    t_peak_b: float
 
 
 @dataclass(frozen=True)
@@ -92,22 +70,14 @@ def torso_speed(segment: LinearSegment, z_torso: float) -> TorsoSpeedSeries:
     omitted rather than interpolated.
     """
     sign = direction_sign(segment)
-    samples = []
+    rows = []
     for state in segment.states:
         s = state.points[:, 3]
         speeds = s[(np.abs(state.points[:, 2]) <= z_torso) & (sign * s > 0)].tolist()
-        if not speeds:
-            continue
-        samples.append(
-            SpeedSample(
-                t=state.t,
-                x=state.x,
-                y=state.y,
-                v=abs(math.fsum(speeds) / len(speeds)),
-                n_torso_points=len(speeds),
-            )
-        )
-    return TorsoSpeedSeries(samples=tuple(samples), direction_sign=sign)
+        if speeds:
+            rows.append((state.t, abs(math.fsum(speeds) / len(speeds)), state.x, state.y))
+    times, v, xs, ys = np.array(rows, dtype=float).reshape(-1, 4).T
+    return TorsoSpeedSeries(times=times, speeds=v, xs=xs, ys=ys)
 
 
 def detect_peaks(series: TorsoSpeedSeries, nms_window: float, min_peak_gap: float) -> list[float]:
@@ -152,16 +122,6 @@ def detect_peaks(series: TorsoSpeedSeries, nms_window: float, min_peak_gap: floa
     return [float(t[i]) for i in accepted]
 
 
-def _position_at(series: TorsoSpeedSeries, t_peak: float) -> tuple[float, float]:
-    """Tracked position at a peak time.
-
-    Peak times are sample times, so the interpolation lands exactly on
-    the sample's tracked position.
-    """
-    xs, ys = series.positions
-    return float(np.interp(t_peak, series.times, xs)), float(np.interp(t_peak, series.times, ys))
-
-
 def measure_steps(
     segment: LinearSegment,
     series: TorsoSpeedSeries,
@@ -171,33 +131,22 @@ def measure_steps(
     """Turn consecutive peak pairs into step measurements.
 
     Step length is the distance between the tracked positions at the two
-    peak times; steps longer than max_step_len or slower than
-    max_step_time are dropped as missed-step outliers. The average is
-    reported only when at least two steps survive.
+    peak times, read from the series' x and y columns: peak times are
+    sample times, so one interpolation per axis lands exactly on the
+    samples. Steps longer than max_step_len or slower than max_step_time
+    are dropped as missed-step outliers. The average is reported only
+    when at least two steps survive.
     """
+    px = np.interp(peak_times, series.times, series.xs) if peak_times else ()
+    py = np.interp(peak_times, series.times, series.ys) if peak_times else ()
     steps = []
-    for t_a, t_b in zip(peak_times, peak_times[1:]):
+    for i, (t_a, t_b) in enumerate(zip(peak_times, peak_times[1:])):
         step_time = t_b - t_a
-        xa, ya = _position_at(series, t_a)
-        xb, yb = _position_at(series, t_b)
-        step_length = math.hypot(xa - xb, ya - yb)
-        if step_length <= 0 or step_length > gait.max_step_len:
+        step_length = math.hypot(px[i] - px[i + 1], py[i] - py[i + 1])
+        if step_length <= 0 or step_length > gait.max_step_len or step_time > gait.max_step_time:
             continue
-        if step_time > gait.max_step_time:
-            continue
-        steps.append(
-            StepMeasurement(
-                step_length=step_length,
-                step_time=step_time,
-                t_peak_a=t_a,
-                t_peak_b=t_b,
-            )
-        )
-    avg = (
-        math.fsum(s.step_length for s in steps) / len(steps)
-        if len(steps) >= 2
-        else None
-    )
+        steps.append(StepMeasurement(step_length=step_length, step_time=step_time))
+    avg = math.fsum(s.step_length for s in steps) / len(steps) if len(steps) >= 2 else None
     return WalkResult(
         segment=segment,
         steps=tuple(steps),

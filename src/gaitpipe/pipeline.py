@@ -9,13 +9,14 @@ logged walk, detected or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .config import PipelineConfig
 from .gaitmetrics import WalkResult, analyze_segment, direction_sign
 from .pointcloud import Session
 from .segmenter import (
     LinearSegment,
+    WalkEntry,
     WalkLog,
     classify,
     match_clinic_walks,
@@ -28,15 +29,18 @@ MODES = ("home", "clinic")
 
 @dataclass(frozen=True)
 class WalkRecord:
-    """One reportable walk: the JSON-facing record of a measurement."""
+    """One reportable walk: the JSON-facing record of a measurement.
 
-    track_id: int | None
-    seg_index: int | None
-    t_start: float | None
-    direction: str | None           # "approach" | "recede"
-    n_peaks: int
-    steps: tuple[tuple[float, float], ...]  # (length_m, time_s)
-    avg_step_len_m: float | None
+    An unmatched clinic walk leaves the segment fields at their defaults.
+    """
+
+    track_id: int | None = None
+    seg_index: int | None = None
+    t_start: float | None = None
+    direction: str | None = None    # "approach" | "recede"
+    n_peaks: int = 0
+    steps: tuple[tuple[float, float], ...] = ()  # (length_m, time_s)
+    avg_step_len_m: float | None = None
     walk_index: int | None = None   # clinic only
     walk_type: str | None = None
     matched: bool | None = None
@@ -78,17 +82,32 @@ class SessionResult:
         return sum(1 for w in self.walks if w.avg_step_len_m is not None)
 
 
-def _record_from_result(result: WalkResult) -> WalkRecord:
-    seg = result.segment
-    return WalkRecord(
-        track_id=seg.parent_track,
-        seg_index=seg.seg_index,
-        t_start=seg.t_start,
-        direction="approach" if direction_sign(seg) < 0 else "recede",
-        n_peaks=result.n_peaks,
-        steps=tuple((s.step_length, s.step_time) for s in result.steps),
-        avg_step_len_m=result.avg_step_length,
-    )
+def _walk_record(result: WalkResult | None, entry: WalkEntry | None = None) -> WalkRecord:
+    """Build the one walks.jsonl record of a walk.
+
+    A home walk passes its analysed segment, a matched clinic walk that and
+    its walk-log entry, an unmatched clinic walk only the entry.
+    """
+    values = {}
+    if result is not None:
+        seg = result.segment
+        values.update(
+            track_id=seg.parent_track,
+            seg_index=seg.seg_index,
+            t_start=seg.t_start,
+            direction="approach" if direction_sign(seg) < 0 else "recede",
+            n_peaks=result.n_peaks,
+            steps=tuple((s.step_length, s.step_time) for s in result.steps),
+            avg_step_len_m=result.avg_step_length,
+        )
+    if entry is not None:
+        values.update(
+            walk_index=entry.walk_index,
+            walk_type=entry.walk_type,
+            matched=result is not None,
+            reference_step_length=entry.reference_step_length,
+        )
+    return WalkRecord(**values)
 
 
 def _overlaps_other_track(seg: LinearSegment, tracks: list[Track]) -> bool:
@@ -125,32 +144,9 @@ def process_session(
     if mode == "clinic":
         matched = match_clinic_walks(segments, walklog, cfg.segmenter.clinic_tol)
         for entry, seg in matched.matches:
-            record = _record_from_result(analyze_segment(seg, cfg.gait))
-            result.walks.append(
-                replace(
-                    record,
-                    walk_index=entry.walk_index,
-                    walk_type=entry.walk_type,
-                    matched=True,
-                    reference_step_length=entry.reference_step_length,
-                )
-            )
+            result.walks.append(_walk_record(analyze_segment(seg, cfg.gait), entry))
         for entry in matched.unmatched:
-            result.walks.append(
-                WalkRecord(
-                    track_id=None,
-                    seg_index=None,
-                    t_start=None,
-                    direction=None,
-                    n_peaks=0,
-                    steps=(),
-                    avg_step_len_m=None,
-                    walk_index=entry.walk_index,
-                    walk_type=entry.walk_type,
-                    matched=False,
-                    reference_step_length=entry.reference_step_length,
-                )
-            )
+            result.walks.append(_walk_record(None, entry))
         result.walks.sort(
             key=lambda w: (w.walk_index, w.t_start if w.t_start is not None else -1.0)
         )
@@ -162,6 +158,6 @@ def process_session(
         if _overlaps_other_track(seg, tracks):
             result.suppressed_segments += 1
             continue
-        result.walks.append(_record_from_result(analyze_segment(seg, cfg.gait)))
+        result.walks.append(_walk_record(analyze_segment(seg, cfg.gait)))
     result.walks.sort(key=lambda w: (w.t_start, w.track_id, w.seg_index))
     return result

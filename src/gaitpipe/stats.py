@@ -125,9 +125,6 @@ def icc3k(m: RatingsMatrix | np.ndarray | Sequence, confidence: float = 0.95) ->
     msr, msc, mse = _mean_squares(values)
     scale = max(1.0, msr, msc)
 
-    if msr < _DEGENERATE_TOL * scale and msc < _DEGENERATE_TOL and mse < _DEGENERATE_TOL:
-        return IccResult(1.0, 1.0, 1.0, n, k, degenerate=True)
-
     if mse < _DEGENERATE_TOL * scale:
         return IccResult(1.0, 1.0, 1.0, n, k, degenerate=True)
 
@@ -281,6 +278,9 @@ def valid_track_stats(
     return ValidTrackStats(per_home=per_home)
 
 
+MAX_HEATMAP_CELLS = 10**6  # grid cells per room, checked before allocating
+
+
 @dataclass(frozen=True)
 class OccupancyHeatmap:
     origin_x: int   # cell index of the first column
@@ -298,14 +298,26 @@ class OccupancyHeatmap:
 def heatmap_from_xy(
     xs: Sequence[float], ys: Sequence[float], cell: float = 0.25
 ) -> OccupancyHeatmap:
-    """Visit-count grid over raw (x, y) positions."""
+    """Visit-count grid over raw (x, y) positions.
+
+    A grid over MAX_HEATMAP_CELLS raises ValueError before it is allocated.
+    """
     if cell <= 0:
         raise ValueError(f"cell must be positive, got {cell}")
     if len(xs) == 0:
         return OccupancyHeatmap(0, 0, cell, np.zeros((0, 0), dtype=int))
-    ix = np.floor(np.asarray(xs) / cell).astype(int)
-    iy = np.floor(np.asarray(ys) / cell).astype(int)
-    x0, y0 = int(ix.min()), int(iy.min())
-    counts = np.zeros((int(iy.max()) - y0 + 1, int(ix.max()) - x0 + 1), dtype=int)
-    np.add.at(counts, (iy - y0, ix - x0), 1)
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+        fx = np.floor(np.asarray(xs) / cell)
+        fy = np.floor(np.asarray(ys) / cell)
+    x_lo, x_hi, y_lo, y_hi = map(float, (fx.min(), fx.max(), fy.min(), fy.max()))
+    n_cells = (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
+    exact = max(map(abs, (x_lo, x_hi, y_lo, y_hi))) < 2.0**53
+    if not (exact and n_cells <= MAX_HEATMAP_CELLS):
+        raise ValueError(
+            f"a {cell} m cell gives a grid of {n_cells:.3g} cells, "
+            f"over the bound of {MAX_HEATMAP_CELLS:.0e}"
+        )
+    x0, y0 = int(x_lo), int(y_lo)
+    counts = np.zeros((int(y_hi) - y0 + 1, int(x_hi) - x0 + 1), dtype=int)
+    np.add.at(counts, (fy.astype(int) - y0, fx.astype(int) - x0), 1)
     return OccupancyHeatmap(origin_x=x0, origin_y=y0, cell=cell, counts=counts)

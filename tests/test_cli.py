@@ -213,6 +213,28 @@ def test_bad_config_rejected(sim_dir, tmp_path, capsys):
     assert "tracker.sigma_a must be finite and positive" in err
 
 
+@pytest.mark.filterwarnings("error")  # numpy's cast warning would fail the test
+def test_heatmap_cell_bounded_per_room(tmp_path, capsys):
+    # The grid's cell count is checked before the integer cast and before
+    # allocating: 1e-300 would overflow the cast into a 1x1 grid, 1e-6
+    # would ask for terabytes. Both are bad config, exit 2.
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "home_L_shape", "--seed", "4",
+                 "--out", str(sim)]) == 0
+    for cell in ("1e-300", "1e-6"):
+        cfg_path = tmp_path / "tiny.toml"
+        cfg_path.write_text(f"[reporting]\nheatmap_cell = {cell}\n")
+        out = tmp_path / f"o{cell}"
+        capsys.readouterr()
+        code = main(["process", "--input", str(sim / "home_L_shape-4.session.jsonl"),
+                     "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: reporting.heatmap_cell, room 'living'")
+        assert "Traceback" not in err
+        assert not (out / "heatmap_living.csv").exists()
+
+
 def test_parameter_override_flags(sim_dir, tmp_path):
     session = str(sim_dir / "home_radial-6.session.jsonl")
     out = tmp_path / "strict"

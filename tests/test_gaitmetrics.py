@@ -8,7 +8,6 @@ from gaitpipe.gaitmetrics import (
     APPROACH,
     RECEDE,
     TorsoSpeedSeries,
-    SpeedSample,
     analyze_segment,
     detect_peaks,
     direction_sign,
@@ -42,12 +41,22 @@ def approach_segment(point_lists):
 
 
 def mk_series(times, speeds):
+    times = np.asarray(times, dtype=float)
     return TorsoSpeedSeries(
-        samples=tuple(
-            SpeedSample(t=float(t), x=0.0, y=5.0 - float(t), v=float(v), n_torso_points=5)
-            for t, v in zip(times, speeds)
-        ),
-        direction_sign=APPROACH,
+        times=times,
+        speeds=np.asarray(speeds, dtype=float),
+        xs=np.zeros_like(times),
+        ys=5.0 - times,
+    )
+
+
+def series_from_states(states, speed=1.0):
+    """Every state a sample at the given speed, at its tracked position."""
+    return TorsoSpeedSeries(
+        times=np.array([s.t for s in states]),
+        speeds=np.full(len(states), speed),
+        xs=np.array([s.x for s in states]),
+        ys=np.array([s.y for s in states]),
     )
 
 
@@ -63,10 +72,8 @@ def test_gate_application():
     ]
     seg = approach_segment([pts, pts])
     series = torso_speed(seg, z_torso=0.25)
-    assert series.direction_sign == APPROACH
     assert len(series) == 2
-    assert all(s.n_torso_points == 2 for s in series.samples)
-    assert series.samples[0].v == pytest.approx(1.0)  # |(-1.2 + -0.8)/2|
+    assert series.speeds[0] == pytest.approx(1.0)  # |(-1.2 + -0.8)/2|
 
 
 def test_gate_matches_per_point_reference():
@@ -85,10 +92,8 @@ def test_gate_matches_per_point_reference():
         ]
         series = torso_speed(approach_segment(frames), z_torso=0.25)
         expected = reference_torso_speeds(frames, 0.25, APPROACH)
-        assert [(s.v, s.n_torso_points) for s in series.samples] == [
-            e for e in expected if e is not None
-        ]
-        assert [s.t for s in series.samples] == [
+        assert series.speeds.tolist() == [e[0] for e in expected if e is not None]
+        assert series.times.tolist() == [
             0.1 * i for i, e in enumerate(expected) if e is not None
         ]
 
@@ -97,7 +102,7 @@ def test_constant_speed_mean():
     pts = [RadarPoint(0.0, 3.0, 0.0, -1.0)] * 4
     seg = approach_segment([pts] * 5)
     series = torso_speed(seg, 0.25)
-    assert [s.v for s in series.samples] == [1.0] * 5
+    assert series.speeds.tolist() == [1.0] * 5
 
 
 def test_direction_sign_by_radial_distance():
@@ -110,7 +115,7 @@ def test_direction_sign_by_radial_distance():
     away = segment_from_states(away_states)
     assert direction_sign(away) == RECEDE
     series = torso_speed(away, 0.25)
-    assert series.samples[0].v == pytest.approx(1.0)
+    assert series.speeds[0] == pytest.approx(1.0)
 
 
 def test_empty_samples_omitted_and_empty_series():
@@ -206,13 +211,7 @@ def test_outlier_rejection():
         for i in range(40)
     ]
     seg = segment_from_states(states)
-    series = TorsoSpeedSeries(
-        samples=tuple(
-            SpeedSample(t=s.t, x=s.x, y=s.y, v=1.0, n_torso_points=1)
-            for s in states
-        ),
-        direction_sign=APPROACH,
-    )
+    series = series_from_states(states)
     # Peak pair 6 samples apart covers 1.2 m: over the 1 m cap, dropped.
     result = measure_steps(seg, series, [0.5, 1.1, 1.7, 2.0], GaitConfig())
     assert all(s.step_length <= 1.0 for s in result.steps)
@@ -223,14 +222,29 @@ def test_outlier_rejection():
         for i in range(9)
     ]
     slow_seg = segment_from_states(slow)
-    slow_series = TorsoSpeedSeries(
-        samples=tuple(
-            SpeedSample(t=s.t, x=s.x, y=s.y, v=1.0, n_torso_points=1) for s in slow
-        ),
-        direction_sign=APPROACH,
-    )
+    slow_series = series_from_states(slow)
     result2 = measure_steps(slow_seg, slow_series, [0.5, 4.0], GaitConfig())
     assert result2.steps == ()
+
+
+def test_step_length_is_hypot_of_peak_samples():
+    # Jittered positions at uneven times: each kept step's length is
+    # math.hypot of the two peak samples' tracked positions, bit for bit.
+    rng = np.random.default_rng(12)
+    t = np.cumsum(rng.uniform(0.05, 0.15, size=30))
+    states = [
+        TrackState(t=float(ti), x=float(x), y=float(y), points=())
+        for ti, x, y in zip(t, rng.normal(0.0, 0.05, 30), 6.0 - 0.1 * np.arange(30))
+    ]
+    seg = segment_from_states(states)
+    picks = [2, 7, 11, 16, 23]
+    result = measure_steps(seg, series_from_states(states), [float(t[i]) for i in picks], GaitConfig())
+    expected = [
+        math.hypot(states[a].x - states[b].x, states[a].y - states[b].y)
+        for a, b in zip(picks, picks[1:])
+    ]
+    assert len(result.steps) == len(expected)
+    assert [s.step_length for s in result.steps] == expected
 
 
 def test_avg_present_iff_two_steps():
@@ -239,13 +253,7 @@ def test_avg_present_iff_two_steps():
         for i in range(40)
     ]
     seg = segment_from_states(states)
-    series = TorsoSpeedSeries(
-        samples=tuple(
-            SpeedSample(t=s.t, x=s.x, y=s.y, v=1.0, n_torso_points=1)
-            for s in states
-        ),
-        direction_sign=APPROACH,
-    )
+    series = series_from_states(states)
     result = measure_steps(seg, series, [0.5, 1.0, 1.5], GaitConfig())
     assert len(result.steps) == 2
     assert result.avg_step_length == pytest.approx(

@@ -40,8 +40,10 @@ GOLDEN = {
 
 # `home_radial` with every walker's points per scatterer group x10, as the
 # benchmark's dense scenes are built: 150-250 points per occupied frame.
+# Run with --dump-tracks, so tracks.jsonl pins the tracker's own bytes.
 DENSE = ("home_radial", 104, 10)
 GOLDEN_DENSE = {
+    "tracks.jsonl": "01f641ce3d2292a5197381d3043939fcdb0141a7a2f317a37bed931d28fdf751",
     "session.jsonl": "308b3502b2c6de82b98f864da0819c7d04c4201a527c226057717ca8ebb4d766",
     "walks.jsonl": "19c6fe4553b004fb987e4230c5b6ac08fb5e100f4181c6af234f4b14d223c5ed",
     "segments.csv": "d340d3fc864efee15cf1767a6da3c49c50cbc89b1e1e7e50ec636398b6580f8a",
@@ -49,18 +51,21 @@ GOLDEN_DENSE = {
 }
 
 
-def _process_digests(tmp_path, session_path, stem, mode, walklog=None):
+def _process_digests(tmp_path, session_path, stem, mode, walklog=None, dump_tracks=False):
     out = tmp_path / "out"
     args = ["process", "--input", str(session_path), "--mode", mode, "--out", str(out)]
     if walklog is not None:
         args += ["--walklog", str(walklog)]
-    assert main(args) == 0
     files = {
         "session.jsonl": session_path,
         "walks.jsonl": out / stem / "walks.jsonl",
         "segments.csv": out / stem / "segments.csv",
         "report.json": out / "report.json",
     }
+    if dump_tracks:
+        args.append("--dump-tracks")
+        files["tracks.jsonl"] = out / stem / "tracks.jsonl"
+    assert main(args) == 0
     return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in files.items()}
 
 
@@ -87,4 +92,4 @@ def test_golden_dense_outputs(tmp_path):
     stem = f"{scenario}-dense"
     path = tmp_path / f"{stem}.session.jsonl"
     write_session(session, path)
-    assert _process_digests(tmp_path, path, stem, "home") == GOLDEN_DENSE
+    assert _process_digests(tmp_path, path, stem, "home", dump_tracks=True) == GOLDEN_DENSE
