@@ -8,7 +8,7 @@ tables, ICC reliability) round out the toolkit.
 """
 
 from .config import PipelineConfig, load_config
-from .pointcloud import Frame, RadarPoint, Session, read_session, write_session
+from .pointcloud import Frame, Session, read_session, write_session
 from .tracker import Detection, Track, TrackState, track_frames
 from .segmenter import LinearSegment, WalkLog, WalkEntry, match_clinic_walks, split_track
 from .gaitmetrics import StepMeasurement, TorsoSpeedSeries, WalkResult, analyze_segment
@@ -22,7 +22,6 @@ __all__ = [
     "PipelineConfig",
     "load_config",
     "Frame",
-    "RadarPoint",
     "Session",
     "read_session",
     "write_session",

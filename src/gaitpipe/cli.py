@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, PipelineConfig, apply_overrides, load_config
-from .pointcloud import atomic_write_text, read_session, write_session
+from .pointcloud import atomic_write_text, json_float, read_session, write_session
 from .segmenter import read_walklog, write_walklog
 from .simulator import SCENARIO_NAMES, make_scenario, read_truth_header, simulate, write_truth
 from .stats import (
@@ -310,10 +310,13 @@ def _read_walks(path) -> list[dict]:
                 raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(row, dict):
                 raise ValueError(f"line {lineno}: expected a JSON object")
-            for key in ("walk_type", "t_start", "avg_step_len_m", "reference_step_length"):
-                kinds = (str, type(None)) if key == "walk_type" else (int, float, type(None))
-                if not isinstance(row.get(key), kinds):
-                    raise ValueError(f"line {lineno}: {key!r} has the wrong type: {row[key]!r}")
+            if not isinstance(row.get("walk_type"), (str, type(None))):
+                raise ValueError(
+                    f"line {lineno}: 'walk_type' is not a string: {row['walk_type']!r}"
+                )
+            for key in ("t_start", "avg_step_len_m", "reference_step_length"):
+                if row.get(key) is not None:
+                    row[key] = json_float(row[key], f"line {lineno}: {key!r}")
             rows.append(row)
     return rows
 
@@ -329,7 +332,7 @@ def _read_reference(path) -> dict[str, float]:
 def _truth_reference(walkers: list[dict], record: dict) -> float:
     t = record.get("t_start")
     near = [w for w in walkers if t is not None and w["t_start"] - 1.0 <= t <= w["t_end"] + 1.0]
-    return float((near or walkers)[0]["true_step_length"])
+    return (near or walkers)[0]["true_step_length"]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -359,7 +362,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     raise InputError(f"reference csv {args.reference!r}: no key {key!r}")
                 ref, source = reference[key], f"reference csv {args.reference!r}"
             elif record.get("reference_step_length") is not None:
-                ref, source = float(record["reference_step_length"]), f"walks {str(walks_file)!r}"
+                ref, source = record["reference_step_length"], f"walks {str(walks_file)!r}"
             else:
                 truth_path = Path(args.truth) / f"{stem}.truth.jsonl"
                 if walkers is None:

@@ -71,7 +71,6 @@ class WalkRecord:
 
 @dataclass
 class SessionResult:
-    session: Session
     tracks: list[Track]
     segments: list[LinearSegment]
     walks: list[WalkRecord] = field(default_factory=list)
@@ -139,7 +138,7 @@ def process_session(
             )
             segments.append(seg)
 
-    result = SessionResult(session=session, tracks=tracks, segments=segments)
+    result = SessionResult(tracks=tracks, segments=segments)
 
     if mode == "clinic":
         matched = match_clinic_walks(segments, walklog, cfg.segmenter.clinic_tol)

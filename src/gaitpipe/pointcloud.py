@@ -1,10 +1,11 @@
 """Radar frame data model and the JSONL session file format.
 
-A session is a time-ordered stream of frames; each frame is the set of
-moving points the radar reported at one instant. Files are one JSON object
-per line: a header line followed by one line per frame, all numeric fields
-serialized as fixed-point text with 6 fractional digits so that a written
-session reads back bit-for-bit.
+A session is a time-ordered stream of frames; each `Frame` is the set of
+moving points the radar reported at one instant, as a (k, 4) array. A
+`Session` stores them as columns, and `Session.frames` gives them back as
+array views. Files are one JSON object per line: a header line followed by
+one line per frame, all numeric fields serialized as fixed-point text with
+6 fractional digits so that a written session reads back bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,8 @@ FORMAT_NAME = "gaitpipe-frames"
 FORMAT_VERSION = 1
 
 SITES = ("clinic", "home")
+
+NAME_MAX = 255  # bytes in one file name on common file systems; bounds heatmap_<room>.csv
 
 
 class SessionFormatError(ValueError):
@@ -39,30 +41,17 @@ class NonMonotonicTimeError(SessionFormatError):
     """Frame timestamps must strictly increase within a session."""
 
 
-class RadarPoint(NamedTuple):
-    """One moving-point detection: position in meters, Doppler speed in m/s.
+class Frame(NamedTuple):
+    """All points reported at time t (seconds since session start).
 
-    x is lateral (radar at origin), y is range into the room, z is elevation
-    relative to the radar mount. Negative s means the point approaches the
-    radar.
+    `points` is a (k, 4) float array, one row x, y, z, s per moving point:
+    position in meters, Doppler speed in m/s. x is lateral (radar at
+    origin), y is range into the room, z is elevation relative to the radar
+    mount. Negative s means the point approaches the radar.
     """
 
-    x: float
-    y: float
-    z: float
-    s: float
-
-
-class Frame(NamedTuple):
-    """All points reported at time t (seconds since session start)."""
-
     t: float
-    points: tuple[RadarPoint, ...] | np.ndarray = ()  # (n, 4) rows also build a Session
-
-
-def point_array(points) -> np.ndarray:
-    """(n, 4) float rows x, y, z, s from an array or a sequence of (x, y, z, s)."""
-    return np.asarray(points, dtype=float).reshape(-1, 4)
+    points: np.ndarray
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -71,8 +60,8 @@ class Session:
 
     `points` (N, 4) holds every frame's points back to back, rows x, y, z, s;
     frame k at `times[k]` owns rows `offsets[k]:offsets[k + 1]`. Built from
-    Frames (or any (t, points) pairs); the arrays are read-only: immutable
-    after load; safe to share read-only across threads.
+    (t, (k, 4) array) pairs; the arrays are read-only: immutable after load;
+    safe to share read-only across threads.
     """
 
     frame_rate: float
@@ -85,15 +74,15 @@ class Session:
     dropped_points: int = 0  # points rejected at ingest (non-finite or y < 0)
 
     def __init__(self, frame_rate: float, site: str, room_label: str, device_id: str,
-                 frames: Iterable[Frame] = (), dropped_points: int = 0):
+                 frames: Iterable[tuple[float, np.ndarray]] = (), dropped_points: int = 0):
         if not frame_rate > 0:
             raise ValueError(f"frame_rate must be positive, got {frame_rate}")
         if site not in SITES:
             raise ValueError(f"site must be one of {SITES}, got {site!r}")
-        frames = [(t, point_array(pts)) for t, pts in frames]
+        frames = list(frames)
         columns = dict(
             times=np.array([t for t, _ in frames], dtype=float),
-            points=np.concatenate([point_array(())] + [pts for _, pts in frames]),
+            points=np.concatenate([np.empty((0, 4))] + [pts for _, pts in frames]),
             offsets=np.cumsum([0] + [len(pts) for _, pts in frames]),
         )
         for a in columns.values():
@@ -103,16 +92,8 @@ class Session:
 
     @property
     def frames(self) -> tuple[Frame, ...]:
-        """The frames as Frame/RadarPoint tuples, rebuilt from the columns on each access."""
-        rows = list(map(tuple.__new__, repeat(RadarPoint), self.points.tolist()))
-        bounds = self.offsets.tolist()
-        return tuple(
-            Frame(t, tuple(rows[a:b])) for t, a, b in zip(self.times.tolist(), bounds, bounds[1:])
-        )
-
-    def frame_points(self) -> Iterator[tuple[float, np.ndarray]]:
-        """(t, that frame's (k, 4) rows of `points`) for each frame in time order."""
-        return zip(self.times.tolist(), np.split(self.points, self.offsets[1:-1]))
+        """One Frame per frame in time order, its points a read-only view into `points`."""
+        return tuple(map(Frame, self.times.tolist(), np.split(self.points, self.offsets[1:-1])))
 
 
 def _num(value: float) -> float:
@@ -147,7 +128,7 @@ def _point_rows(pts: list, line: int) -> np.ndarray:
         rows = None
     if rows is not None and rows.ndim == 2 and rows.shape[1] == 4 and rows.dtype.kind in "biuf":
         return rows
-    return point_array([_parse_point(raw, line) for raw in pts])
+    return np.array([_parse_point(raw, line) for raw in pts]).reshape(-1, 4)
 
 
 def read_session(path: str | os.PathLike) -> Session:
@@ -157,7 +138,7 @@ def read_session(path: str | os.PathLike) -> Session:
     violations and NonMonotonicTimeError when frame times do not strictly
     increase. I/O problems propagate as OSError.
     """
-    frames: list[Frame] = []
+    frames = []
     dropped = 0
     header: dict | None = None
     prev_t: float | None = None
@@ -202,6 +183,10 @@ def read_session(path: str | os.PathLike) -> Session:
                 room = str(obj["room"])
                 if room in ("", ".", "..") or any(c in room for c in "/\\\0"):
                     raise SessionFormatError(f"room must be a plain name, got {room!r}", lineno)
+                if len(f"heatmap_{room}.csv".encode("utf-8")) > NAME_MAX:
+                    raise SessionFormatError(
+                        f"room of {len(room)} characters is too long for a file name", lineno
+                    )
                 header = obj
                 continue
 
@@ -209,7 +194,7 @@ def read_session(path: str | os.PathLike) -> Session:
                 raise SessionFormatError("frame line must have 't' and 'pts'", lineno)
             try:
                 t = float(obj["t"])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise SessionFormatError(f"non-numeric t {obj['t']!r}", lineno) from None
             if not math.isfinite(t) or t < 0:
                 raise SessionFormatError(f"t must be finite and >= 0, got {t}", lineno)
@@ -227,7 +212,7 @@ def read_session(path: str | os.PathLike) -> Session:
             # output; drop rather than fail the whole session.
             keep = np.isfinite(rows).all(axis=1) & (rows[:, 1] >= 0)
             dropped += len(rows) - int(np.count_nonzero(keep))
-            frames.append(Frame(t=t, points=rows[keep]))
+            frames.append((t, rows[keep]))
 
     if header is None:
         raise SessionFormatError("empty file: header line required", 1)
@@ -237,7 +222,7 @@ def read_session(path: str | os.PathLike) -> Session:
         site=str(header["site"]),
         room_label=room,
         device_id=str(header["device"]),
-        frames=tuple(frames),
+        frames=frames,
         dropped_points=dropped,
     )
 
@@ -253,7 +238,7 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
         "device": session.device_id,
     }
     lines = [json.dumps(header)]
-    for t, pts in session.frame_points():
+    for t, pts in session.frames:
         text = ",".join(["[{:.6f},{:.6f},{:.6f},{:.6f}]"] * len(pts)).format(*pts.ravel().tolist())
         lines.append(f'{{"t":{t:.6f},"pts":[{text}]}}')
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -273,6 +258,17 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
+def json_float(value: object, where: str) -> float:
+    """A parsed JSON number as a float; ValueError naming `where` for any other
+    value, and for an integer past the float range."""
+    if isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{where} must be a number in float range, got {value!r}")
+
+
 def build_session(
     frame_rate: float,
     site: str,
@@ -281,13 +277,11 @@ def build_session(
     frames: Iterable[tuple[float, np.ndarray]],
 ) -> Session:
     """Assemble a session from raw (t, (n, 4) points) pairs, quantized to disk precision."""
-    out = []
-    for t, pts in frames:
-        out.append(Frame(t=_num(t), points=_quantize(point_array(pts))))
+    frames = [(_num(t), _quantize(np.reshape(pts, (-1, 4)))) for t, pts in frames]
     return Session(
         frame_rate=frame_rate,
         site=site,
         room_label=room_label,
         device_id=device_id,
-        frames=tuple(out),
+        frames=frames,
     )

@@ -283,7 +283,7 @@ def read_walklog(path: str | os.PathLike) -> WalkLog:
             return default
         try:
             return convert(raw[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{where} has invalid {key!r}: {raw[key]!r}") from None
 
     entries = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointcloud import Session, atomic_write_text, build_session
+from .pointcloud import Session, atomic_write_text, build_session, json_float
 from .segmenter import WALKWAY_END, WALKWAY_START, WalkEntry, WalkLog
 
 TRUTH_FORMAT = "gaitpipe-truth"
@@ -450,8 +450,7 @@ def read_truth_header(path: str | os.PathLike) -> dict:
         raise ValueError("'walkers' must be a non-empty list of objects")
     for k, walker in enumerate(walkers):
         for key in ("t_start", "t_end", "true_step_length"):
-            if not isinstance(walker.get(key), (int, float)):
-                raise ValueError(f"walker {k}: {key!r} must be a number, got {walker.get(key)!r}")
+            walker[key] = json_float(walker.get(key), f"walker {k}: {key!r}")
     return header
 
 

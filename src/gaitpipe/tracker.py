@@ -17,37 +17,26 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .config import DbscanConfig, PipelineConfig, TrackerConfig
-from .pointcloud import Session, point_array
+from .pointcloud import Session
 
 NOISE = -1
 _FORBIDDEN = 1e12  # cost surrogate for pairs outside the gate
 
 
-class _WithPoints:
-    """Dataclass base: `points` held as (k, 4) rows x, y, z, s, compared by value."""
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", point_array(self.points))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and all(
-            map(np.array_equal, vars(self).values(), vars(other).values())
-        )
-
-
 @dataclass(frozen=True, eq=False)
-class Detection(_WithPoints):
-    """One clustered object in a frame: centroid of its member points."""
+class Detection:
+    """One clustered object in a frame: its member points as (k, 4) rows
+    x, y, z, s, and their centroid in x-y."""
 
-    t: float
     centroid_x: float
     centroid_y: float
     points: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class TrackState(_WithPoints):
-    """Filtered position at time t plus the point subset assigned that frame."""
+class TrackState:
+    """Filtered position at time t plus the (k, 4) rows x, y, z, s of the
+    detection assigned that frame."""
 
     t: float
     x: float
@@ -133,11 +122,7 @@ def _component_roots(n: int, pairs: np.ndarray) -> np.ndarray:
 
 
 def dbscan(
-    points: np.ndarray,
-    eps: float,
-    min_pts: int,
-    min_cluster_size: int = 1,
-    t: float = 0.0,
+    points: np.ndarray, eps: float, min_pts: int, min_cluster_size: int = 1
 ) -> list[Detection]:
     """Cluster a frame's (k, 4) points into detections.
 
@@ -145,7 +130,6 @@ def dbscan(
     points are dropped as pets/clutter. Detections are returned in cluster
     label order with centroids over member (x, y).
     """
-    points = point_array(points)
     labels = dbscan_labels(points[:, :3], eps, min_pts)
     detections = []
     for cid in range(labels.max(initial=NOISE) + 1):
@@ -154,7 +138,6 @@ def dbscan(
             continue
         detections.append(
             Detection(
-                t=t,
                 centroid_x=float(np.mean(members[:, 0])),
                 centroid_y=float(np.mean(members[:, 1])),
                 points=members,
@@ -192,11 +175,7 @@ def merge_close_detections(
         points = np.concatenate([detections[i].points for i in members])
         cx = math.fsum(points[:, 0].tolist()) / len(points)
         cy = math.fsum(points[:, 1].tolist()) / len(points)
-        merged.append(
-            Detection(
-                t=detections[members[0]].t, centroid_x=cx, centroid_y=cy, points=points
-            )
-        )
+        merged.append(Detection(centroid_x=cx, centroid_y=cy, points=points))
     return merged
 
 
@@ -331,14 +310,14 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
     next_id = 0
     prev_t: float | None = None
 
-    for t, points in session.frame_points():
+    for t, points in session.frames:
         dt = None if prev_t is None else t - prev_t
         prev_t = t
         if dt is not None:
             for lt in live:
                 lt.kf.predict(dt)
 
-        detections = dbscan(points, db.eps, db.min_pts, db.min_cluster_size, t=t)
+        detections = dbscan(points, db.eps, db.min_pts, db.min_cluster_size)
         detections = merge_close_detections(detections, db.merge_radius)
         predicted = [(lt.kf.x, lt.kf.y) for lt in live]
         matches, unmatched_tracks, unmatched_dets = associate(

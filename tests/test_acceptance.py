@@ -14,7 +14,7 @@ import pytest
 from gaitpipe.cli import main
 from gaitpipe.config import PipelineConfig
 from gaitpipe.pipeline import process_session
-from gaitpipe.pointcloud import Frame, RadarPoint, Session
+from gaitpipe.pointcloud import Session
 from gaitpipe.segmenter import rdp_decimate, segment_geometry
 from gaitpipe.simulator import SceneSpec, WalkerSpec, make_scenario, simulate
 from gaitpipe.stats import icc2k, icc3k, interval_reliability, valid_track_stats
@@ -291,21 +291,13 @@ def _home_walk_average(path, seed):
     return session, process_session(session, CFG, mode="home")
 
 
-def _remap_session(session, point_fn, reverse=False):
-    frames = session.frames
+def _remap_session(session, scale, reverse=False):
+    """The session with every point row multiplied by `scale` (x, y, z, s);
+    reversed, frame times run backwards from the last frame's."""
+    frames = [(t, pts * scale) for t, pts in session.frames]
     if reverse:
-        t_end = frames[-1].t
-        frames = tuple(
-            Frame(
-                t=float(f"{t_end - f.t:.6f}"),
-                points=tuple(point_fn(p) for p in f.points),
-            )
-            for f in reversed(frames)
-        )
-    else:
-        frames = tuple(
-            Frame(t=f.t, points=tuple(point_fn(p) for p in f.points)) for f in frames
-        )
+        t_end = frames[-1][0]
+        frames = [(float(f"{t_end - t:.6f}"), pts) for t, pts in reversed(frames)]
     return Session(
         frame_rate=session.frame_rate,
         site=session.site,
@@ -322,9 +314,7 @@ def test_criterion_10_direction_and_mirror_symmetry():
         # Play the approach walk backwards: positions retrace, Doppler
         # flips sign, and the same gait is seen receding.
         session, toward = _home_walk_average(((0.3, 6.0), (0.3, 1.4)), seed)
-        reversed_session = _remap_session(
-            session, lambda p: RadarPoint(p.x, p.y, p.z, -p.s), reverse=True
-        )
+        reversed_session = _remap_session(session, (1, 1, 1, -1), reverse=True)
         away = process_session(reversed_session, CFG, mode="home")
         assert {w.direction for w in toward.walks} == {"approach"}
         assert {w.direction for w in away.walks} == {"recede"}
@@ -333,9 +323,7 @@ def test_criterion_10_direction_and_mirror_symmetry():
         worst_dir = max(worst_dir, abs(a - b) / ((a + b) / 2))
 
         session, original = _home_walk_average(((0.8, 6.0), (-0.4, 1.4)), seed)
-        mirrored_session = _remap_session(
-            session, lambda p: RadarPoint(-p.x, p.y, p.z, p.s)
-        )
+        mirrored_session = _remap_session(session, (-1, 1, 1, 1))
         mirrored = process_session(mirrored_session, CFG, mode="home")
         ma = original.walks[0].avg_step_len_m
         mb = mirrored.walks[0].avg_step_len_m

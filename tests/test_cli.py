@@ -117,6 +117,15 @@ def test_process_clinic_without_walklog(sim_dir, tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_readme_python_blocks_run():
+    # "Library use" and the data-model example run as written, so a stale
+    # name in either fails here.
+    blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert len(blocks) >= 2
+    for k, block in enumerate(blocks):
+        exec(compile(block.split("```", 1)[0], f"README.md python block {k}", "exec"), {})
+
+
 def test_config_defaults_equivalence(sim_dir, tmp_path):
     # The README's config block is the documented copy of the defaults.
     readme = README.read_text(encoding="utf-8")
@@ -260,11 +269,16 @@ def test_parameter_override_flags(sim_dir, tmp_path):
                  "--out", str(tmp_path / "bad")]) == 2
 
 
-def test_malformed_session_exit_2(tmp_path):
+def test_malformed_session_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.session.jsonl"
-    bad.write_text('{"format":"gaitpipe-frames","version":1,"frame_rate":10.0,'
-                   '"site":"home","room":"r","device":"d"}\n{"t":0.1}\n')
-    assert main(["process", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+    header = ('{"format":"gaitpipe-frames","version":1,"frame_rate":10.0,'
+              '"site":"home","room":"r","device":"d"}\n')
+    # A frame without points, and a frame time past the float range.
+    for frame, field in (('{"t":0.1}', "'t'"), ('{"t":1%s,"pts":[]}' % ("0" * 400), "t 1")):
+        bad.write_text(header + frame + "\n")
+        assert main(["process", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "line 2" in err and field in err
 
 
 _ENTRY = {"participant": "p1", "walk_index": 0, "walk_type": "control", "t_start": 1.0}
@@ -282,9 +296,12 @@ _ENTRY = {"participant": "p1", "walk_index": 0, "walk_type": "control", "t_start
         ({"format": "gaitpipe-walklog", "entries": [_ENTRY], "g_s": "far"}, "g_s"),
         ({"format": "gaitpipe-walklog", "entries": [3]}, "entry 0"),
         ("not json", "JSONDecodeError"),
+        ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "t_start": 10**400}]},
+         "entry 0 has invalid 't_start'"),
     ],
     ids=["null_value", "missing_key", "top_level_list", "entries_not_list",
-         "non_numeric_index", "bad_walkway", "entry_not_object", "not_json"],
+         "non_numeric_index", "bad_walkway", "entry_not_object", "not_json",
+         "t_start_past_float_range"],
 )
 def test_malformed_walklog_exit_2(sim_dir, tmp_path, capsys, walklog, field):
     path = tmp_path / "bad.walklog.json"
@@ -407,6 +424,25 @@ def test_room_label_cannot_escape_out(tmp_path, capsys):
                      if p.is_file() and rt / "out" not in p.parents)
     assert outside == ["rt2/heatmap_q.session.jsonl"]
 
+    # A room too long for its heatmap's file name (over 255 bytes), or one
+    # that no file name can encode (a lone surrogate), fails only its own
+    # session: the batch still writes the rest and the report.
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    text = path.read_text()
+    (batch / "long.session.jsonl").write_text(text.replace("q/../../escaped", "q" * 401))
+    (batch / "odd.session.jsonl").write_text(text.replace("q/../../escaped", "q\\ud800"))
+    (batch / "ok.session.jsonl").write_text(text.replace("q/../../escaped", "q"))
+    code = main(["process", "--input", str(batch), "--out", str(batch / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(batch / "long.session.jsonl") in err and "line 1: room" in err
+    assert str(batch / "odd.session.jsonl") in err
+    sessions = json.loads((batch / "out" / "report.json").read_text())["sessions"]
+    assert sessions["long"]["exit_code"] == 2 and sessions["odd"]["exit_code"] == 2
+    assert "n_walks" in sessions["ok"]
+    assert (batch / "out" / "heatmap_q.csv").is_file()
+
 
 def test_zero_walk_home_session_is_success(tmp_path):
     assert main(["simulate", "--scenario", "home_perpendicular", "--seed", "3",
@@ -507,8 +543,11 @@ _TRUTH = '{"format": "gaitpipe-truth", "walkers": [%s]}'
         ("[1, 2]", "not a ground-truth file"),
         (_TRUTH % '{"t_end": 99.0, "true_step_length": 0.6}', "t_start"),
         (_TRUTH % '{"t_start": 0.0, "t_end": 99.0}', "true_step_length"),
+        (_TRUTH % ('{"t_start": 0.0, "t_end": 99.0, "true_step_length": 1%s}' % ("0" * 400)),
+         "walker 0: 'true_step_length'"),
     ],
-    ids=["not_json", "other_format", "not_object", "walker_no_t_start", "walker_no_step_length"],
+    ids=["not_json", "other_format", "not_object", "walker_no_t_start", "walker_no_step_length",
+         "step_length_past_float_range"],
 )
 def test_evaluate_malformed_truth_exit_2(sim_dir, tmp_path, capsys, header, field):
     proc = tmp_path / "proc"
@@ -541,8 +580,10 @@ _WALK = {"walk_type": "control", "t_start": 2.0, "avg_step_len_m": 0.55}
     "line,field",
     [("{bad", "invalid JSON"), ("[1]", "expected a JSON object"),
      (json.dumps({**_WALK, "avg_step_len_m": "far"}), "avg_step_len_m"),
-     (json.dumps({**_WALK, "walk_type": ["control"]}), "walk_type")],
-    ids=["not_json", "not_object", "non_numeric_estimate", "walk_type_list"],
+     (json.dumps({**_WALK, "walk_type": ["control"]}), "walk_type"),
+     (json.dumps({**_WALK, "avg_step_len_m": 10**400}), "avg_step_len_m")],
+    ids=["not_json", "not_object", "non_numeric_estimate", "walk_type_list",
+         "estimate_past_float_range"],
 )
 def test_evaluate_malformed_walks_exit_2(tmp_path, capsys, line, field):
     results = _results_tree(tmp_path, _WALK, line)

@@ -14,7 +14,7 @@ from gaitpipe.gaitmetrics import (
     measure_steps,
     torso_speed,
 )
-from gaitpipe.pointcloud import RadarPoint, Session, Frame
+from gaitpipe.pointcloud import Session
 from gaitpipe.segmenter import LinearSegment, classify, segment_geometry, split_track
 from gaitpipe.simulator import SceneSpec, WalkerSpec, make_scenario, simulate
 from gaitpipe.tracker import TrackState, track_frames
@@ -34,7 +34,8 @@ def segment_from_states(states, track_id=0):
 def approach_segment(point_lists):
     # Walks from y=5 toward the radar; r_end < r_start so sign is APPROACH.
     states = [
-        TrackState(t=0.1 * i, x=0.1, y=5.0 - 0.1 * i, points=tuple(pts))
+        TrackState(t=0.1 * i, x=0.1, y=5.0 - 0.1 * i,
+                   points=np.array(pts, dtype=float).reshape(-1, 4))
         for i, pts in enumerate(point_lists)
     ]
     return segment_from_states(states)
@@ -64,12 +65,12 @@ def series_from_states(states, speed=1.0):
 
 
 def test_gate_application():
-    pts = [
-        RadarPoint(0.1, 3.0, 0.10, -1.2),   # kept
-        RadarPoint(0.1, 3.0, 0.30, -1.2),   # z above the band
-        RadarPoint(0.1, 3.0, 0.00, +0.4),   # wrong Doppler sign for approach
-        RadarPoint(0.1, 3.0, -0.25, -0.8),  # kept, band edge inclusive
-    ]
+    pts = np.array([
+        (0.1, 3.0, 0.10, -1.2),   # kept
+        (0.1, 3.0, 0.30, -1.2),   # z above the band
+        (0.1, 3.0, 0.00, +0.4),   # wrong Doppler sign for approach
+        (0.1, 3.0, -0.25, -0.8),  # kept, band edge inclusive
+    ])
     seg = approach_segment([pts, pts])
     series = torso_speed(seg, z_torso=0.25)
     assert len(series) == 2
@@ -99,18 +100,18 @@ def test_gate_matches_per_point_reference():
 
 
 def test_constant_speed_mean():
-    pts = [RadarPoint(0.0, 3.0, 0.0, -1.0)] * 4
+    pts = [(0.0, 3.0, 0.0, -1.0)] * 4
     seg = approach_segment([pts] * 5)
     series = torso_speed(seg, 0.25)
     assert series.speeds.tolist() == [1.0] * 5
 
 
 def test_direction_sign_by_radial_distance():
-    toward = approach_segment([[RadarPoint(0, 3, 0, -1)]] * 2)
+    toward = approach_segment([[(0, 3, 0, -1)]] * 2)
     assert direction_sign(toward) == APPROACH
     away_states = [
-        TrackState(t=0.0, x=0.0, y=2.0, points=(RadarPoint(0, 2, 0, 1.0),)),
-        TrackState(t=0.1, x=0.0, y=2.5, points=(RadarPoint(0, 2.5, 0, 1.0),)),
+        TrackState(t=0.0, x=0.0, y=2.0, points=np.array([(0, 2, 0, 1.0)])),
+        TrackState(t=0.1, x=0.0, y=2.5, points=np.array([(0, 2.5, 0, 1.0)])),
     ]
     away = segment_from_states(away_states)
     assert direction_sign(away) == RECEDE
@@ -119,8 +120,8 @@ def test_direction_sign_by_radial_distance():
 
 
 def test_empty_samples_omitted_and_empty_series():
-    good = [RadarPoint(0.0, 3.0, 0.0, -1.0)]
-    bad = [RadarPoint(0.0, 3.0, 0.9, -1.0)]  # outside z band
+    good = [(0.0, 3.0, 0.0, -1.0)]
+    bad = [(0.0, 3.0, 0.9, -1.0)]  # outside z band
     seg = approach_segment([good, bad, good])
     series = torso_speed(seg, 0.25)
     assert len(series) == 2  # middle sample omitted
@@ -182,7 +183,7 @@ def test_peaks_match_oracle_on_random_series():
 
 
 def test_single_peak_no_steps():
-    seg = approach_segment([[RadarPoint(0, 3, 0, -1)]] * 10)
+    seg = approach_segment([[(0, 3, 0, -1)]] * 10)
     series = torso_speed(seg, 0.25)
     result = measure_steps(seg, series, [0.5], GaitConfig())
     assert result.steps == ()
@@ -192,7 +193,8 @@ def test_single_peak_no_steps():
 
 def test_two_peaks_direct_distance():
     states = [
-        TrackState(t=round(0.1 * i, 6), x=0.0, y=5.0 - 0.1 * i, points=(RadarPoint(0, 5 - 0.1 * i, 0, -1.0),))
+        TrackState(t=round(0.1 * i, 6), x=0.0, y=5.0 - 0.1 * i,
+                   points=np.array([(0, 5 - 0.1 * i, 0, -1.0)]))
         for i in range(20)
     ]
     seg = segment_from_states(states)
@@ -207,7 +209,7 @@ def test_two_peaks_direct_distance():
 
 def test_outlier_rejection():
     states = [
-        TrackState(t=round(0.1 * i, 6), x=0.0, y=8.0 - 0.2 * i, points=())
+        TrackState(t=round(0.1 * i, 6), x=0.0, y=8.0 - 0.2 * i, points=np.empty((0, 4)))
         for i in range(40)
     ]
     seg = segment_from_states(states)
@@ -218,7 +220,7 @@ def test_outlier_rejection():
     assert len(result.steps) == 1  # only the 0.3 s / 0.6 m pair survives
     # A 3.5 s gap exceeds the 3 s step-time cap even when short enough.
     slow = [
-        TrackState(t=round(0.5 * i, 6), x=0.0, y=4.0 - 0.05 * i, points=())
+        TrackState(t=round(0.5 * i, 6), x=0.0, y=4.0 - 0.05 * i, points=np.empty((0, 4)))
         for i in range(9)
     ]
     slow_seg = segment_from_states(slow)
@@ -233,7 +235,7 @@ def test_step_length_is_hypot_of_peak_samples():
     rng = np.random.default_rng(12)
     t = np.cumsum(rng.uniform(0.05, 0.15, size=30))
     states = [
-        TrackState(t=float(ti), x=float(x), y=float(y), points=())
+        TrackState(t=float(ti), x=float(x), y=float(y), points=np.empty((0, 4)))
         for ti, x, y in zip(t, rng.normal(0.0, 0.05, 30), 6.0 - 0.1 * np.arange(30))
     ]
     seg = segment_from_states(states)
@@ -249,7 +251,7 @@ def test_step_length_is_hypot_of_peak_samples():
 
 def test_avg_present_iff_two_steps():
     states = [
-        TrackState(t=round(0.1 * i, 6), x=0.0, y=6.0 - 0.06 * i, points=())
+        TrackState(t=round(0.1 * i, 6), x=0.0, y=6.0 - 0.06 * i, points=np.empty((0, 4)))
         for i in range(40)
     ]
     seg = segment_from_states(states)
@@ -331,13 +333,7 @@ def test_mirror_symmetry_exact(radial_scene):
         site=session.site,
         room_label=session.room_label,
         device_id=session.device_id,
-        frames=tuple(
-            Frame(
-                t=f.t,
-                points=tuple(RadarPoint(-p.x, p.y, p.z, p.s) for p in f.points),
-            )
-            for f in session.frames
-        ),
+        frames=[(t, pts * (-1, 1, 1, 1)) for t, pts in session.frames],
     )
     cfg = PipelineConfig()
 

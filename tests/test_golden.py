@@ -20,6 +20,7 @@ GOLDEN = {
         "walks.jsonl": "249d9f18e84f57f52d1ed9d4991d24e3c22164d980639f2338cc3899e5f3d5d1",
         "segments.csv": "df03a77865983bcf9742c9ae04783193c6d11c908ffe27b1a12da6f1c964a9f8",
         "report.json": "5aad90a683b52b88dabc0415cef0c0ce3489480f9f119b3cb2762e2847d5e654",
+        "heatmap_walkway.csv": "a863d2a3ca78cf0f5b1a8bd87bad13acdae1699a20334f3ffa184b013a9ee6f2",
     },
     # The one valid segment overlaps the second resident's track and is
     # suppressed, so walks.jsonl is empty; the segments and the report
@@ -29,12 +30,14 @@ GOLDEN = {
         "walks.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "segments.csv": "cc5f5e55d581e88bc81153ffb7dee8e20f1a16b667053df52666571787619718",
         "report.json": "e5ea84387b09cf2959558cae122e32b50340f0f1cd7aa2b317d46e490190a2d9",
+        "heatmap_living.csv": "62783f6a87895b229f9b27aa5b2c0c2b1b14047522a3d2fda213b1c09c807c2e",
     },
     ("home_with_pet", 107, "home"): {
         "session.jsonl": "fbfcc7a3f0a83f00fe8af97122561a1b2d4005bf2381750bb5136f9af2f3deda",
         "walks.jsonl": "f0e662b9979542d2b5cf514d6223556445facac99c275a92b1606b74a435072e",
         "segments.csv": "765dbe72949827287249f2aa6f1c975e7c410601017f53ab1db976101573ef86",
         "report.json": "a84cb2b199e8387dc9874f968396068335e9d64f91a2d166f5f39d2a70b042b8",
+        "heatmap_living.csv": "553b1574db434d2deb6518d175e53faac8dd75d578bdf7b52ae68aa6f748a73c",
     },
 }
 
@@ -48,6 +51,7 @@ GOLDEN_DENSE = {
     "walks.jsonl": "19c6fe4553b004fb987e4230c5b6ac08fb5e100f4181c6af234f4b14d223c5ed",
     "segments.csv": "d340d3fc864efee15cf1767a6da3c49c50cbc89b1e1e7e50ec636398b6580f8a",
     "report.json": "32bb95cd538f7a951e24ff3a4012c3ac29b80bbcbbfe22be84e7db55c60d6fee",
+    "heatmap_living.csv": "7dba2473ea0f74d8dbe8a063dfc0197fe67b0f7999baf563ae177803239010ff",
 }
 
 
@@ -66,6 +70,7 @@ def _process_digests(tmp_path, session_path, stem, mode, walklog=None, dump_trac
         args.append("--dump-tracks")
         files["tracks.jsonl"] = out / stem / "tracks.jsonl"
     assert main(args) == 0
+    files.update((p.name, p) for p in out.glob("heatmap_*.csv"))  # one per room
     return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in files.items()}
 
 

@@ -1,11 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gaitpipe.pointcloud import (
     NonMonotonicTimeError,
-    RadarPoint,
     Session,
     SessionFormatError,
     build_session,
@@ -19,6 +19,11 @@ HEADER = (
     '{"format":"gaitpipe-frames","version":1,"frame_rate":10.0,'
     '"site":"home","room":"kitchen","device":"A1"}'
 )
+
+
+def same_frames(a, b):
+    """The two sessions hold equal frame times and points."""
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("times", "points", "offsets"))
 
 
 def write_lines(tmp_path, *lines):
@@ -40,8 +45,11 @@ def test_read_two_frames(tmp_path):
     assert session.site == "home"
     assert session.room_label == "kitchen"
     assert session.device_id == "A1"
-    assert session.frames[0].points == (RadarPoint(0.1, 3.0, 0.0, -1.0),)
-    assert session.frames[1].points == ()
+    assert session.frames[0].points.tolist() == [[0.1, 3.0, 0.0, -1.0]]
+    assert session.frames[1].points.shape == (0, 4)
+    # Each frame is a read-only view of the session's point column.
+    first = session.frames[0].points
+    assert np.shares_memory(first, session.points) and not first.flags.writeable
 
 
 def test_missing_field_names_line(tmp_path):
@@ -101,14 +109,14 @@ def test_behind_sensor_and_nonfinite_points_dropped(tmp_path):
     )
     session = read_session(path)
     assert session.dropped_points == 2
-    assert session.frames[0].points == (RadarPoint(0.2, 2.0, 0.1, 0.5),)
+    assert session.frames[0].points.tolist() == [[0.2, 2.0, 0.1, 0.5]]
 
 
 def test_point_order_preserved(tmp_path):
     pts = [[float(i), 1.0, 0.0, -1.0] for i in range(5)]
     path = write_lines(tmp_path, HEADER, json.dumps({"t": 0.1, "pts": pts}))
     session = read_session(path)
-    assert [p.x for p in session.frames[0].points] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert session.frames[0].points[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_empty_session_round_trip(tmp_path):
@@ -118,6 +126,7 @@ def test_empty_session_round_trip(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 1  # header only
     back = read_session(out)
     assert back.frames == ()
+    assert back.points.shape == (0, 4) and back.offsets.tolist() == [0]
     assert back.room_label == "den"
 
 
@@ -138,7 +147,7 @@ def test_round_trip_exact(tmp_path):
     out = tmp_path / "rt.session.jsonl"
     write_session(session, out)
     back = read_session(out)
-    assert back.frames == session.frames
+    assert same_frames(back, session)
     assert (back.frame_rate, back.site, back.room_label, back.device_id) == (
         session.frame_rate,
         session.site,
@@ -154,7 +163,7 @@ def test_round_trip_simulator_output(tmp_path):
     out = tmp_path / "sim.session.jsonl"
     write_session(session, out)
     back = read_session(out)
-    assert back.frames == session.frames
+    assert same_frames(back, session)
 
 
 def test_session_validation():
@@ -165,8 +174,6 @@ def test_session_validation():
 
 
 def test_random_sessions_round_trip(tmp_path):
-    import numpy as np
-
     rng = np.random.default_rng(7)
     for trial in range(10):
         frames = []
@@ -186,7 +193,7 @@ def test_random_sessions_round_trip(tmp_path):
         session = build_session(10.0, "home", "r", "d", frames)
         out = tmp_path / f"r{trial}.jsonl"
         write_session(session, out)
-        assert read_session(out).frames == session.frames
+        assert same_frames(read_session(out), session)
 
 
 _NUMBERS = st.one_of(
@@ -249,4 +256,4 @@ def test_reader_matches_per_point_rule(tmp_path, frame_pts, odd, line, pos, as_p
     _, kept, dropped = expected
     assert session.dropped_points == dropped
     # repr tells -0.0 from 0.0, so the values must match bit for bit.
-    assert repr([[tuple(p) for p in f.points] for f in session.frames]) == repr(kept)
+    assert repr([[tuple(p) for p in f.points.tolist()] for f in session.frames]) == repr(kept)

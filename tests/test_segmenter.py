@@ -23,7 +23,7 @@ from oracles import point_to_chord_distance, radial_angle_by_vectors
 
 def make_track(xy, t0=0.0, dt=0.1, track_id=0):
     states = [
-        TrackState(t=t0 + i * dt, x=float(x), y=float(y), points=())
+        TrackState(t=t0 + i * dt, x=float(x), y=float(y), points=np.empty((0, 4)))
         for i, (x, y) in enumerate(xy)
     ]
     track = Track(track_id=track_id)
@@ -36,8 +36,8 @@ def make_segment(start, end, track_id=0, seg_index=0):
         parent_track=track_id,
         seg_index=seg_index,
         states=(
-            TrackState(t=0.0, x=start[0], y=start[1], points=()),
-            TrackState(t=1.0, x=end[0], y=end[1], points=()),
+            TrackState(t=0.0, x=start[0], y=start[1], points=np.empty((0, 4))),
+            TrackState(t=1.0, x=end[0], y=end[1], points=np.empty((0, 4))),
         ),
     )
     seg.r_start, seg.r_end, seg.length, seg.angle_deg = segment_geometry(start, end)
@@ -248,7 +248,8 @@ def walkway_segment(t0, track_id=0, seg_index=0, x_off=0.0):
         parent_track=track_id,
         seg_index=seg_index,
         states=tuple(
-            TrackState(t=t0 + 0.1 * i, x=x, y=y, points=()) for i, (x, y) in enumerate(xy)
+            TrackState(t=t0 + 0.1 * i, x=x, y=y, points=np.empty((0, 4)))
+            for i, (x, y) in enumerate(xy)
         ),
     )
     seg.r_start, seg.r_end, seg.length, seg.angle_deg = segment_geometry(

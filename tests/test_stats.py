@@ -282,7 +282,7 @@ def test_valid_track_stats_empty_home_skipped():
 def straight_track():
     track = Track(track_id=0)
     track.states = [
-        TrackState(t=0.1 * i, x=0.3, y=1.0 + 0.2 * i, points=()) for i in range(20)
+        TrackState(t=0.1 * i, x=0.3, y=1.0 + 0.2 * i, points=np.empty((0, 4))) for i in range(20)
     ]
     return track
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gaitpipe.config import PipelineConfig
-from gaitpipe.pointcloud import RadarPoint
 from gaitpipe.simulator import WalkerSpec, SceneSpec, make_scenario, simulate
 from gaitpipe.tracker import (
     Detection,
@@ -20,23 +19,23 @@ from gaitpipe.tracker import (
 from oracles import MatrixKalmanCV, brute_force_assignment, canonical_labels, naive_dbscan
 
 
-def pt(x, y, z=0.0, s=-1.0):
-    return RadarPoint(x, y, z, s)
+def pts(*xy, z=0.0, s=-1.0):
+    """(k, 4) rows x, y, z, s from (x, y) pairs."""
+    return np.array([(x, y, z, s) for x, y in xy], dtype=float).reshape(-1, 4)
 
 
 # ------------------------------------------------------------------ dbscan
 
 
 def test_dbscan_empty():
-    assert dbscan([], eps=0.5, min_pts=4) == []
+    assert dbscan(np.empty((0, 4)), eps=0.5, min_pts=4) == []
 
 
 def test_dbscan_two_well_separated_groups():
     rng = np.random.default_rng(0)
-    points = []
-    for cx in (0.0, 3.0):
-        for _ in range(10):
-            points.append(pt(cx + rng.normal(0, 0.1), 2.0 + rng.normal(0, 0.1)))
+    points = pts(*(
+        (cx + rng.normal(0, 0.1), 2.0 + rng.normal(0, 0.1)) for cx in (0.0, 3.0) for _ in range(10)
+    ))
     dets = dbscan(points, eps=0.5, min_pts=4)
     assert len(dets) == 2
     centroids = sorted(d.centroid_x for d in dets)
@@ -45,7 +44,7 @@ def test_dbscan_two_well_separated_groups():
 
 
 def test_dbscan_centroid_is_mean():
-    points = [pt(0.0, 1.0), pt(0.2, 1.0), pt(0.1, 1.2)]
+    points = pts((0.0, 1.0), (0.2, 1.0), (0.1, 1.2))
     dets = dbscan(points, eps=0.5, min_pts=2)
     assert len(dets) == 1
     assert dets[0].centroid_x == pytest.approx(0.1)
@@ -53,7 +52,7 @@ def test_dbscan_centroid_is_mean():
 
 
 def test_dbscan_min_cluster_size_drops_pets():
-    points = [pt(0.0, 1.0), pt(0.1, 1.0), pt(0.05, 1.1)]
+    points = pts((0.0, 1.0), (0.1, 1.0), (0.05, 1.1))
     assert dbscan(points, eps=0.5, min_pts=3, min_cluster_size=5) == []
     assert len(dbscan(points, eps=0.5, min_pts=3, min_cluster_size=3)) == 1
 
@@ -93,9 +92,9 @@ def test_dbscan_order_independent():
 
 
 def test_merge_close_detections():
-    a = Detection(0.0, 0.0, 2.0, (pt(0.0, 2.0),))
-    b = Detection(0.0, 0.05, 2.1, (pt(0.05, 2.1),))
-    c = Detection(0.0, 3.0, 2.0, (pt(3.0, 2.0),))
+    a = Detection(0.0, 2.0, pts((0.0, 2.0)))
+    b = Detection(0.05, 2.1, pts((0.05, 2.1)))
+    c = Detection(3.0, 2.0, pts((3.0, 2.0)))
     merged = merge_close_detections([a, b, c], merge_radius=0.4)
     assert len(merged) == 2
     assert len(merged[0].points) == 2
@@ -107,20 +106,20 @@ def test_merge_close_detections():
 
 
 def test_associate_single_pair_within_gate():
-    det = Detection(0.0, 0.0, 3.1, (pt(0.0, 3.1),))
+    det = Detection(0.0, 3.1, pts((0.0, 3.1)))
     matches, un_tr, un_det = associate([(0.0, 3.0)], [det], gate=1.0)
     assert matches == [(0, 0)]
     assert un_tr == [] and un_det == []
 
 
 def test_associate_no_tracks():
-    dets = [Detection(0.0, float(i), 2.0, (pt(i, 2.0),)) for i in range(3)]
+    dets = [Detection(float(i), 2.0, pts((i, 2.0))) for i in range(3)]
     matches, un_tr, un_det = associate([], dets, gate=1.0)
     assert matches == [] and un_tr == [] and un_det == [0, 1, 2]
 
 
 def test_associate_gate_forbids():
-    det = Detection(0.0, 0.0, 5.0, (pt(0.0, 5.0),))
+    det = Detection(0.0, 5.0, pts((0.0, 5.0)))
     matches, un_tr, un_det = associate([(0.0, 3.0)], [det], gate=1.0)
     assert matches == [] and un_tr == [0] and un_det == [0]
 
@@ -129,8 +128,8 @@ def test_associate_prefers_total_cost():
     # Greedy nearest-first would pair (t0, d0) at 0.4 and leave t1 at 1.4;
     # the optimal assignment crosses them for total 0.5 + 0.6.
     dets = [
-        Detection(0.0, 0.0, 1.4, (pt(0, 1.4),)),
-        Detection(0.0, 0.0, 0.4, (pt(0, 0.4),)),
+        Detection(0.0, 1.4, pts((0, 1.4))),
+        Detection(0.0, 0.4, pts((0, 0.4))),
     ]
     matches, _, _ = associate([(0.0, 1.0), (0.0, 0.0)], dets, gate=2.0)
     assert sorted(matches) == [(0, 0), (1, 1)]
@@ -277,7 +276,7 @@ def test_track_state_times_strictly_increase(single_walker):
 
 def test_track_points_subset_of_frame(single_walker):
     _, session, _ = single_walker
-    frames_by_t = {f.t: set(f.points) for f in session.frames}
+    frames_by_t = {f.t: set(map(tuple, f.points.tolist())) for f in session.frames}
     for track in track_frames(session, PipelineConfig()):
         for state in track.states:
             assert set(map(tuple, state.points.tolist())) <= frames_by_t[state.t]
@@ -287,7 +286,10 @@ def test_tracker_deterministic(single_walker):
     _, session, _ = single_walker
     a = track_frames(session, PipelineConfig())
     b = track_frames(session, PipelineConfig())
-    assert [(t.track_id, t.states) for t in a] == [(t.track_id, t.states) for t in b]
+    def rows(tracks):
+        return [(tr.track_id, s.t, s.x, s.y, s.points.tolist()) for tr in tracks for s in tr.states]
+
+    assert rows(a) == rows(b)
 
 
 def test_two_separated_walkers_no_identity_swap():
