@@ -114,19 +114,23 @@ def _parse_point(raw: object, line: int) -> tuple[float, float, float, float]:
             f"point must be a 4-element [x, y, z, s] array, got {raw!r}", line
         )
     try:
-        return tuple(float(v) for v in raw)
-    except (TypeError, ValueError, OverflowError):
+        return tuple(json_float(v, "point entry") for v in raw)
+    except ValueError:
         raise SessionFormatError(f"non-numeric point entry {raw!r}", line) from None
 
 
-def _point_rows(pts: list, line: int) -> np.ndarray:
+def _point_rows(pts: list, line: int, text: str) -> np.ndarray:
     """One frame line's `pts` as (n, 4) rows: one `np.asarray` when that gives
-    numeric rows (never dtype=float, which turns null into NaN), else per point."""
+    numeric rows (never dtype=float, which turns null into NaN), else per point.
+
+    np.asarray also turns JSON true/false next to numbers into 1 and 0. Both
+    spell an "e", which no fixed-point number does, so a line `text` with an
+    "e" in it takes the per-point path."""
     try:
-        rows = np.asarray(pts)
+        rows = None if "e" in text else np.asarray(pts)
     except (ValueError, OverflowError):  # ragged nesting, or ints past float range
         rows = None
-    if rows is not None and rows.ndim == 2 and rows.shape[1] == 4 and rows.dtype.kind in "biuf":
+    if rows is not None and rows.ndim == 2 and rows.shape[1] == 4 and rows.dtype.kind in "iuf":
         return rows
     return np.array([_parse_point(raw, line) for raw in pts]).reshape(-1, 4)
 
@@ -160,7 +164,7 @@ def read_session(path: str | os.PathLike) -> Session:
                     raise SessionFormatError(
                         f"first line must be a header with format={FORMAT_NAME!r}", lineno
                     )
-                if obj.get("version") != FORMAT_VERSION:
+                if obj.get("version") != FORMAT_VERSION or isinstance(obj["version"], bool):
                     raise SessionFormatError(
                         f"unsupported version {obj.get('version')!r}", lineno
                     )
@@ -168,8 +172,8 @@ def read_session(path: str | os.PathLike) -> Session:
                     if key not in obj:
                         raise SessionFormatError(f"header missing {key!r}", lineno)
                 try:
-                    frame_rate = float(obj["frame_rate"])
-                except (TypeError, ValueError, OverflowError):
+                    frame_rate = json_float(obj["frame_rate"], "frame_rate")
+                except ValueError:
                     frame_rate = math.nan
                 if not frame_rate > 0:
                     raise SessionFormatError(
@@ -193,8 +197,8 @@ def read_session(path: str | os.PathLike) -> Session:
             if "t" not in obj or "pts" not in obj:
                 raise SessionFormatError("frame line must have 't' and 'pts'", lineno)
             try:
-                t = float(obj["t"])
-            except (TypeError, ValueError, OverflowError):
+                t = json_float(obj["t"], "t")
+            except ValueError:
                 raise SessionFormatError(f"non-numeric t {obj['t']!r}", lineno) from None
             if not math.isfinite(t) or t < 0:
                 raise SessionFormatError(f"t must be finite and >= 0, got {t}", lineno)
@@ -207,7 +211,7 @@ def read_session(path: str | os.PathLike) -> Session:
             pts_raw = obj["pts"]
             if not isinstance(pts_raw, list):
                 raise SessionFormatError("'pts' must be an array", lineno)
-            rows = _point_rows(pts_raw, lineno)
+            rows = _point_rows(pts_raw, lineno, text)
             # Spurious returns behind the sensor plane are expected from CFAR
             # output; drop rather than fail the whole session.
             keep = np.isfinite(rows).all(axis=1) & (rows[:, 1] >= 0)
@@ -260,8 +264,9 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 def json_float(value: object, where: str) -> float:
     """A parsed JSON number as a float; ValueError naming `where` for any other
-    value, and for an integer past the float range."""
-    if isinstance(value, (int, float)):
+    value (true and false included, though Python counts them as ints), and
+    for an integer past the float range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:

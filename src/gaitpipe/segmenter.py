@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointcloud import atomic_write_text
+from .pointcloud import atomic_write_text, json_float
 from .tracker import Track, TrackState
 
 WALK_TYPES = ("control", "fast", "narrow", "obstacle", "dual_task")
@@ -255,13 +255,24 @@ def match_clinic_walks(
 _REQUIRED = object()
 
 
+def _number(value: object) -> float:
+    return json_float(value, "value")
+
+
+def _index(value: object) -> int:
+    """A JSON integer; true and false are not indices."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("not an integer")
+    return value
+
+
 def _xy(value: object) -> tuple[float, float]:
     x, y = value
-    return float(x), float(y)
+    return _number(x), _number(y)
 
 
 def _optional_float(value: object) -> float | None:
-    return None if value is None else float(value)
+    return None if value is None else _number(value)
 
 
 def read_walklog(path: str | os.PathLike) -> WalkLog:
@@ -297,9 +308,9 @@ def read_walklog(path: str | os.PathLike) -> WalkLog:
         entries.append(
             WalkEntry(
                 participant=field(raw, "participant", str, where),
-                walk_index=field(raw, "walk_index", int, where),
+                walk_index=field(raw, "walk_index", _index, where),
                 walk_type=walk_type,
-                t_start=field(raw, "t_start", float, where),
+                t_start=field(raw, "t_start", _number, where),
                 reference_step_length=field(
                     raw, "reference_step_length", _optional_float, where, default=None
                 ),

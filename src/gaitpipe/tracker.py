@@ -1,15 +1,18 @@
 """Person detection and tracking over the frame stream.
 
-Per frame: density clustering of the 3D point cloud yields detections,
-minimum-cost assignment associates detections to live tracks, and a
-constant-velocity Kalman filter in the x-y plane carries each track's
-position. Tracks confirm after a run of consecutive hits and die after a
-run of consecutive misses.
+Density clustering of the 3D point cloud yields each frame's detections;
+it runs on a chunk of consecutive frames at a time, with exactly the
+per-frame results. Per frame, minimum-cost assignment then associates
+detections to live tracks, and a constant-velocity Kalman filter in the
+x-y plane carries each track's position. Tracks confirm after a run of
+consecutive hits and die after a run of consecutive misses.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,16 +24,22 @@ from .pointcloud import Session
 
 NOISE = -1
 _FORBIDDEN = 1e12  # cost surrogate for pairs outside the gate
+# track_frames clusters consecutive frames holding at most this many points
+# in one dbscan call. Fewer calls pay off on sparse frames; larger stacks slow
+# the neighbor search on dense ones (measured in ROADMAP.md, item 2).
+CHUNK_POINTS = 256
 
 
 @dataclass(frozen=True, eq=False)
 class Detection:
     """One clustered object in a frame: its member points as (k, 4) rows
-    x, y, z, s, and their centroid in x-y."""
+    x, y, z, s, their centroid in x-y, and the index of its frame in the
+    stack that `dbscan` clustered."""
 
     centroid_x: float
     centroid_y: float
     points: np.ndarray
+    frame: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +67,9 @@ class Track:
         return self.states[-1].t
 
 
-def dbscan_labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+def dbscan_labels(
+    xyz: np.ndarray, eps: float, min_pts: int, offsets: np.ndarray | None = None
+) -> np.ndarray:
     """Density-cluster points in 3D; return a label per point (-1 = noise).
 
     Core points have at least min_pts neighbors, themselves included; two
@@ -68,9 +79,19 @@ def dbscan_labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     makes the labeling independent of input order up to renaming. Cluster
     ids are assigned in order of each cluster's smallest core index.
 
+    With `offsets`, the rows are a stack of frames: frame k owns rows
+    `offsets[k]:offsets[k + 1]`, and rows of different frames are never
+    neighbors. Each frame's labels are then the ones it gets alone plus the
+    number of clusters in the frames before it.
+
     Neighbor pairs come from a `scipy.spatial.cKDTree`; each core point's
     component root is the smallest core index in its component, so ranking
-    the roots gives the cluster ids.
+    the roots gives the cluster ids. When two or more stacked frames hold
+    points, each point gets a 4th coordinate, 2 * eps times its frame's
+    rank among the non-empty frames: within a frame it adds exactly 0 to
+    the squared distance, across frames at least 4 * eps * eps. cKDTree
+    raises ValueError when that coordinate or the squared extent of the
+    stack overflows.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -82,7 +103,13 @@ def dbscan_labels(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
         return labels
 
     xyz = np.asarray(xyz, dtype=float)
-    pairs = cKDTree(xyz).query_pairs(eps, output_type="ndarray")
+    coords = xyz
+    if offsets is not None:
+        sizes = np.diff(offsets)
+        if np.count_nonzero(sizes) > 1:
+            rank = np.repeat((sizes > 0).cumsum() - 1, sizes)
+            coords = np.column_stack([xyz, rank * 2.0 * eps])
+    pairs = cKDTree(coords).query_pairs(eps, output_type="ndarray")
     core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
     i, j = pairs[:, 0], pairs[:, 1]
     core_i, core_j = core[i], core[j]
@@ -122,25 +149,39 @@ def _component_roots(n: int, pairs: np.ndarray) -> np.ndarray:
 
 
 def dbscan(
-    points: np.ndarray, eps: float, min_pts: int, min_cluster_size: int = 1
+    points: np.ndarray,
+    eps: float,
+    min_pts: int,
+    min_cluster_size: int = 1,
+    offsets: np.ndarray | None = None,
 ) -> list[Detection]:
-    """Cluster a frame's (k, 4) points into detections.
+    """Cluster (k, 4) points into detections.
 
-    Noise points are discarded; clusters with fewer than min_cluster_size
-    points are dropped as pets/clutter. Detections are returned in cluster
-    label order with centroids over member (x, y).
+    The points are one frame, or with `offsets` a stack of frames as in
+    `dbscan_labels`, and each detection records its frame's index in the
+    stack. Noise points are discarded; clusters with fewer than
+    min_cluster_size points are dropped as pets/clutter. Detections are
+    returned in (frame, cluster label) order with centroids over member
+    (x, y), the same as one call per frame.
     """
-    labels = dbscan_labels(points[:, :3], eps, min_pts)
+    labels = dbscan_labels(points[:, :3], eps, min_pts, offsets)
+    # Row indices grouped by label, noise first; the sort is stable, so each
+    # cluster's rows keep their input order. bounds[c]:bounds[c + 1] of rows
+    # are cluster c's.
+    rows = np.argsort(labels, kind="stable")
+    bounds = np.bincount(labels + 1).cumsum().tolist()
+    firsts = [0] if offsets is None else offsets.tolist()  # each frame's first row
     detections = []
-    for cid in range(labels.max(initial=NOISE) + 1):
-        members = points[labels == cid]
-        if len(members) < min_cluster_size:
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a < min_cluster_size:
             continue
+        members = points[rows[a:b]]
         detections.append(
             Detection(
                 centroid_x=float(np.mean(members[:, 0])),
                 centroid_y=float(np.mean(members[:, 1])),
                 points=members,
+                frame=bisect.bisect_right(firsts, rows[a]) - 1,
             )
         )
     return detections
@@ -175,7 +216,10 @@ def merge_close_detections(
         points = np.concatenate([detections[i].points for i in members])
         cx = math.fsum(points[:, 0].tolist()) / len(points)
         cy = math.fsum(points[:, 1].tolist()) / len(points)
-        merged.append(Detection(centroid_x=cx, centroid_y=cy, points=points))
+        merged.append(
+            Detection(centroid_x=cx, centroid_y=cy, points=points,
+                      frame=detections[members[0]].frame)
+        )
     return merged
 
 
@@ -206,6 +250,11 @@ def associate(
     n, m = len(predicted), len(detections)
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))
+    if n == m == 1:  # the assignment is (0, 0); it matches within the gate
+        (px, py), det = predicted[0], detections[0]
+        if math.hypot(px - det.centroid_x, py - det.centroid_y) <= gate:
+            return [(0, 0)], [], []
+        return [], [0], [0]
     cost = np.empty((n, m), dtype=float)
     for i, (px, py) in enumerate(predicted):
         for j, det in enumerate(detections):
@@ -295,6 +344,37 @@ class _LiveTrack:
     ever_confirmed: bool = False
 
 
+def _frame_detections(
+    session: Session, db: DbscanConfig
+) -> Iterator[tuple[float, list[Detection]]]:
+    """(t, detections) for each frame of the session, in time order.
+
+    One `dbscan` call clusters a chunk of consecutive frames that together
+    hold at most CHUNK_POINTS points; a frame that holds more stands alone,
+    since stacking dense frames slows the neighbor search more than it
+    saves in calls. The stacked tree's squared extent must stay finite (see
+    `dbscan_labels`), so a huge eps or huge coordinates fall back to one
+    non-empty frame per chunk.
+    """
+    times, points, offsets = session.times.tolist(), session.points, session.offsets
+    # The stacked tree's squared extent is at most 13 * bound**2: the rank
+    # column's span plus three axes of width 2 * max |coordinate|.
+    bound = max(2.0 * db.eps * CHUNK_POINTS, float(np.abs(points[:, :3]).max(initial=0.0)))
+    limit = CHUNK_POINTS if math.isfinite(16.0 * bound * bound) else 1
+    firsts = offsets.tolist()
+    start = 0
+    while start < len(times):
+        stop = max(start + 1, bisect.bisect_right(firsts, firsts[start] + limit) - 1)
+        a, b = firsts[start], firsts[stop]
+        found = dbscan(points[a:b], db.eps, db.min_pts, db.min_cluster_size,
+                       offsets=offsets[start : stop + 1] - a)
+        by_frame = [[] for _ in range(stop - start)]
+        for det in found:
+            by_frame[det.frame].append(det)
+        yield from zip(times[start:stop], by_frame)
+        start = stop
+
+
 def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Track]:
     """Run detection + association + filtering over a whole session.
 
@@ -310,14 +390,13 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
     next_id = 0
     prev_t: float | None = None
 
-    for t, points in session.frames:
+    for t, detections in _frame_detections(session, db):
         dt = None if prev_t is None else t - prev_t
         prev_t = t
         if dt is not None:
             for lt in live:
                 lt.kf.predict(dt)
 
-        detections = dbscan(points, db.eps, db.min_pts, db.min_cluster_size)
         detections = merge_close_detections(detections, db.merge_radius)
         predicted = [(lt.kf.x, lt.kf.y) for lt in live]
         matches, unmatched_tracks, unmatched_dets = associate(

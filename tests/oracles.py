@@ -77,9 +77,10 @@ def reference_frame_points(frame_pts: list) -> tuple:
     frame_pts holds each frame line's parsed `pts` value, frame k on file
     line k + 2 (after the header). Returns ("reject", line, message) for the
     first bad line, else ("accept", kept points per frame, number dropped).
-    An entry is rejected unless it is a 4-element list of values float()
-    accepts, then dropped when non-finite or y < 0. Integers past the float
-    range are rejected as non-numeric (float() raises OverflowError).
+    An entry is rejected unless it is a 4-element list of JSON numbers:
+    ints or floats, not true/false or strings, which float() would also
+    take. It is then dropped when non-finite or y < 0. Integers past the
+    float range are rejected as non-numeric (float() raises OverflowError).
     """
     kept, dropped = [], 0
     for line, pts in enumerate(frame_pts, start=2):
@@ -91,8 +92,10 @@ def reference_frame_points(frame_pts: list) -> tuple:
                 return ("reject", line,
                         f"point must be a 4-element [x, y, z, s] array, got {raw!r}")
             try:
+                if any(type(v) not in (int, float) for v in raw):
+                    raise TypeError
                 x, y, z, s = (float(v) for v in raw)
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, OverflowError):
                 return ("reject", line, f"non-numeric point entry {raw!r}")
             if not all(math.isfinite(v) for v in (x, y, z, s)) or y < 0:
                 dropped += 1

@@ -273,8 +273,12 @@ def test_malformed_session_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.session.jsonl"
     header = ('{"format":"gaitpipe-frames","version":1,"frame_rate":10.0,'
               '"site":"home","room":"r","device":"d"}\n')
-    # A frame without points, and a frame time past the float range.
-    for frame, field in (('{"t":0.1}', "'t'"), ('{"t":1%s,"pts":[]}' % ("0" * 400), "t 1")):
+    # A frame without points, a frame time past the float range, and JSON
+    # booleans and strings where numbers belong.
+    for frame, field in (('{"t":0.1}', "'t'"), ('{"t":1%s,"pts":[]}' % ("0" * 400), "t 1"),
+                         ('{"t":true,"pts":[]}', "t True"), ('{"t":"2.5","pts":[]}', "t '2.5'"),
+                         ('{"t":0.1,"pts":[[true,2,0,0.5]]}', "entry [True, 2, 0, 0.5]"),
+                         ('{"t":0.1,"pts":[[true,"2",0,0.5]]}', "entry [True, '2', 0, 0.5]")):
         bad.write_text(header + frame + "\n")
         assert main(["process", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -298,10 +302,14 @@ _ENTRY = {"participant": "p1", "walk_index": 0, "walk_type": "control", "t_start
         ("not json", "JSONDecodeError"),
         ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "t_start": 10**400}]},
          "entry 0 has invalid 't_start'"),
+        ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "t_start": True}]},
+         "entry 0 has invalid 't_start'"),
+        ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "walk_index": 2.7}]},
+         "entry 0 has invalid 'walk_index'"),
     ],
     ids=["null_value", "missing_key", "top_level_list", "entries_not_list",
          "non_numeric_index", "bad_walkway", "entry_not_object", "not_json",
-         "t_start_past_float_range"],
+         "t_start_past_float_range", "t_start_bool", "fractional_index"],
 )
 def test_malformed_walklog_exit_2(sim_dir, tmp_path, capsys, walklog, field):
     path = tmp_path / "bad.walklog.json"
@@ -545,9 +553,11 @@ _TRUTH = '{"format": "gaitpipe-truth", "walkers": [%s]}'
         (_TRUTH % '{"t_start": 0.0, "t_end": 99.0}', "true_step_length"),
         (_TRUTH % ('{"t_start": 0.0, "t_end": 99.0, "true_step_length": 1%s}' % ("0" * 400)),
          "walker 0: 'true_step_length'"),
+        (_TRUTH % '{"t_start": 0.0, "t_end": 99.0, "true_step_length": true}',
+         "walker 0: 'true_step_length'"),
     ],
     ids=["not_json", "other_format", "not_object", "walker_no_t_start", "walker_no_step_length",
-         "step_length_past_float_range"],
+         "step_length_past_float_range", "step_length_bool"],
 )
 def test_evaluate_malformed_truth_exit_2(sim_dir, tmp_path, capsys, header, field):
     proc = tmp_path / "proc"
@@ -581,9 +591,10 @@ _WALK = {"walk_type": "control", "t_start": 2.0, "avg_step_len_m": 0.55}
     [("{bad", "invalid JSON"), ("[1]", "expected a JSON object"),
      (json.dumps({**_WALK, "avg_step_len_m": "far"}), "avg_step_len_m"),
      (json.dumps({**_WALK, "walk_type": ["control"]}), "walk_type"),
-     (json.dumps({**_WALK, "avg_step_len_m": 10**400}), "avg_step_len_m")],
+     (json.dumps({**_WALK, "avg_step_len_m": 10**400}), "avg_step_len_m"),
+     (json.dumps({**_WALK, "avg_step_len_m": True}), "avg_step_len_m")],
     ids=["not_json", "not_object", "non_numeric_estimate", "walk_type_list",
-         "estimate_past_float_range"],
+         "estimate_past_float_range", "estimate_bool"],
 )
 def test_evaluate_malformed_walks_exit_2(tmp_path, capsys, line, field):
     results = _results_tree(tmp_path, _WALK, line)

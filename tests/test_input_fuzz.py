@@ -2,8 +2,8 @@
 config file and truth header.
 
 Each case mutates a valid input: it drops a key, replaces a value with
-null, a string, a list, a negative number, NaN or an integer past the
-float range, truncates the text, or replaces it with text that is not
+null, a string, a list, true, a negative number, NaN or an integer past
+the float range, truncates the text, or replaces it with text that is not
 JSON. Whatever the mutation, the run must exit 0 or 2, never with a
 traceback or an internal error, and an exit 2 must name the file. Frames
 stay fixed and valid, and apart from that one integer, mutations vary
@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from gaitpipe.cli import main
 from gaitpipe.config import PipelineConfig
 
-REPLACEMENTS = [None, "x", "", [1], -1, -1.0, math.nan, 10**400]
+REPLACEMENTS = [None, "x", "", [1], True, -1, -1.0, math.nan, 10**400]
 NOT_JSON = ["not json", "", "{", "[]", "null"]
 FUZZ = settings(max_examples=60, deadline=None)
 

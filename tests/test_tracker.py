@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import gaitpipe.tracker
+from gaitpipe.cli import main
 from gaitpipe.config import PipelineConfig
+from gaitpipe.pointcloud import Session, write_session
 from gaitpipe.simulator import WalkerSpec, SceneSpec, make_scenario, simulate
 from gaitpipe.tracker import (
     Detection,
@@ -91,6 +95,61 @@ def test_dbscan_order_independent():
     assert canonical_labels(base) == canonical_labels(unpermuted)
 
 
+def random_stack(rng):
+    """Frames of a stack as (k, 3) arrays: empty and 1-point frames, random
+    clouds, a frame repeating the one before it (static clutter), and
+    integer grids, where eps = 1.0 puts many pairs exactly at eps."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return np.empty((0, 3))
+    if kind == 1:
+        return random_frame(rng, 1)
+    if kind == 2:
+        return random_frame(rng, int(rng.integers(2, 40)))
+    if kind == 3:
+        return rng.normal([0.0, 3.0, -0.3], 0.3, size=(int(rng.integers(5, 30)), 3))
+    return rng.integers(0, 4, size=(int(rng.integers(2, 30)), 3)).astype(float)
+
+
+def stacks():
+    """Seeded (frames, eps, min_pts) cases for the stacked-frame tests."""
+    rng = np.random.default_rng(17)
+    for trial in range(120):
+        frames = [random_stack(rng) for _ in range(int(rng.integers(1, 12)))]
+        for k in range(1, len(frames)):
+            if rng.random() < 0.2:
+                frames[k] = frames[k - 1].copy()
+        eps = 1.0 if trial % 3 == 0 else float(rng.uniform(0.2, 0.8))
+        yield frames, eps, int(rng.integers(1, 6))
+
+
+def test_stacked_labels_match_naive_per_frame():
+    for frames, eps, min_pts in stacks():
+        offsets = np.cumsum([0] + [len(f) for f in frames])
+        labels = dbscan_labels(np.concatenate(frames), eps, min_pts, offsets)
+        before = 0  # clusters in the frames before this one
+        for k, xyz in enumerate(frames):
+            ref = naive_dbscan(xyz, eps, min_pts)
+            got = labels[offsets[k] : offsets[k + 1]]
+            assert np.array_equal(got, np.where(ref >= 0, ref + before, ref))
+            before += ref.max(initial=-1) + 1
+
+
+def test_stacked_dbscan_matches_per_frame_calls():
+    rng = np.random.default_rng(23)
+    for frames, eps, min_pts in stacks():
+        rows = [np.column_stack([f, rng.uniform(-2, 2, len(f))]) for f in frames]
+        offsets = np.cumsum([0] + [len(r) for r in rows])
+        min_size = int(rng.integers(1, 4))
+        got = dbscan(np.concatenate(rows), eps, min_pts, min_size, offsets=offsets)
+        want = [(k, d) for k, r in enumerate(rows) for d in dbscan(r, eps, min_pts, min_size)]
+        assert len(got) == len(want)
+        for g, (k, w) in zip(got, want):
+            assert g.frame == k
+            assert (g.centroid_x, g.centroid_y) == (w.centroid_x, w.centroid_y)
+            assert np.array_equal(g.points, w.points)
+
+
 def test_merge_close_detections():
     a = Detection(0.0, 2.0, pts((0.0, 2.0)))
     b = Detection(0.05, 2.1, pts((0.05, 2.1)))
@@ -133,6 +192,22 @@ def test_associate_prefers_total_cost():
     ]
     matches, _, _ = associate([(0.0, 1.0), (0.0, 0.0)], dets, gate=2.0)
     assert sorted(matches) == [(0, 0), (1, 1)]
+
+
+def test_associate_one_to_one_gate_is_inclusive():
+    # The 1x1 case skips the solver; with a second, far detection the same
+    # pair goes through it. Both must match exactly up to the gate.
+    rng = np.random.default_rng(8)
+    far = Detection(1e3, 1e3, pts((1e3, 1e3)))
+    for _ in range(200):
+        px, py, cx, cy = (float(v) for v in rng.uniform(-5, 5, 4))
+        det = Detection(cx, cy, pts((cx, cy)))
+        d = math.hypot(px - cx, py - cy)
+        for gate, matched in ((d, True), (float(np.nextafter(d, -np.inf)), False)):
+            one = associate([(px, py)], [det], gate)
+            general = associate([(px, py)], [det, far], gate)
+            assert one == (([(0, 0)], [], []) if matched else ([], [0], [0]))
+            assert general == (([(0, 0)], [], [1]) if matched else ([], [0], [0, 1]))
 
 
 def test_assignment_matches_brute_force():
@@ -241,8 +316,6 @@ def test_kalman_matches_matrix_reference():
 
 
 def empty_session():
-    from gaitpipe.pointcloud import Session
-
     return Session(frame_rate=10.0, site="home", room_label="r", device_id="d")
 
 
@@ -290,6 +363,61 @@ def test_tracker_deterministic(single_walker):
         return [(tr.track_id, s.t, s.x, s.y, s.points.tolist()) for tr in tracks for s in tr.states]
 
     assert rows(a) == rows(b)
+
+
+def test_track_frames_detects_chunks_of_frames(monkeypatch):
+    # A counting wrapper as the benchmark's tracer installs it: it reads the
+    # points of each call and each detection.
+    session, _ = simulate(make_scenario("clinic_control", seed=7))
+    calls = []
+
+    def counting(*args, **kwargs):
+        found = dbscan(*args, **kwargs)
+        calls.append((len(args[0]), [len(d.points) for d in found]))
+        return found
+
+    monkeypatch.setattr(gaitpipe.tracker, "dbscan", counting)
+    track_frames(session, PipelineConfig())
+    assert len(calls) < len(session.times) / 10
+    assert sum(n for n, _ in calls) == len(session.points)
+
+
+def per_frame_dbscan(points, eps, min_pts, min_cluster_size=1, offsets=None):
+    """`dbscan` on a stack of frames, one call per frame."""
+    return [
+        dataclasses.replace(d, frame=k)
+        for k, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))
+        for d in dbscan(points[a:b], eps, min_pts, min_cluster_size)
+    ]
+
+
+@pytest.mark.parametrize("eps", ["1e153", "1e308"])
+def test_huge_eps_gives_the_per_frame_bundle(tmp_path, monkeypatch, eps):
+    # 1e308 overflows the stacked frames' rank column itself, 1e153 only its
+    # square; either way each chunk holds one non-empty frame.
+    session, _ = simulate(make_scenario("home_radial", seed=104))
+    write_session(session, tmp_path / "s.session.jsonl")
+    (tmp_path / "c.toml").write_text(f"[dbscan]\neps = {eps}\n")
+
+    def process(out):
+        assert main(["process", "--input", str(tmp_path / "s.session.jsonl"),
+                     "--config", str(tmp_path / "c.toml"), "--out", str(tmp_path / out)]) == 0
+        return {p.relative_to(tmp_path / out): p.read_bytes()
+                for p in sorted((tmp_path / out).rglob("*")) if p.is_file()}
+
+    chunked = process("chunked")
+    monkeypatch.setattr(gaitpipe.tracker, "dbscan", per_frame_dbscan)
+    assert chunked == process("per_frame")
+
+
+def test_huge_coordinate_alone_in_its_frame():
+    # A finite point at 1e200 is noise alone in its frame; stacked with the
+    # next frame it would overflow the tree's squared extent.
+    blob = pts((0.0, 2.0), (0.1, 2.0), (0.0, 2.1), (0.1, 2.1), (0.05, 2.05))
+    frames = [(float(t), pts((1e200, 1.0)) if t == 1 else blob) for t in range(1, 6)]
+    session = Session(frame_rate=1.0, site="home", room_label="r", device_id="d", frames=frames)
+    (track,) = track_frames(session, PipelineConfig())
+    assert [s.t for s in track.states] == [2.0, 3.0, 4.0, 5.0]
 
 
 def test_two_separated_walkers_no_identity_swap():
