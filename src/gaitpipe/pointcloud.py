@@ -26,6 +26,15 @@ SITES = ("clinic", "home")
 
 NAME_MAX = 255  # bytes in one file name on common file systems; bounds heatmap_<room>.csv
 
+# m; a point farther out on any axis is dropped at ingest. Indoor radars
+# see a few meters, and the tracker's squared distances of coordinates
+# past about 1e154 overflow.
+MAX_COORD_M = 1000.0
+# Bounds of a kept point's x, y, z, s: in front of the sensor (y >= 0),
+# within MAX_COORD_M on each axis, and finite. NaN fails every bound.
+_POINT_LOW = np.array([-MAX_COORD_M, 0.0, -MAX_COORD_M, -np.finfo(float).max])
+_POINT_HIGH = np.array([MAX_COORD_M, MAX_COORD_M, MAX_COORD_M, np.finfo(float).max])
+
 
 class SessionFormatError(ValueError):
     """Malformed session file. Carries the 1-based physical line number."""
@@ -71,7 +80,7 @@ class Session:
     times: np.ndarray    # (F,)
     points: np.ndarray   # (N, 4)
     offsets: np.ndarray  # (F + 1,)
-    dropped_points: int = 0  # points rejected at ingest (non-finite or y < 0)
+    dropped_points: int = 0  # points rejected at ingest (non-finite, beyond MAX_COORD_M, or y < 0)
 
     def __init__(self, frame_rate: float, site: str, room_label: str, device_id: str,
                  frames: Iterable[tuple[float, np.ndarray]] = (), dropped_points: int = 0):
@@ -212,9 +221,9 @@ def read_session(path: str | os.PathLike) -> Session:
             if not isinstance(pts_raw, list):
                 raise SessionFormatError("'pts' must be an array", lineno)
             rows = _point_rows(pts_raw, lineno, text)
-            # Spurious returns behind the sensor plane are expected from CFAR
-            # output; drop rather than fail the whole session.
-            keep = np.isfinite(rows).all(axis=1) & (rows[:, 1] >= 0)
+            # Spurious returns behind the sensor plane or out of range are
+            # expected from CFAR output; drop rather than fail the whole session.
+            keep = ((rows >= _POINT_LOW) & (rows <= _POINT_HIGH)).all(axis=1)
             dropped += len(rows) - int(np.count_nonzero(keep))
             frames.append((t, rows[keep]))
 

@@ -1,13 +1,22 @@
 """Synthetic gait-scene generator with exact ground truth.
 
 Walkers move along waypoint paths with a cyclic forward-speed profile
-(v = base_speed + speed_amp * sin(2*pi*t/step_period + phase), one crest
-per step) attenuated by smoothstep ramps at the start and end of the walk.
-Each radar frame scatters points over the torso, arms, and legs, with
-Doppler equal to the radial projection of each scatterer's velocity plus
-noise; arms can swing counter-phase so their Doppler crosses zero and
-flips sign, exercising the torso sign gate. Pets are small, slow,
-low-elevation scatterer groups.
+(v = base_speed + speed_amp * sin(2*pi*t/step_period - pi/2), one crest
+per step, starting at a trough) attenuated by smoothstep ramps at the
+start and end of the walk. Each radar frame scatters points over the
+torso, arms, and legs, with Doppler equal to the radial projection of
+each scatterer's velocity plus noise; the two arms swing counter-phase so
+the backswing arm's Doppler crosses zero and flips sign, exercising the
+torso sign gate. Pets are small, slow, low-elevation scatterer groups
+circling a center.
+
+A walker's spec fields are its path, gait (`base_speed`, `step_period`,
+`speed_amp`, `ramp_time`), start time, points per scatterer group,
+Doppler noise and dropout; a pet's only field is its center; a scene's
+are its walkers, pets, duration, seed, frame rate and room label. The
+rest of a scene is fixed by the module constants below: the phase of the
+speed cycle, the torso band, the arm swing, the position noise, the
+pets' motion and returns, and the device id.
 
 Everything is driven by one seeded generator, so a scene spec plus seed
 reproduces its session byte for byte. The nominal step length of a walker
@@ -28,8 +37,20 @@ from .pointcloud import Session, atomic_write_text, build_session, json_float
 from .segmenter import WALKWAY_END, WALKWAY_START, WalkEntry, WalkLog
 
 TRUTH_FORMAT = "gaitpipe-truth"
+DEVICE_ID = "SIM"
 MIN_DOPPLER = 0.05  # static-clutter model: slower returns are not reported
 _NO_POINTS = np.empty((0, 4))
+
+WALK_PHASE = -math.pi / 2   # phase of the speed cycle: it starts at its trough
+TORSO_HALF_BAND = 0.2       # torso scatterer |z| spread, meters
+ARM_SWING_GAIN = 1.2        # arm swing amplitude, times base_speed
+NOISE_POS = 0.08            # scatterer position noise, meters
+
+PET_WANDER_RADIUS = 0.4     # m, radius of the circle a pet walks
+PET_SPEED = 0.25            # m/s
+PET_Z_LOW, PET_Z_HIGH = -1.05, -0.85  # m, elevation band of pet returns
+PET_POINTS = 3
+PET_NOISE_DOPPLER = 0.1     # m/s
 
 
 @dataclass(frozen=True)
@@ -39,16 +60,11 @@ class WalkerSpec:
     base_speed: float = 1.0       # m/s
     step_period: float = 0.55     # s, one speed crest per step
     speed_amp: float = 0.25       # m/s oscillation amplitude
-    phase: float = -math.pi / 2   # speed starts at its trough
     start_time: float = 1.0       # s into the session
     ramp_time: float | None = None   # smoothstep ramp duration; default step_period/2
-    torso_half_band: float = 0.2  # torso scatterer |z| spread, meters
     points_torso: int = 8
     points_arms: int = 4
     points_legs: int = 6
-    arm_counterphase: bool = True
-    arm_swing_amp: float | None = None  # m/s; default 1.4 * base_speed
-    noise_pos: float = 0.08       # m
     noise_doppler: float = 0.12   # m/s
     dropout: float = 0.02         # per-point drop probability
 
@@ -76,13 +92,6 @@ class WalkerSpec:
 @dataclass(frozen=True)
 class PetSpec:
     center: tuple[float, float]
-    wander_radius: float = 0.4
-    speed: float = 0.25
-    z_low: float = -1.05
-    z_high: float = -0.85
-    n_points: int = 3
-    phase: float = 0.0
-    noise_doppler: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,6 @@ class SceneSpec:
     pets: tuple[PetSpec, ...] = ()
     frame_rate: float = 10.0
     room_label: str = "room"
-    device_id: str = "SIM"
     walklog: WalkLog | None = None
 
     def __post_init__(self):
@@ -162,7 +170,7 @@ class _WalkKinematics:
             # never less than half a step.
             self.t_ramp = max(spec.step_period / 2, spec.base_speed / 1.8)
         self.omega = 2.0 * math.pi / spec.step_period
-        v0, amp, phi = spec.base_speed, spec.speed_amp, spec.phase
+        v0, amp, phi = spec.base_speed, spec.speed_amp, WALK_PHASE
 
         d_out = v0 * self.t_ramp / 2
         if self.length <= v0 * self.t_ramp + d_out:
@@ -219,7 +227,7 @@ class _WalkKinematics:
             self.s_ramp_in
             + spec.base_speed * (tau - self.t_ramp)
             - (spec.speed_amp / self.omega)
-            * (math.cos(self.omega * tau + spec.phase) - self._cos_ref)
+            * (math.cos(self.omega * tau + WALK_PHASE) - self._cos_ref)
         )
 
     def active(self, t: float) -> bool:
@@ -229,7 +237,7 @@ class _WalkKinematics:
         """(arc position, instantaneous speed) at session time t."""
         tau = t - self.t_start
         spec = self.spec
-        base = spec.base_speed + spec.speed_amp * math.sin(self.omega * tau + spec.phase)
+        base = spec.base_speed + spec.speed_amp * math.sin(self.omega * tau + WALK_PHASE)
         if tau <= self.t_ramp:
             s = float(np.interp(tau, self._grid_in_t, self._grid_in_s))
             v = _smoothstep(tau / self.t_ramp) * base
@@ -321,59 +329,49 @@ def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
             )
 
             pts.append(_scatter_group(
-                rng, center, spec.points_torso, spec.noise_pos,
-                -spec.torso_half_band, spec.torso_half_band,
+                rng, center, spec.points_torso, NOISE_POS,
+                -TORSO_HALF_BAND, TORSO_HALF_BAND,
                 velocity, spec.noise_doppler, spec.dropout,
             ))
-            if spec.points_arms:
-                # Two arms anti-phase at the stride period: the backswing arm's
-                # Doppler flips sign (rejected by the torso gate), the forward
-                # arm reads faster than the torso.
-                arm_amp = (
-                    spec.arm_swing_amp
-                    if spec.arm_swing_amp is not None
-                    else 1.2 * spec.base_speed
-                )
-                tau = t - kin.t_start
-                envelope = _smoothstep(tau / kin.t_ramp) if kin.t_ramp > 0 else 1.0
-                swing = envelope * arm_amp * math.sin(kin.omega * tau / 2 + spec.phase)
-                if not spec.arm_counterphase:
-                    swing = 0.0
-                half_arms = spec.points_arms // 2
-                for arm_sign, n_arm in ((+1, half_arms), (-1, spec.points_arms - half_arms)):
-                    # Hands reach hip level, so arm returns span below the torso.
-                    pts.append(_scatter_group(
-                        rng, center, n_arm, 1.5 * spec.noise_pos,
-                        -0.5, 0.35,
-                        (speed + arm_sign * swing) * direction,
-                        spec.noise_doppler, spec.dropout,
-                    ))
-            if spec.points_legs:
-                tau = t - kin.t_start
-                half = spec.points_legs // 2
-                for leg, n_leg in ((0, half), (1, spec.points_legs - half)):
-                    factor = 1.0 + 1.2 * math.sin(
-                        kin.omega * tau + spec.phase + math.pi * leg
-                    )
-                    leg_speed = max(0.0, factor) * speed
-                    # Lower body fills z from the hips down, keeping the
-                    # person one density-connected cluster.
-                    pts.append(_scatter_group(
-                        rng, center, n_leg, spec.noise_pos,
-                        -1.0, -0.15,
-                        leg_speed * direction, spec.noise_doppler, spec.dropout,
-                    ))
+            # Two arms anti-phase at the stride period: the backswing arm's
+            # Doppler flips sign (rejected by the torso gate), the forward
+            # arm reads faster than the torso.
+            tau = t - kin.t_start
+            envelope = _smoothstep(tau / kin.t_ramp)
+            swing = envelope * (ARM_SWING_GAIN * spec.base_speed) * math.sin(
+                kin.omega * tau / 2 + WALK_PHASE
+            )
+            half_arms = spec.points_arms // 2
+            for arm_sign, n_arm in ((+1, half_arms), (-1, spec.points_arms - half_arms)):
+                # Hands reach hip level, so arm returns span below the torso.
+                pts.append(_scatter_group(
+                    rng, center, n_arm, 1.5 * NOISE_POS,
+                    -0.5, 0.35,
+                    (speed + arm_sign * swing) * direction,
+                    spec.noise_doppler, spec.dropout,
+                ))
+            half = spec.points_legs // 2
+            for leg, n_leg in ((0, half), (1, spec.points_legs - half)):
+                factor = 1.0 + 1.2 * math.sin(kin.omega * tau + WALK_PHASE + math.pi * leg)
+                leg_speed = max(0.0, factor) * speed
+                # Lower body fills z from the hips down, keeping the
+                # person one density-connected cluster.
+                pts.append(_scatter_group(
+                    rng, center, n_leg, NOISE_POS,
+                    -1.0, -0.15,
+                    leg_speed * direction, spec.noise_doppler, spec.dropout,
+                ))
 
         for pet in scene.pets:
-            ang = pet.phase + pet.speed / max(pet.wander_radius, 1e-6) * t
-            center = np.asarray(pet.center) + pet.wander_radius * np.array(
+            ang = PET_SPEED / PET_WANDER_RADIUS * t
+            center = np.asarray(pet.center) + PET_WANDER_RADIUS * np.array(
                 [math.cos(ang), math.sin(ang)]
             )
-            velocity = pet.speed * np.array([-math.sin(ang), math.cos(ang)])
+            velocity = PET_SPEED * np.array([-math.sin(ang), math.cos(ang)])
             pts.append(_scatter_group(
-                rng, center, pet.n_points, 0.05,
-                pet.z_low, pet.z_high,
-                velocity, pet.noise_doppler, 0.0,
+                rng, center, PET_POINTS, 0.05,
+                PET_Z_LOW, PET_Z_HIGH,
+                velocity, PET_NOISE_DOPPLER, 0.0,
             ))
 
         frames.append((t, np.concatenate(pts)))
@@ -382,7 +380,7 @@ def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
         frame_rate=scene.frame_rate,
         site=scene.site,
         room_label=scene.room_label,
-        device_id=scene.device_id,
+        device_id=DEVICE_ID,
         frames=frames,
     )
     walkers_truth = tuple(
@@ -454,12 +452,14 @@ def read_truth_header(path: str | os.PathLike) -> dict:
     return header
 
 
-def _clinic_walklog(
-    walks: list[tuple[WalkerSpec, str, int]], participant: str = "P01"
-) -> WalkLog:
+PARTICIPANT = "P01"          # the one participant of a clinic preset's walk log
+CLINIC_WALK_GAP = 16.0       # s between the starts of consecutive logged walks
+
+
+def _clinic_walklog(walks: list[tuple[WalkerSpec, str, int]]) -> WalkLog:
     entries = tuple(
         WalkEntry(
-            participant=participant,
+            participant=PARTICIPANT,
             walk_index=index,
             walk_type=walk_type,
             t_start=spec.start_time,
@@ -476,10 +476,9 @@ def _build_clinic(
     base_speed: float,
     step_period: float,
     walk_type: str,
-    n_walks: int = 2,
+    n_walks: int,
     with_assistant: bool = False,
-    walk_gap: float = 16.0,
-    noise_doppler: float = 0.12,
+    noise_doppler: float = WalkerSpec.noise_doppler,
 ) -> SceneSpec:
     walkers = []
     logged = []
@@ -507,7 +506,7 @@ def _build_clinic(
                     start_time=t + walk_time,
                 )
             )
-        t += walk_gap
+        t += CLINIC_WALK_GAP
     if with_assistant:
         walkers.append(
             WalkerSpec(
@@ -518,12 +517,11 @@ def _build_clinic(
                 start_time=2.6,
             )
         )
-    duration = t - walk_gap + 4.0 / base_speed + 4.0
+    duration = t - CLINIC_WALK_GAP + 4.0 / base_speed + 4.0
     return SceneSpec(
         name=name,
         site="clinic",
         room_label="walkway",
-        device_id="SIM",
         duration=duration,
         seed=seed,
         walkers=tuple(walkers),
@@ -535,8 +533,8 @@ def _build_home(
     name: str,
     seed: int,
     passes: list[tuple[tuple[tuple[float, float], ...], float]],
-    base_speed: float = 1.0,
-    step_period: float = 0.55,
+    base_speed: float,
+    step_period: float,
     pets: tuple[PetSpec, ...] = (),
     room_label: str = "living",
     concurrent: tuple[WalkerSpec, ...] = (),
@@ -561,12 +559,62 @@ def _build_home(
         name=name,
         site="home",
         room_label=room_label,
-        device_id="SIM",
         duration=t_end + 3.0,
         seed=seed,
         walkers=tuple(walkers),
         pets=pets,
     )
+
+
+_DEFAULT_GAIT = {"base_speed": WalkerSpec.base_speed, "step_period": WalkerSpec.step_period}
+_RADIAL_PASSES = [
+    (((0.3, 5.8), (0.3, 1.2)), 1.5),
+    (((0.3, 1.2), (0.3, 5.8)), 9.5),
+]
+
+# Preset name -> (default seed, builder, builder arguments).
+_PRESETS = {
+    "clinic_control": (101, _build_clinic, {
+        **_DEFAULT_GAIT, "walk_type": "control", "n_walks": 2,
+    }),
+    # Fast gait reads messier: the torso pitches and dwell per frame
+    # shrinks, widening the measured step-time distribution around R.
+    "clinic_fast": (102, _build_clinic, {
+        "base_speed": 1.45, "step_period": 0.45, "walk_type": "fast", "n_walks": 2,
+        "noise_doppler": 0.22,
+    }),
+    "clinic_with_assistant": (103, _build_clinic, {
+        **_DEFAULT_GAIT, "walk_type": "control", "n_walks": 1, "with_assistant": True,
+    }),
+    "home_radial": (104, _build_home, {**_DEFAULT_GAIT, "passes": _RADIAL_PASSES}),
+    "home_perpendicular": (105, _build_home, {
+        **_DEFAULT_GAIT,
+        "passes": [
+            (((-2.8, 3.5), (2.8, 3.5)), 1.5),
+            (((2.8, 3.5), (-2.8, 3.5)), 10.5),
+        ],
+        "room_label": "hallway",
+    }),
+    "home_L_shape": (106, _build_home, {
+        **_DEFAULT_GAIT, "passes": [(((0.5, 5.6), (0.5, 1.6), (3.2, 1.6)), 1.5)],
+    }),
+    "home_with_pet": (107, _build_home, {
+        **_DEFAULT_GAIT, "passes": _RADIAL_PASSES, "pets": (PetSpec(center=(2.0, 2.5)),),
+    }),
+    "two_residents": (108, _build_home, {
+        **_DEFAULT_GAIT,
+        "passes": [(((0.4, 5.8), (0.4, 1.3)), 1.5)],
+        "concurrent": (WalkerSpec(
+            walker_id="resident2",
+            path=((-2.6, 4.6), (2.6, 4.9)),
+            base_speed=0.9,
+            step_period=0.6,
+            start_time=1.8,
+        ),),
+    }),
+}
+
+SCENARIO_NAMES = tuple(_PRESETS)
 
 
 def make_scenario(
@@ -576,93 +624,16 @@ def make_scenario(
     step_period: float | None = None,
     n_walks: int | None = None,
 ) -> SceneSpec:
-    """Build a named preset scene, optionally overriding the gait parameters."""
-    bs = base_speed if base_speed is not None else 1.0
-    sp = step_period if step_period is not None else 0.55
+    """Build a named preset scene, optionally overriding the gait parameters.
 
-    if name == "clinic_control":
-        return _build_clinic(
-            name, seed if seed is not None else 101, bs, sp, "control",
-            n_walks=n_walks if n_walks is not None else 2,
-        )
-    if name == "clinic_fast":
-        # Fast gait reads messier: the torso pitches and dwell per frame
-        # shrinks, widening the measured step-time distribution around R.
-        return _build_clinic(
-            name,
-            seed if seed is not None else 102,
-            base_speed if base_speed is not None else 1.45,
-            step_period if step_period is not None else 0.45,
-            "fast",
-            n_walks=n_walks if n_walks is not None else 2,
-            noise_doppler=0.22,
-        )
-    if name == "clinic_with_assistant":
-        return _build_clinic(
-            name, seed if seed is not None else 103, bs, sp, "control",
-            n_walks=n_walks if n_walks is not None else 1, with_assistant=True,
-        )
-    if name == "home_radial":
-        return _build_home(
-            name, seed if seed is not None else 104,
-            passes=[
-                (((0.3, 5.8), (0.3, 1.2)), 1.5),
-                (((0.3, 1.2), (0.3, 5.8)), 9.5),
-            ],
-            base_speed=bs, step_period=sp,
-        )
-    if name == "home_perpendicular":
-        return _build_home(
-            name, seed if seed is not None else 105,
-            passes=[
-                (((-2.8, 3.5), (2.8, 3.5)), 1.5),
-                (((2.8, 3.5), (-2.8, 3.5)), 10.5),
-            ],
-            base_speed=bs, step_period=sp, room_label="hallway",
-        )
-    if name == "home_L_shape":
-        return _build_home(
-            name, seed if seed is not None else 106,
-            passes=[(((0.5, 5.6), (0.5, 1.6), (3.2, 1.6)), 1.5)],
-            base_speed=bs, step_period=sp,
-        )
-    if name == "home_with_pet":
-        return _build_home(
-            name, seed if seed is not None else 107,
-            passes=[
-                (((0.3, 5.8), (0.3, 1.2)), 1.5),
-                (((0.3, 1.2), (0.3, 5.8)), 9.5),
-            ],
-            base_speed=bs, step_period=sp,
-            pets=(PetSpec(center=(2.0, 2.5)),),
-        )
-    if name == "two_residents":
-        second = WalkerSpec(
-            walker_id="resident2",
-            path=((-2.6, 4.6), (2.6, 4.9)),
-            base_speed=0.9,
-            step_period=0.6,
-            start_time=1.8,
-        )
-        return _build_home(
-            name, seed if seed is not None else 108,
-            passes=[(((0.4, 5.8), (0.4, 1.3)), 1.5)],
-            base_speed=bs, step_period=sp,
-            concurrent=(second,),
-        )
-    raise KeyError(f"unknown scenario {name!r}")
-
-
-SCENARIO_NAMES = (
-    "clinic_control",
-    "clinic_fast",
-    "clinic_with_assistant",
-    "home_radial",
-    "home_perpendicular",
-    "home_L_shape",
-    "home_with_pet",
-    "two_residents",
-)
+    An override that is not None replaces the preset's builder argument of
+    the same name. Home presets have fixed passes and no `n_walks`, so
+    they ignore that override; an unknown name raises KeyError.
+    """
+    default_seed, build, args = _PRESETS[name]
+    overrides = {"base_speed": base_speed, "step_period": step_period, "n_walks": n_walks}
+    args = {**args, **{k: v for k, v in overrides.items() if v is not None and k in args}}
+    return build(name, default_seed if seed is None else seed, **args)
 
 
 def scenario_library() -> dict[str, SceneSpec]:

@@ -295,9 +295,7 @@ class OccupancyHeatmap:
         return "\n".join(lines) + "\n"
 
 
-def heatmap_from_xy(
-    xs: Sequence[float], ys: Sequence[float], cell: float = 0.25
-) -> OccupancyHeatmap:
+def heatmap_from_xy(xs: Sequence[float], ys: Sequence[float], cell: float) -> OccupancyHeatmap:
     """Visit-count grid over raw (x, y) positions.
 
     A grid over MAX_HEATMAP_CELLS raises ValueError before it is allocated.

@@ -13,6 +13,8 @@ import math
 import numpy as np
 from scipy.stats import f as f_dist
 
+from gaitpipe.pointcloud import MAX_COORD_M
+
 
 def naive_dbscan(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     """O(n^2) reference DBSCAN with the same rules as the library: two points
@@ -79,8 +81,9 @@ def reference_frame_points(frame_pts: list) -> tuple:
     first bad line, else ("accept", kept points per frame, number dropped).
     An entry is rejected unless it is a 4-element list of JSON numbers:
     ints or floats, not true/false or strings, which float() would also
-    take. It is then dropped when non-finite or y < 0. Integers past the
-    float range are rejected as non-numeric (float() raises OverflowError).
+    take. It is then dropped when non-finite, when |x|, |y| or |z| exceeds
+    MAX_COORD_M, or when y < 0. Integers past the float range are rejected
+    as non-numeric (float() raises OverflowError).
     """
     kept, dropped = [], 0
     for line, pts in enumerate(frame_pts, start=2):
@@ -97,7 +100,8 @@ def reference_frame_points(frame_pts: list) -> tuple:
                 x, y, z, s = (float(v) for v in raw)
             except (TypeError, OverflowError):
                 return ("reject", line, f"non-numeric point entry {raw!r}")
-            if not all(math.isfinite(v) for v in (x, y, z, s)) or y < 0:
+            if (not all(math.isfinite(v) for v in (x, y, z, s)) or y < 0
+                    or max(abs(x), abs(y), abs(z)) > MAX_COORD_M):
                 dropped += 1
             else:
                 frame.append((x, y, z, s))

@@ -464,6 +464,22 @@ def test_zero_walk_home_session_is_success(tmp_path):
     assert report["n_walks"] == 0
 
 
+def test_huge_coordinate_is_dropped_not_an_internal_error(tmp_path, capsys):
+    # A finite 1e200 next to another point once overflowed the tracker's
+    # squared distances; the reader now drops it as out of range.
+    session = tmp_path / "far.session.jsonl"
+    session.write_text(
+        '{"format":"gaitpipe-frames","version":1,"frame_rate":10.0,'
+        '"site":"home","room":"r","device":"d"}\n'
+        '{"t":0.1,"pts":[[1e200,1,0,0.5],[0,1,0,0.5]]}\n'
+    )
+    out = tmp_path / "proc"
+    assert main(["process", "--input", str(session), "--out", str(out)]) == 0
+    assert "internal error" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["sessions"]["far"]["dropped_points"] == 1
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     trees = []
     for run in ("r1", "r2"):

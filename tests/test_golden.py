@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 of the session file and result bundle for fixed seeded presets.
+"""Golden outputs: sha256 of the simulated files and result bundle for fixed seeded presets.
 
 Criterion 11 shows that reruns agree with each other; these hashes show
 that a refactor left the bytes of the outputs unchanged. A change that
@@ -12,7 +12,7 @@ import pytest
 
 from gaitpipe.cli import main
 from gaitpipe.pointcloud import write_session
-from gaitpipe.simulator import make_scenario, simulate
+from gaitpipe.simulator import SCENARIO_NAMES, make_scenario, simulate
 
 GOLDEN = {
     ("clinic_control", 7, "clinic"): {
@@ -38,6 +38,46 @@ GOLDEN = {
         "segments.csv": "765dbe72949827287249f2aa6f1c975e7c410601017f53ab1db976101573ef86",
         "report.json": "a84cb2b199e8387dc9874f968396068335e9d64f91a2d166f5f39d2a70b042b8",
         "heatmap_living.csv": "553b1574db434d2deb6518d175e53faac8dd75d578bdf7b52ae68aa6f748a73c",
+    },
+}
+
+# What `gaitpipe simulate` writes for every preset at its default seed:
+# the session, the ground truth and, for the clinic presets, the walk log.
+GOLDEN_SIMULATE = {
+    "clinic_control": {
+        "session.jsonl": "d2a66f1145029caf7e34265f896c395062648df9c36b20db6ac47c62df93005d",
+        "truth.jsonl": "db538addcf287ff4082ae7f8a1360d0af1e5e3920a73acb5c02db872db49c0fc",
+        "walklog.json": "64415079553e5e8da5636c64ee9d70506717924c8b643fb09d756aa7a8d743df",
+    },
+    "clinic_fast": {
+        "session.jsonl": "2e5897fa7e2941dc841893ac0158e73227e06cb1087db407368257679fdf0a9f",
+        "truth.jsonl": "0581922bc15c05a0965ef9ffa93720ae849479d2993f9b98fd97a1a61750e5cd",
+        "walklog.json": "347b4b705917c719b6fe2d77e80536dc9a6771bd4a4cf7f4d955662772cbefb0",
+    },
+    "clinic_with_assistant": {
+        "session.jsonl": "accecdf41b397603ed39bbf3727ee0b1cfc4217bfcde760f1c299a9e6ad6d096",
+        "truth.jsonl": "17863b5a3b65762f0b7c540607fa2c4a5b4b3a4034637bc994b9fe9063a10a76",
+        "walklog.json": "9bb585ecd24f872021485f8bac08f7c9e3e232c0ca71365f64d3de6f4e1dbd5e",
+    },
+    "home_radial": {
+        "session.jsonl": "41f90e2d33195ffb6c3a83fc1e94cbbc997f278ebe5a6314404538009255c792",
+        "truth.jsonl": "3763a033eeb0af19bd61936a24b6a0cb0565dda300a89e02ed9e772a2570b33b",
+    },
+    "home_perpendicular": {
+        "session.jsonl": "8359b0013f5e583d820b6c87a7fca5c9dc53155f36b6ce1d4c63a912e5fd9f5d",
+        "truth.jsonl": "60ded3b003d37dea03fb4dedfe40ddb4164d21995e60b9dff43551a5f2e3f72a",
+    },
+    "home_L_shape": {
+        "session.jsonl": "3a2eaeb776e7a622cc174488a6731578486a88973fcb708b7323fd1fcaa16318",
+        "truth.jsonl": "c7804a212902a5297d59d17fcc1d1eac1fdbceb109e5c352eefad7cf9935af53",
+    },
+    "home_with_pet": {
+        "session.jsonl": "fbfcc7a3f0a83f00fe8af97122561a1b2d4005bf2381750bb5136f9af2f3deda",
+        "truth.jsonl": "cc85c535d7ff01345c44335d3b96ea6b28b65102b3ec03f82fe073bb36cea4c4",
+    },
+    "two_residents": {
+        "session.jsonl": "9e5152d818bc8308e5981c1d3b305aaa65ff7019cc96bcf71c32f7e8217f8950",
+        "truth.jsonl": "644ca7f59239421288d17a73c97c5ba187dc8b047b81d0e2ac983e9238122072",
     },
 }
 
@@ -72,6 +112,20 @@ def _process_digests(tmp_path, session_path, stem, mode, walklog=None, dump_trac
     assert main(args) == 0
     files.update((p.name, p) for p in out.glob("heatmap_*.csv"))  # one per room
     return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in files.items()}
+
+
+def test_golden_simulate_covers_every_preset():
+    assert set(GOLDEN_SIMULATE) == set(SCENARIO_NAMES)
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_SIMULATE))
+def test_golden_simulate(tmp_path, scenario):
+    assert main(["simulate", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    digests = {
+        p.name.split(".", 1)[1]: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.iterdir()
+    }
+    assert digests == GOLDEN_SIMULATE[scenario]
 
 
 @pytest.mark.parametrize("scenario,seed,mode", sorted(GOLDEN), ids=lambda v: str(v))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gaitpipe.pointcloud import (
+    MAX_COORD_M,
     NonMonotonicTimeError,
     Session,
     SessionFormatError,
@@ -111,6 +112,20 @@ def test_behind_sensor_and_nonfinite_points_dropped(tmp_path):
     session = read_session(path)
     assert session.dropped_points == 2
     assert session.frames[0].points.tolist() == [[0.2, 2.0, 0.1, 0.5]]
+
+
+def test_points_beyond_max_coord_dropped(tmp_path):
+    # Up to MAX_COORD_M on each axis is kept; past it, on any axis, is dropped.
+    path = write_lines(
+        tmp_path,
+        HEADER,
+        '{"t":0.1,"pts":[[-1000,1000,1000,1e300],[1000.5,1,0,1],[0,1000.5,0,1],'
+        '[0,1,-1e200,1],[0,1,0,Infinity]]}',
+    )
+    session = read_session(path)
+    assert MAX_COORD_M == 1000.0
+    assert session.dropped_points == 4
+    assert session.frames[0].points.tolist() == [[-1000.0, 1000.0, 1000.0, 1e300]]
 
 
 def test_point_order_preserved(tmp_path):
