@@ -236,8 +236,9 @@ def cmd_process(args: argparse.Namespace) -> int:
 
     jobs = [(str(p), cfg, args.mode, args.walklog, str(out), args.dump_tracks) for p in sessions]
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_process_one, *zip(*jobs)))
     else:
         summaries = [_process_one(*job) for job in jobs]

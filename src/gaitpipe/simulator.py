@@ -627,10 +627,16 @@ def make_scenario(
     """Build a named preset scene, optionally overriding the gait parameters.
 
     An override that is not None replaces the preset's builder argument of
-    the same name. Home presets have fixed passes and no `n_walks`, so
-    they ignore that override; an unknown name raises KeyError.
+    the same name. Only clinic presets take `n_walks`, which must be at
+    least 1; home presets have fixed passes, so an `n_walks` override on
+    one raises ValueError. An unknown name raises KeyError.
     """
     default_seed, build, args = _PRESETS[name]
+    if n_walks is not None:
+        if "n_walks" not in args:
+            raise ValueError(f"n_walks applies to clinic presets only, not {name!r}")
+        if n_walks < 1:
+            raise ValueError(f"n_walks must be at least 1, got {n_walks}")
     overrides = {"base_speed": base_speed, "step_period": step_period, "n_walks": n_walks}
     args = {**args, **{k: v for k, v in overrides.items() if v is not None and k in args}}
     return build(name, default_seed if seed is None else seed, **args)

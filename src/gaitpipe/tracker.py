@@ -84,9 +84,11 @@ def dbscan_labels(
     neighbors. Each frame's labels are then the ones it gets alone plus the
     number of clusters in the frames before it.
 
-    Neighbor pairs come from a `scipy.spatial.cKDTree`; each core point's
-    component root is the smallest core index in its component, so ranking
-    the roots gives the cluster ids. When two or more stacked frames hold
+    Neighbor pairs (i, j) come from a `scipy.spatial.cKDTree` with i < j,
+    the order `_component_roots` takes its core-core edges in; it drops each
+    edge once its ends share a root. Each core point's component root is
+    the smallest core index in its component, so numbering the roots in
+    index order gives the cluster ids. When two or more stacked frames hold
     points, each point gets a 4th coordinate, 2 * eps times its frame's
     rank among the non-empty frames: within a frame it adds exactly 0 to
     the squared distance, across frames at least 4 * eps * eps. cKDTree
@@ -109,12 +111,14 @@ def dbscan_labels(
         if np.count_nonzero(sizes) > 1:
             rank = np.repeat((sizes > 0).cumsum() - 1, sizes)
             coords = np.column_stack([xyz, rank * 2.0 * eps])
-    pairs = cKDTree(coords).query_pairs(eps, output_type="ndarray")
-    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
-    i, j = pairs[:, 0], pairs[:, 1]
+    # Contiguous columns with i < j, as query_pairs yields them.
+    i, j = cKDTree(coords).query_pairs(eps, output_type="ndarray").T.copy()
+    core = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1 >= min_pts
     core_i, core_j = core[i], core[j]
-    root = _component_roots(n, pairs[core_i & core_j])
-    labels[core] = np.unique(root[core], return_inverse=True)[1]
+    both = core_i & core_j
+    root = _component_roots(n, i[both], j[both])
+    ids = np.cumsum(core & (root == np.arange(n))) - 1
+    labels[core] = ids[root[core]]
 
     # Border points: nearest core neighbor, ties to the lower core index.
     border = np.concatenate([i[core_j & ~core_i], j[core_i & ~core_j]])
@@ -128,24 +132,28 @@ def dbscan_labels(
     return labels
 
 
-def _component_roots(n: int, pairs: np.ndarray) -> np.ndarray:
+def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Smallest node index in each node's connected component over n nodes.
 
-    Min-label hooking of component roots plus pointer jumping: every round
-    links the roots at the two ends of each edge to the smaller of them,
-    then flattens each node's root pointer, until all edges agree.
+    The edges are (a[k], b[k]) with a[k] < b[k]. Min-label hooking plus
+    pointer jumping: the first round points each b at its smallest a. Each
+    round then flattens every node's root pointer, replaces each edge by the
+    edge between its ends' roots, drops the edges whose ends agree (roots
+    only merge, so they agree from then on) and links the larger root of
+    each remaining edge to the smaller, until no edge is left.
     """
     root = np.arange(n)
-    a, b = pairs[:, 0], pairs[:, 1]
+    np.minimum.at(root, b, a)
     while True:
-        ra, rb = root[a], root[b]
-        if np.array_equal(ra, rb):
-            return root
-        np.minimum.at(root, ra, rb)
-        np.minimum.at(root, rb, ra)
         jumped = root[root]
         while not np.array_equal(jumped, root):
             root, jumped = jumped, jumped[jumped]
+        a, b = root[a], root[b]
+        differ = a != b
+        if not differ.any():
+            return root
+        a, b = a[differ], b[differ]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
 
 
 def dbscan(
@@ -206,7 +214,7 @@ def merge_close_detections(
     if not close:
         return detections
 
-    root = _component_roots(n, np.array(close))
+    root = _component_roots(n, *np.array(close).T)
     merged = []
     for r in np.unique(root):
         members = np.flatnonzero(root == r)

@@ -73,6 +73,24 @@ def naive_dbscan(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
+def union_find_roots(n: int, edges) -> np.ndarray:
+    """Smallest node index in each node's connected component: textbook
+    union-find over the (a, b) edge list, then the minimum of each set."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    smallest = {}
+    for i in range(n):
+        smallest.setdefault(find(i), i)
+    return np.array([smallest[find(i)] for i in range(n)], dtype=int)
+
+
 def reference_frame_points(frame_pts: list) -> tuple:
     """The session reader's per-point rule, one Python call per point.
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gaitpipe
+import gaitpipe.cli
 from gaitpipe.cli import main
 from gaitpipe.config import PipelineConfig
 from gaitpipe.pointcloud import write_session
@@ -57,6 +58,19 @@ def test_simulate_bad_step_period_exit_2(tmp_path, capsys, period):
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "step_period must be positive" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario,n_walks,message", [
+    ("clinic_control", "0", "n_walks must be at least 1, got 0"),
+    ("clinic_fast", "-3", "n_walks must be at least 1, got -3"),
+    ("home_radial", "3", "n_walks applies to clinic presets only, not 'home_radial'"),
+])
+def test_simulate_bad_n_walks_exit_2(tmp_path, capsys, scenario, n_walks, message):
+    assert main(["simulate", "--scenario", scenario, "--n-walks", n_walks,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_process_clinic_and_evaluate(sim_dir, tmp_path):
@@ -502,6 +516,34 @@ def test_jobs_below_one_exit_2(sim_dir, tmp_path, capsys, jobs):
                  "--out", str(tmp_path / "o")]) == 2
     assert "--jobs must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_jobs_capped_at_session_files(sim_dir, tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(gaitpipe.cli, "ProcessPoolExecutor", RecordingPool)
+    one = sim_dir / "home_radial-6.session.jsonl"
+    assert main(["process", "--input", str(one), "--jobs", "100000000",
+                 "--out", str(tmp_path / "one")]) == 0
+    assert pools == []  # one file runs in the calling process
+    assert main(["process", "--input", str(sim_dir), "--jobs", "100000000",
+                 "--out", str(tmp_path / "all")]) == 0
+    assert pools == [2]
 
 
 def test_parallel_jobs_match_serial(sim_dir, tmp_path):

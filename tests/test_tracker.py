@@ -6,11 +6,12 @@ import pytest
 
 import gaitpipe.tracker
 from gaitpipe.cli import main
-from gaitpipe.config import PipelineConfig
+from gaitpipe.config import DbscanConfig, PipelineConfig
 from gaitpipe.pointcloud import Session, write_session
 from gaitpipe.simulator import WalkerSpec, SceneSpec, make_scenario, simulate
 from gaitpipe.tracker import (
     Detection,
+    _component_roots,
     KalmanCV,
     associate,
     dbscan,
@@ -20,7 +21,13 @@ from gaitpipe.tracker import (
     track_frames,
 )
 
-from oracles import MatrixKalmanCV, brute_force_assignment, canonical_labels, naive_dbscan
+from oracles import (
+    MatrixKalmanCV,
+    brute_force_assignment,
+    canonical_labels,
+    naive_dbscan,
+    union_find_roots,
+)
 
 
 def pts(*xy, z=0.0, s=-1.0):
@@ -81,6 +88,70 @@ def test_dbscan_matches_naive_reference():
     for _ in range(40):
         xyz = rng.integers(0, 20, size=(int(rng.integers(20, 80)), 3)) * 0.1
         assert np.array_equal(dbscan_labels(xyz, 0.5, 3), naive_dbscan(xyz, 0.5, 3))
+
+
+def test_dense_touching_walkers_match_naive_reference():
+    # Two walkers with 10x points per group, as in dense home recordings,
+    # pass each other 0.5 m apart: their clouds are two clusters apart and
+    # one while they touch. A min_pts above the default leaves border
+    # points at the edges of the clouds.
+    def dense(walker):
+        return dataclasses.replace(
+            walker,
+            points_torso=walker.points_torso * 10,
+            points_arms=walker.points_arms * 10,
+            points_legs=walker.points_legs * 10,
+        )
+
+    walkers = (
+        dense(WalkerSpec("a", ((-0.25, 4.5), (-0.25, 1.5)), start_time=0.5)),
+        dense(WalkerSpec("b", ((0.25, 1.5), (0.25, 4.5)), start_time=0.5)),
+    )
+    session, _ = simulate(
+        SceneSpec(name="pass", site="home", duration=3.5, seed=5, walkers=walkers)
+    )
+    eps = DbscanConfig().eps
+    clusters, borders = set(), 0
+    for min_pts in (DbscanConfig().min_pts, 25):
+        for frame in session.frames:
+            xyz = frame.points[:, :3]
+            labels = dbscan_labels(xyz, eps, min_pts)
+            assert np.array_equal(labels, naive_dbscan(xyz, eps, min_pts))
+            d2 = ((xyz[:, None, :] - xyz[None, :, :]) ** 2).sum(axis=-1)
+            core = (d2 <= eps * eps).sum(axis=1) >= min_pts
+            clusters.add(int(labels.max(initial=-1)) + 1)
+            borders += int(np.count_nonzero(~core & (labels >= 0)))
+    assert {1, 2} <= clusters
+    assert borders > 0
+
+
+def component_cases():
+    """(n, a, b) edge lists with a < b for `_component_roots`."""
+    rng = np.random.default_rng(29)
+    for _ in range(60):  # random graphs, sparse to dense
+        n = int(rng.integers(1, 60))
+        ends = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+        ends = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)
+        yield n, ends[:, 0], ends[:, 1]
+    n = 200
+    down = np.arange(n - 2, -1, -1)  # a path listed from the top index down
+    yield n, down, down + 1
+    yield n, np.arange(n - 1), np.full(n - 1, n - 1)  # a star on the largest index
+    nodes = rng.permutation(n)  # disjoint cliques over shuffled nodes
+    cliques = [nodes[k : k + 7] for k in range(0, n, 7)]
+    pairs = np.array([(u, v) for c in cliques for u in c for v in c if u < v])
+    yield n, pairs[:, 0], pairs[:, 1]
+    twice = np.concatenate([pairs, pairs[::-1]])  # duplicate edges
+    yield n, twice[:, 0], twice[:, 1]
+    for n in (0, 5):  # no edges
+        yield n, np.empty(0, dtype=int), np.empty(0, dtype=int)
+
+
+def test_component_roots_match_union_find():
+    for n, a, b in component_cases():
+        # The oracle gives each node the smallest index of its component.
+        root = _component_roots(n, a, b)
+        assert np.array_equal(root, union_find_roots(n, zip(a.tolist(), b.tolist())))
 
 
 def test_dbscan_order_independent():
