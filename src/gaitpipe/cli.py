@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -454,6 +455,7 @@ def cmd_icc(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------------- main
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaitpipe",

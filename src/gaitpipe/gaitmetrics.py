@@ -70,12 +70,19 @@ def torso_speed(segment: LinearSegment, z_torso: float) -> TorsoSpeedSeries:
     omitted rather than interpolated.
     """
     sign = direction_sign(segment)
+    states = segment.states
+    points = np.concatenate([np.empty((0, 4))] + [state.points for state in states])
+    s = points[:, 3]
+    torso = (np.abs(points[:, 2]) <= z_torso) & (sign * s > 0)
+    speeds = s[torso].tolist()
+    # bounds[k]:bounds[k + 1] of `speeds` are state k's.
+    bounds = np.concatenate(([0], np.cumsum(torso)))[
+        np.cumsum([0] + [len(state.points) for state in states])
+    ].tolist()
     rows = []
-    for state in segment.states:
-        s = state.points[:, 3]
-        speeds = s[(np.abs(state.points[:, 2]) <= z_torso) & (sign * s > 0)].tolist()
-        if speeds:
-            rows.append((state.t, abs(math.fsum(speeds) / len(speeds)), state.x, state.y))
+    for state, a, b in zip(states, bounds, bounds[1:]):
+        if b > a:
+            rows.append((state.t, abs(math.fsum(speeds[a:b]) / (b - a)), state.x, state.y))
     times, v, xs, ys = np.array(rows, dtype=float).reshape(-1, 4).T
     return TorsoSpeedSeries(times=times, speeds=v, xs=xs, ys=ys)
 
@@ -101,25 +108,25 @@ def detect_peaks(series: TorsoSpeedSeries, nms_window: float, min_peak_gap: floa
     # construction gaps compare the same way regardless of time origin.
     slack = 1e-9
 
-    candidates = []
-    for i in range(n):
-        if t[i] - t[0] < half - slack or t[-1] - t[i] < half - slack:
-            continue  # window not fully covered by the series
-        lo = np.searchsorted(t, t[i] - half - slack, side="left")
-        hi = np.searchsorted(t, t[i] + half + slack, side="right")
-        window = v[lo:hi]
-        if len(window) <= 1:
-            continue
-        others = np.concatenate([window[: i - lo], window[i - lo + 1 :]])
-        if len(others) and v[i] > others.max():
-            candidates.append(i)
+    lo = np.searchsorted(t, t - half - slack, side="left")
+    hi = np.searchsorted(t, t + half + slack, side="right")
+    # Samples i - lo[i] before and hi[i] - 1 - i after sample i share its
+    # window; a candidate is greater than each of them, one shift at a time.
+    before, after = np.arange(n) - lo, hi - 1 - np.arange(n)
+    covered = (t - t[0] >= half - slack) & (t[-1] - t >= half - slack)
+    strict = covered & (before + after > 0)
+    for k in range(1, int(max(before.max(), after.max())) + 1):
+        strict[k:] &= (before[k:] < k) | (v[k:] > v[:-k])
+        strict[:-k] &= (after[:-k] < k) | (v[:-k] > v[k:])
+    candidates = np.flatnonzero(strict).tolist()
+    t, v = t.tolist(), v.tolist()
 
     accepted: list[int] = []
     for i in sorted(candidates, key=lambda i: (-v[i], t[i])):
         if all(abs(t[i] - t[j]) >= min_peak_gap - slack for j in accepted):
             accepted.append(i)
     accepted.sort(key=lambda i: t[i])
-    return [float(t[i]) for i in accepted]
+    return [t[i] for i in accepted]
 
 
 def measure_steps(

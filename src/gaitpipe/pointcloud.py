@@ -34,6 +34,9 @@ MAX_COORD_M = 1000.0
 # within MAX_COORD_M on each axis, and finite. NaN fails every bound.
 _POINT_LOW = np.array([-MAX_COORD_M, 0.0, -MAX_COORD_M, -np.finfo(float).max])
 _POINT_HIGH = np.array([MAX_COORD_M, MAX_COORD_M, MAX_COORD_M, np.finfo(float).max])
+# read_session converts the points of plain frame lines with one np.asarray
+# per batch of about this many points; a bigger batch only adds memory.
+BATCH_POINTS = 2048
 
 
 class SessionFormatError(ValueError):
@@ -62,6 +65,17 @@ class Frame(NamedTuple):
     t: float
     points: np.ndarray
 
+    # Tuple equality would compare the arrays elementwise and raise on the
+    # ambiguous truth value, so both operators compare the arrays whole.
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return self.t == other.t and np.array_equal(self.points, other.points)
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Session:
@@ -84,16 +98,26 @@ class Session:
 
     def __init__(self, frame_rate: float, site: str, room_label: str, device_id: str,
                  frames: Iterable[tuple[float, np.ndarray]] = (), dropped_points: int = 0):
+        frames = list(frames)
+        self._set(frame_rate, site, room_label, device_id, dropped_points,
+                  times=np.array([t for t, _ in frames], dtype=float),
+                  points=np.concatenate([np.empty((0, 4))] + [pts for _, pts in frames]),
+                  offsets=np.cumsum([0] + [len(pts) for _, pts in frames]))
+
+    @classmethod
+    def _from_columns(cls, *args, **columns: np.ndarray) -> Session:
+        """A session over ready `times`, `points` and `offsets` columns; the
+        other arguments are `__init__`'s, with `dropped_points` after `device_id`."""
+        session = cls.__new__(cls)
+        session._set(*args, **columns)
+        return session
+
+    def _set(self, frame_rate: float, site: str, room_label: str, device_id: str,
+             dropped_points: int, **columns: np.ndarray) -> None:
         if not frame_rate > 0:
             raise ValueError(f"frame_rate must be positive, got {frame_rate}")
         if site not in SITES:
             raise ValueError(f"site must be one of {SITES}, got {site!r}")
-        frames = list(frames)
-        columns = dict(
-            times=np.array([t for t, _ in frames], dtype=float),
-            points=np.concatenate([np.empty((0, 4))] + [pts for _, pts in frames]),
-            offsets=np.cumsum([0] + [len(pts) for _, pts in frames]),
-        )
         for a in columns.values():
             a.flags.writeable = False
         self.__dict__.update(frame_rate=frame_rate, site=site, room_label=room_label,
@@ -128,19 +152,20 @@ def _parse_point(raw: object, line: int) -> tuple[float, float, float, float]:
         raise SessionFormatError(f"non-numeric point entry {raw!r}", line) from None
 
 
-def _point_rows(pts: list, line: int, text: str) -> np.ndarray:
-    """One frame line's `pts` as (n, 4) rows: one `np.asarray` when that gives
-    numeric rows (never dtype=float, which turns null into NaN), else per point.
-
-    np.asarray also turns JSON true/false next to numbers into 1 and 0. Both
-    spell an "e", which no fixed-point number does, so a line `text` with an
-    "e" in it takes the per-point path."""
+def _numeric_rows(pts: list) -> np.ndarray | None:
+    """Points as (n, 4) rows from one `np.asarray`, or None when that does not
+    give numeric rows. Never dtype=float, which turns null into NaN."""
     try:
-        rows = None if "e" in text else np.asarray(pts)
+        rows = np.asarray(pts)
     except (ValueError, OverflowError):  # ragged nesting, or ints past float range
-        rows = None
-    if rows is not None and rows.ndim == 2 and rows.shape[1] == 4 and rows.dtype.kind in "iuf":
+        return None
+    if rows.ndim == 2 and rows.shape[1] == 4 and rows.dtype.kind in "iuf":
         return rows
+    return None
+
+
+def _point_rows(pts: list, line: int) -> np.ndarray:
+    """One frame line's `pts` as (n, 4) rows, checked one point at a time."""
     return np.array([_parse_point(raw, line) for raw in pts]).reshape(-1, 4)
 
 
@@ -150,94 +175,126 @@ def read_session(path: str | os.PathLike) -> Session:
     Raises SessionFormatError (with the offending line number) for schema
     violations and NonMonotonicTimeError when frame times do not strictly
     increase. I/O problems propagate as OSError.
+
+    Each line is checked as it is read, but the points of plain frame lines
+    wait in one list, converted by one `np.asarray` per BATCH_POINTS points.
+    np.asarray also turns JSON true/false next to numbers into 1 and 0. Both
+    spell an "e", which no fixed-point number does, so a line with an "e" in
+    it is checked point by point, and so is each line of a batch that does
+    not convert, which finds its bad line. An error on a later line waits
+    until the points before it are checked, so the first bad line raises.
     """
-    frames = []
-    dropped = 0
+    times: list[float] = []
+    counts: list[int] = []    # points per frame line, kept or not
+    chunks: list[np.ndarray] = []  # converted points, in file order
+    pending: list = []        # points of plain lines not yet converted
+    pending_lines: list = []  # (line number, pts) of those lines
     header: dict | None = None
-    prev_t: float | None = None
+
+    def flush() -> None:
+        nonlocal pending, pending_lines
+        batch, lines = pending, pending_lines
+        pending, pending_lines = [], []
+        if batch:
+            rows = _numeric_rows(batch)
+            if rows is None:
+                rows = np.concatenate([_point_rows(pts, line) for line, pts in lines])
+            chunks.append(rows)
 
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, text in enumerate(fh, start=1):
-            text = text.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise SessionFormatError(f"invalid JSON ({exc.msg})", lineno) from None
-            if not isinstance(obj, dict):
-                raise SessionFormatError("expected a JSON object", lineno)
-
-            if header is None:
-                if obj.get("format") != FORMAT_NAME:
-                    raise SessionFormatError(
-                        f"first line must be a header with format={FORMAT_NAME!r}", lineno
-                    )
-                if obj.get("version") != FORMAT_VERSION or isinstance(obj["version"], bool):
-                    raise SessionFormatError(
-                        f"unsupported version {obj.get('version')!r}", lineno
-                    )
-                for key in ("frame_rate", "site", "room", "device"):
-                    if key not in obj:
-                        raise SessionFormatError(f"header missing {key!r}", lineno)
+        try:
+            for lineno, text in enumerate(fh, start=1):
+                text = text.strip()
+                if not text:
+                    continue
                 try:
-                    frame_rate = json_float(obj["frame_rate"], "frame_rate")
+                    obj = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise SessionFormatError(f"invalid JSON ({exc.msg})", lineno) from None
+                if not isinstance(obj, dict):
+                    raise SessionFormatError("expected a JSON object", lineno)
+
+                if header is None:
+                    frame_rate, room = _check_header(obj, lineno)
+                    header = obj
+                    continue
+
+                if "t" not in obj or "pts" not in obj:
+                    raise SessionFormatError("frame line must have 't' and 'pts'", lineno)
+                try:
+                    t = json_float(obj["t"], "t")
                 except ValueError:
-                    frame_rate = math.nan
-                if not frame_rate > 0:
-                    raise SessionFormatError(
-                        f"frame_rate must be a positive number, got {obj['frame_rate']!r}", lineno
+                    raise SessionFormatError(f"non-numeric t {obj['t']!r}", lineno) from None
+                if not math.isfinite(t) or t < 0:
+                    raise SessionFormatError(f"t must be finite and >= 0, got {t}", lineno)
+                if times and t <= times[-1]:
+                    raise NonMonotonicTimeError(
+                        f"frame time {t} does not increase past {times[-1]}", lineno
                     )
-                if obj["site"] not in SITES:
-                    raise SessionFormatError(
-                        f"site must be one of {SITES}, got {obj['site']!r}", lineno
-                    )
-                # The room names an output file, so it must not be a path.
-                room = str(obj["room"])
-                if room in ("", ".", "..") or any(c in room for c in "/\\\0"):
-                    raise SessionFormatError(f"room must be a plain name, got {room!r}", lineno)
-                if len(f"heatmap_{room}.csv".encode("utf-8")) > NAME_MAX:
-                    raise SessionFormatError(
-                        f"room of {len(room)} characters is too long for a file name", lineno
-                    )
-                header = obj
-                continue
-
-            if "t" not in obj or "pts" not in obj:
-                raise SessionFormatError("frame line must have 't' and 'pts'", lineno)
-            try:
-                t = json_float(obj["t"], "t")
-            except ValueError:
-                raise SessionFormatError(f"non-numeric t {obj['t']!r}", lineno) from None
-            if not math.isfinite(t) or t < 0:
-                raise SessionFormatError(f"t must be finite and >= 0, got {t}", lineno)
-            if prev_t is not None and t <= prev_t:
-                raise NonMonotonicTimeError(
-                    f"frame time {t} does not increase past {prev_t}", lineno
-                )
-            prev_t = t
-
-            pts_raw = obj["pts"]
-            if not isinstance(pts_raw, list):
-                raise SessionFormatError("'pts' must be an array", lineno)
-            rows = _point_rows(pts_raw, lineno, text)
-            # Spurious returns behind the sensor plane or out of range are
-            # expected from CFAR output; drop rather than fail the whole session.
-            keep = ((rows >= _POINT_LOW) & (rows <= _POINT_HIGH)).all(axis=1)
-            dropped += len(rows) - int(np.count_nonzero(keep))
-            frames.append((t, rows[keep]))
+                pts = obj["pts"]
+                if not isinstance(pts, list):
+                    raise SessionFormatError("'pts' must be an array", lineno)
+                times.append(t)
+                counts.append(len(pts))
+                if "e" in text:
+                    flush()
+                    chunks.append(_point_rows(pts, lineno))
+                elif pts:
+                    pending += pts
+                    pending_lines.append((lineno, pts))
+                    if len(pending) >= BATCH_POINTS:
+                        flush()
+        finally:
+            flush()  # after an error, a bad point on an earlier line raises instead
 
     if header is None:
         raise SessionFormatError("empty file: header line required", 1)
 
-    return Session(
-        frame_rate=frame_rate,
-        site=str(header["site"]),
-        room_label=room,
-        device_id=str(header["device"]),
-        frames=frames,
-        dropped_points=dropped,
+    # Spurious returns behind the sensor plane or out of range are expected
+    # from CFAR output; drop rather than fail the whole session.
+    points = np.concatenate([np.empty((0, 4))] + chunks)
+    chunks.clear()  # frees the batches before points[keep] copies
+    keep = ((points >= _POINT_LOW) & (points <= _POINT_HIGH)).all(axis=1)
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return Session._from_columns(
+        frame_rate, str(header["site"]), room, str(header["device"]),
+        len(points) - int(kept_before[-1]),
+        times=np.array(times, dtype=float),
+        points=points[keep],
+        offsets=kept_before[np.cumsum([0] + counts)],
     )
+
+
+def _check_header(obj: dict, lineno: int) -> tuple[float, str]:
+    """The frame rate and room of a valid header line; SessionFormatError otherwise."""
+    if obj.get("format") != FORMAT_NAME:
+        raise SessionFormatError(
+            f"first line must be a header with format={FORMAT_NAME!r}", lineno
+        )
+    if obj.get("version") != FORMAT_VERSION or isinstance(obj["version"], bool):
+        raise SessionFormatError(f"unsupported version {obj.get('version')!r}", lineno)
+    for key in ("frame_rate", "site", "room", "device"):
+        if key not in obj:
+            raise SessionFormatError(f"header missing {key!r}", lineno)
+    try:
+        frame_rate = json_float(obj["frame_rate"], "frame_rate")
+    except ValueError:
+        frame_rate = math.nan
+    if not frame_rate > 0:
+        raise SessionFormatError(
+            f"frame_rate must be a positive number, got {obj['frame_rate']!r}", lineno
+        )
+    if obj["site"] not in SITES:
+        raise SessionFormatError(f"site must be one of {SITES}, got {obj['site']!r}", lineno)
+    # The room names an output file, so it must not be a path.
+    room = str(obj["room"])
+    if room in ("", ".", "..") or any(c in room for c in "/\\\0"):
+        raise SessionFormatError(f"room must be a plain name, got {room!r}", lineno)
+    if len(f"heatmap_{room}.csv".encode("utf-8")) > NAME_MAX:
+        raise SessionFormatError(
+            f"room of {len(room)} characters is too long for a file name", lineno
+        )
+    return frame_rate, room
 
 
 def write_session(session: Session, path: str | os.PathLike) -> None:

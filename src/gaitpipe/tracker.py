@@ -173,26 +173,35 @@ def dbscan(
     (x, y), the same as one call per frame.
     """
     labels = dbscan_labels(points[:, :3], eps, min_pts, offsets)
-    # Row indices grouped by label, noise first; the sort is stable, so each
-    # cluster's rows keep their input order. bounds[c]:bounds[c + 1] of rows
-    # are cluster c's.
-    rows = np.argsort(labels, kind="stable")
-    bounds = np.bincount(labels + 1).cumsum().tolist()
-    firsts = [0] if offsets is None else offsets.tolist()  # each frame's first row
-    detections = []
-    for a, b in zip(bounds, bounds[1:]):
-        if b - a < min_cluster_size:
-            continue
-        members = points[rows[a:b]]
-        detections.append(
-            Detection(
-                centroid_x=float(np.mean(members[:, 0])),
-                centroid_y=float(np.mean(members[:, 1])),
-                points=members,
-                frame=bisect.bisect_right(firsts, rows[a]) - 1,
-            )
-        )
-    return detections
+    # Clustered rows grouped by label, after the noise; the sort is stable,
+    # so each cluster's rows keep their input order. Cluster c's members are
+    # members[starts[c]:ends[c]].
+    counts = np.bincount(labels + 1, minlength=1)  # noise, then each cluster's size
+    sizes = counts[1:]
+    if not len(sizes):
+        return []
+    rows = np.argsort(labels, kind="stable")[counts[0]:]
+    members = points[rows]
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    # np.mean sums pairwise, so a centroid's bits depend on its cluster's
+    # size. One reduction along contiguous rows (np.take gives C order) per
+    # size gives the same bits for every cluster of that size.
+    xy = members[:, :2].T.copy()
+    sums = np.empty((2, len(sizes)))
+    for size in set(sizes.tolist()):
+        which = np.flatnonzero(sizes == size)
+        sums[:, which] = np.add.reduce(np.take(xy, starts[which, None] + np.arange(size), axis=1),
+                                       axis=-1)
+    cx, cy = (sums / sizes).tolist()
+    frames = ([0] * len(sizes) if offsets is None
+              else (np.searchsorted(offsets, rows[starts], side="right") - 1).tolist())
+    return [
+        Detection(centroid_x=x, centroid_y=y, points=members[a:b], frame=f)
+        for x, y, a, b, f, size in zip(cx, cy, starts.tolist(), ends.tolist(), frames,
+                                       sizes.tolist())
+        if size >= min_cluster_size
+    ]
 
 
 def merge_close_detections(

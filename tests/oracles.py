@@ -139,6 +139,54 @@ def reference_torso_speeds(
     return out
 
 
+def per_state_torso_speed(
+    segment, z_torso: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Torso-speed columns (times, speeds, xs, ys), one numpy mask per
+    track state: a row for each state with a point of |z| <= z_torso whose
+    Doppler has the sign of travel (negative when the segment ends radially
+    closer than it starts), its speed |fsum of those Dopplers| / count."""
+    sign = -1 if segment.r_end < segment.r_start else 1
+    rows = []
+    for state in segment.states:
+        s = state.points[:, 3]
+        speeds = s[(np.abs(state.points[:, 2]) <= z_torso) & (sign * s > 0)].tolist()
+        if speeds:
+            rows.append((state.t, abs(math.fsum(speeds) / len(speeds)), state.x, state.y))
+    return tuple(np.array(rows, dtype=float).reshape(-1, 4).T)
+
+
+def per_sample_peaks(
+    t: np.ndarray, v: np.ndarray, nms_window: float, min_peak_gap: float
+) -> list[float]:
+    """The peak rules with two binary searches and one window slice per
+    sample, then greedy acceptance by descending speed (ties to the earlier
+    sample), with the same nanosecond slack as the library."""
+    n = len(t)
+    if n == 0:
+        return []
+    half = nms_window / 2.0
+    slack = 1e-9
+    candidates = []
+    for i in range(n):
+        if t[i] - t[0] < half - slack or t[-1] - t[i] < half - slack:
+            continue  # window not fully covered by the series
+        lo = np.searchsorted(t, t[i] - half - slack, side="left")
+        hi = np.searchsorted(t, t[i] + half + slack, side="right")
+        window = v[lo:hi]
+        if len(window) <= 1:
+            continue
+        others = np.concatenate([window[: i - lo], window[i - lo + 1 :]])
+        if len(others) and v[i] > others.max():
+            candidates.append(i)
+    accepted: list[int] = []
+    for i in sorted(candidates, key=lambda i: (-v[i], t[i])):
+        if all(abs(t[i] - t[j]) >= min_peak_gap - slack for j in accepted):
+            accepted.append(i)
+    accepted.sort(key=lambda i: t[i])
+    return [float(t[i]) for i in accepted]
+
+
 def canonical_labels(labels: np.ndarray) -> list[int]:
     """Rename cluster ids by order of first appearance so labelings compare."""
     mapping: dict[int, int] = {}

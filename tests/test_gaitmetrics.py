@@ -19,7 +19,12 @@ from gaitpipe.segmenter import LinearSegment, classify, segment_geometry, split_
 from gaitpipe.simulator import SceneSpec, WalkerSpec, make_scenario, simulate
 from gaitpipe.tracker import TrackState, track_frames
 
-from oracles import brute_force_peaks, reference_torso_speeds
+from oracles import (
+    brute_force_peaks,
+    per_sample_peaks,
+    per_state_torso_speed,
+    reference_torso_speeds,
+)
 
 
 def segment_from_states(states, track_id=0):
@@ -49,6 +54,11 @@ def mk_series(times, speeds):
         xs=np.zeros_like(times),
         ys=5.0 - times,
     )
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ, as do NaN payloads."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def series_from_states(states, speed=1.0):
@@ -130,6 +140,34 @@ def test_empty_samples_omitted_and_empty_series():
     assert detect_peaks(empty, 0.4, 0.3) == []
 
 
+def test_torso_speed_matches_per_state_loop():
+    rng = np.random.default_rng(8)
+    for trial in range(80):
+        step = -0.1 if trial % 2 else 0.1  # approach, then recede
+        # Band edges, signed zeros and the wrong Doppler sign are drawn often;
+        # every fifth segment has no torso point at all.
+        z_set = [-0.25, 0.25, 0.0, -0.3, 0.3, *rng.uniform(-0.6, 0.6, 3)]
+        if trial % 5 == 0:
+            z_set = [0.9, -0.9]
+        states = []
+        for i in range(int(rng.integers(1, 30))):
+            k = int(rng.integers(0, 10))
+            points = np.column_stack([
+                rng.uniform(-1, 1, k), np.full(k, 3.0),
+                rng.choice(z_set, size=k), rng.choice([0.0, -0.0, *rng.normal(0, 1.2, 4)], size=k),
+            ])
+            t = round(0.1 * i + float(rng.uniform(0, 0.05)), 6)
+            states.append(TrackState(t=t, x=float(rng.uniform(-1, 1)), y=3.0 + step * i,
+                                     points=points))
+        seg = segment_from_states(states)
+        z_torso = 0.25 if trial % 3 else float(rng.uniform(0.05, 0.5))
+        got = torso_speed(seg, z_torso)
+        want = per_state_torso_speed(seg, z_torso)
+        assert all(map(same_bits, (got.times, got.speeds, got.xs, got.ys), want))
+        if trial % 5 == 0:
+            assert len(got) == 0
+
+
 # ------------------------------------------------------------ detect_peaks
 
 
@@ -177,6 +215,33 @@ def test_peaks_match_oracle_on_random_series():
         gap = window / 2 + float(rng.uniform(0.01, 0.5))
         ours = detect_peaks(mk_series(t, v), window, gap)
         assert ours == pytest.approx(brute_force_peaks(t, v, window, gap))
+
+
+def test_peaks_match_per_sample_loop():
+    rng = np.random.default_rng(12)
+    cases = [([], []), ([0.3], [1.0]), ([0.3], [0.0])]  # empty and one-sample series
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        # Uneven spacing: frame steps, dropped samples and long gaps.
+        t = np.round(np.cumsum(rng.choice([0.05, 0.1, 0.1, 0.2, 0.3, 0.7], size=n)), 6)
+        # Ties and plateaus: speeds from a few levels, or runs of one value.
+        levels = rng.choice([0.0, 0.5, 1.0, 1.5], size=n)
+        v = levels if rng.random() < 0.5 else np.repeat(levels, 3)[:n]
+        cases.append((t, v + (0 if rng.random() < 0.7 else rng.uniform(0, 0.01, n))))
+    for t, v in cases:
+        t, v = np.asarray(t, dtype=float), np.asarray(v, dtype=float)
+        span = float(t[-1] - t[0]) if len(t) else 1.0
+        # Windows that reach exactly to either edge from some sample, and ones
+        # wider than the series.
+        edges = [2 * float(t[k] - t[0]) for k in range(1, min(len(t), 4))]
+        edges += [2 * float(t[-1] - t[-k]) for k in range(2, min(len(t), 4))]
+        for window in [0.4, float(rng.uniform(0.05, 1.2)), 2.5 * span, *edges]:
+            if window <= 0:
+                continue
+            for gap in (window / 2 + 0.01, window / 2 + float(rng.uniform(0, 1))):
+                got = detect_peaks(mk_series(t, v), window, gap)
+                assert got == per_sample_peaks(t, v, window, gap)
+                assert all(type(p) is float for p in got)
 
 
 # ----------------------------------------------------------- measure_steps

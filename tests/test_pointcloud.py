@@ -5,7 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gaitpipe.pointcloud import (
+    BATCH_POINTS,
     MAX_COORD_M,
+    Frame,
     NonMonotonicTimeError,
     Session,
     SessionFormatError,
@@ -182,6 +184,24 @@ def test_round_trip_simulator_output(tmp_path):
     assert same_frames(back, session)
 
 
+def test_frames_compare_by_time_and_points(tmp_path):
+    frames = [(0.1, [(0.5, 2.0, 0.1, -1.0), (0.6, 2.1, 0.0, -0.9)]), (0.2, []),
+              (0.3, [(0.4, 1.9, -0.1, -1.1)])]
+    session = build_session(10.0, "home", "den", "B2", frames)
+    out = tmp_path / "eq.session.jsonl"
+    write_session(session, out)
+    back = read_session(out)
+    assert back.frames == session.frames and not back.frames != session.frames
+    assert back.frames[0] == session.frames[0] and not back.frames[0] != session.frames[0]
+
+    moved = [frames[0], frames[1], (0.3, [(0.4, 1.9, -0.1, -1.2)])]
+    other = build_session(10.0, "home", "den", "B2", moved)
+    assert other.frames != session.frames and not other.frames == session.frames
+    assert other.frames[2] != session.frames[2] and not other.frames[2] == session.frames[2]
+    assert Frame(0.25, other.frames[1].points) != other.frames[1]  # t differs
+    assert other.frames[0] == session.frames[0]
+
+
 def test_session_validation():
     with pytest.raises(ValueError):
         Session(frame_rate=0.0, site="home", room_label="x", device_id="y")
@@ -273,3 +293,101 @@ def test_reader_matches_per_point_rule(tmp_path, frame_pts, odd, line, pos, as_p
     assert session.dropped_points == dropped
     # repr tells -0.0 from 0.0, so the values must match bit for bit.
     assert repr([[tuple(p) for p in f.points.tolist()] for f in session.frames]) == repr(kept)
+
+
+# Frame lines that the reader cannot take in a batch as they stand, yet
+# which hold valid points: an "e" sends a line point by point, and the int
+# columns make a batch's np.asarray give ints, uint64 or objects.
+ODD_VALID = [
+    "[1.5e0,2.0,0.1,-1.0],[0.25,1E1,0,2]",
+    "[1,36893488147419103232,0,1]",  # past int64; dropped, y > MAX_COORD_M
+    "[18446744073709551615,1,0,-1],[-1,1,0,1]",
+    "[-1,2,0,1],[3,4,0,-1]",
+    "[0.5,-0.5,0,1],[0.5,NaN,0,1]",  # dropped: y < 0, NaN
+]
+# Frame lines whose second point is malformed.
+MALFORMED = [
+    '[0.1,2,0,1],["1.5",2.0,0.0,1.0]',  # a quoted number
+    "[0.1,2,0,1],[1.0,2.0,0.0]",  # ragged
+    "[0.1,2,0,1],[null,2.0,0.0,1.0]",
+    "[0.1,2,0,1],[1," + "9" * 400 + ",0,1]",  # an int past the float range
+    "[0.1,2,0,1],[true,1,0,1]",
+]
+
+
+def batch_lines(rng, n_frames):
+    """Fixed-point frame lines of 0-15 points, 0.1 s apart: 7.5 per frame on
+    average, so about 270 frames cross BATCH_POINTS."""
+    lines = []
+    for k in range(n_frames):
+        n = int(rng.integers(0, 16))
+        pts = rng.uniform([-4, 0, -1.2, -3], [4, 8, 0.6, 3], size=(n, 4))
+        text = ",".join("[{:.6f},{:.6f},{:.6f},{:.6f}]".format(*p) for p in pts)
+        lines.append(f'{{"t":{0.1 * (k + 1):.6f},"pts":[{text}]}}')
+    return lines
+
+
+def flush_frame(lines):
+    """Index of the frame line whose points take the total to BATCH_POINTS."""
+    total = np.cumsum([len(json.loads(line)["pts"]) for line in lines])
+    return int(np.searchsorted(total, BATCH_POINTS))
+
+
+def with_pts(lines, k, pts_text):
+    t = json.loads(lines[k])["t"]
+    return lines[:k] + [f'{{"t":{t:.6f},"pts":[{pts_text}]}}'] + lines[k + 1 :]
+
+
+def reference_columns(lines):
+    """The reference's verdict on frame lines, accepted columns as a Session's."""
+    verdict = reference_frame_points([json.loads(line)["pts"] for line in lines])
+    if verdict[0] == "reject":
+        return verdict
+    _, kept, dropped = verdict
+    return ("accept", np.array([json.loads(line)["t"] for line in lines], dtype=float),
+            np.array([p for frame in kept for p in frame], dtype=float).reshape(-1, 4),
+            np.cumsum([0] + [len(frame) for frame in kept]), dropped)
+
+
+def test_batched_columns_match_per_line_reference(tmp_path):
+    rng = np.random.default_rng(15)
+    for trial in range(12):
+        lines = batch_lines(rng, int(rng.integers(350, 600)))
+        flush = flush_frame(lines)
+        assert flush + 1 < len(lines)
+        # Odd lines on both sides of the first flush and at random frames.
+        spots = [flush - 1, flush, flush + 1, *rng.integers(0, len(lines), 3)]
+        for k in spots[: 2 + trial % 5]:
+            lines = with_pts(lines, int(k), ODD_VALID[int(rng.integers(len(ODD_VALID)))])
+        session = read_session(write_lines(tmp_path, HEADER, *lines))
+        _, times, points, offsets, dropped = reference_columns(lines)
+        assert session.times.tobytes() == times.tobytes()
+        assert session.points.tobytes() == points.tobytes()
+        assert session.offsets.tolist() == offsets.tolist()
+        assert session.dropped_points == dropped
+
+
+def test_batched_reader_names_each_malformed_line(tmp_path):
+    rng = np.random.default_rng(16)
+    lines = batch_lines(rng, 400)
+    flush = flush_frame(lines)
+    assert flush + 1 < len(lines)
+    for bad in MALFORMED:
+        for k in (3, flush - 1, flush, flush + 1, len(lines) - 1):
+            # A valid odd line in the same batch, before the bad one.
+            mixed = with_pts(with_pts(lines, k, bad), max(k - 2, 0), ODD_VALID[k % 5])
+            expected = reference_columns(mixed)
+            assert expected[0] == "reject" and expected[1] == k + 2
+            with pytest.raises(SessionFormatError) as excinfo:
+                read_session(write_lines(tmp_path, HEADER, *mixed))
+            assert (excinfo.value.line, str(excinfo.value)) == (
+                k + 2, f"line {k + 2}: {expected[2]}")
+            # A later line that fails on its own does not hide the bad point.
+            later = mixed[: k + 1] + ["{not json"] + mixed[k + 1 :]
+            with pytest.raises(SessionFormatError) as excinfo:
+                read_session(write_lines(tmp_path, HEADER, *later))
+            assert excinfo.value.line == k + 2
+            # An earlier one does.
+            with pytest.raises(NonMonotonicTimeError) as excinfo:
+                read_session(write_lines(tmp_path, HEADER, mixed[0], *mixed))
+            assert excinfo.value.line == 3

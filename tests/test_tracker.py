@@ -221,6 +221,38 @@ def test_stacked_dbscan_matches_per_frame_calls():
             assert np.array_equal(g.points, w.points)
 
 
+def test_dbscan_centroids_match_np_mean_per_cluster():
+    # np.mean sums pairwise in blocks of 8 and 128 values, so these cluster
+    # sizes would expose a sequential or blocked sum that rounds differently.
+    rng = np.random.default_rng(41)
+    sizes = [5, 7, 8, 9, 16, 128, 129, 300]
+    frames = []
+    for _ in range(2):
+        centers = np.column_stack([np.arange(len(sizes)) * 2.0, np.full(len(sizes), 3.1),
+                                   np.zeros(len(sizes))]) + rng.uniform(-0.3, 0.3, (len(sizes), 3))
+        xyz = np.concatenate([rng.normal(c, 0.02, size=(k, 3))
+                              for k, c in zip(rng.permutation(sizes), centers)])
+        xyz = xyz[rng.permutation(len(xyz))]  # members of a cluster interleave
+        frames.append(np.column_stack([xyz, rng.normal(0, 1, len(xyz))]))
+    offsets = np.cumsum([0] + [len(f) for f in frames])
+    clusters = []  # (frame, members) in (frame, label) order
+    for k, points in enumerate(frames):
+        labels = naive_dbscan(points[:, :3], 0.3, 3)
+        assert sorted(np.bincount(labels)) == sorted(sizes)
+        clusters += [(k, points[labels == c]) for c in range(labels.max() + 1)]
+    for min_size in (1, 9):
+        want = [(k, np.mean(members[:, 0]), np.mean(members[:, 1]), members)
+                for k, members in clusters if len(members) >= min_size]
+        stacked = dbscan(np.concatenate(frames), 0.3, 3, min_size, offsets=offsets)
+        alone = [d for points in frames for d in dbscan(points, 0.3, 3, min_size)]
+        for got in (stacked, alone):
+            assert len(got) == len(want)
+            for d, (k, cx, cy, members) in zip(got, want):
+                assert (d.centroid_x, d.centroid_y) == (cx, cy)
+                assert d.points.tobytes() == members.tobytes()
+        assert [d.frame for d in stacked] == [k for k, *_ in want]
+
+
 def test_merge_close_detections():
     a = Detection(0.0, 2.0, pts((0.0, 2.0)))
     b = Detection(0.05, 2.1, pts((0.05, 2.1)))
