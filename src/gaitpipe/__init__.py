@@ -12,7 +12,7 @@ from .pointcloud import Frame, Session, read_session, write_session
 from .tracker import Detection, Track, TrackState, track_frames
 from .segmenter import LinearSegment, WalkLog, WalkEntry, match_clinic_walks, split_track
 from .gaitmetrics import StepMeasurement, TorsoSpeedSeries, WalkResult, analyze_segment
-from .simulator import SceneSpec, WalkerSpec, make_scenario, scenario_library, simulate
+from .simulator import SceneSpec, WalkerSpec, make_scenario, simulate
 from .stats import RatingsMatrix, icc2k, icc3k
 from .pipeline import SessionResult, process_session
 
@@ -41,7 +41,6 @@ __all__ = [
     "SceneSpec",
     "WalkerSpec",
     "make_scenario",
-    "scenario_library",
     "simulate",
     "RatingsMatrix",
     "icc2k",

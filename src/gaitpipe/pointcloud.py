@@ -30,6 +30,10 @@ NAME_MAX = 255  # bytes in one file name on common file systems; bounds heatmap_
 # see a few meters, and the tracker's squared distances of coordinates
 # past about 1e154 overflow.
 MAX_COORD_M = 1000.0
+# s; a frame line with a later time is malformed. About 317 years, so any
+# recording fits, while the tracker's Kalman covariance overflows only over
+# gaps near 1e77 s.
+MAX_TIME_S = 1e10
 # Bounds of a kept point's x, y, z, s: in front of the sensor (y >= 0),
 # within MAX_COORD_M on each axis, and finite. NaN fails every bound.
 _POINT_LOW = np.array([-MAX_COORD_M, 0.0, -MAX_COORD_M, -np.finfo(float).max])
@@ -225,8 +229,10 @@ def read_session(path: str | os.PathLike) -> Session:
                     t = json_float(obj["t"], "t")
                 except ValueError:
                     raise SessionFormatError(f"non-numeric t {obj['t']!r}", lineno) from None
-                if not math.isfinite(t) or t < 0:
-                    raise SessionFormatError(f"t must be finite and >= 0, got {t}", lineno)
+                if not 0 <= t <= MAX_TIME_S:  # NaN fails both bounds
+                    raise SessionFormatError(
+                        f"t must be in [0, {MAX_TIME_S:g}] s, got {t}", lineno
+                    )
                 if times and t <= times[-1]:
                     raise NonMonotonicTimeError(
                         f"frame time {t} does not increase past {times[-1]}", lineno

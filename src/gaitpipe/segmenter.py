@@ -98,25 +98,29 @@ class WalkLog:
             starts.add(e.t_start)
 
 
-def _point_segment_dist(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance from p to the segment ab (clamped projection)."""
+def _chord_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each row of p to the segment ab (clamped projection).
+
+    Each row's `(p - a) @ ab` comes from one stacked np.matmul, which rounds
+    as the 1-D `@` on that row does; an elementwise px*abx + py*aby can
+    differ in the last bit, and with it the kept vertices.
+    """
     ab = b - a
     denom = float(ab @ ab)
     if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    u = float((p - a) @ ab) / denom
-    u = min(1.0, max(0.0, u))
-    closest = a + u * ab
-    return float(np.hypot(*(p - closest)))
+        return np.hypot(*(p - a).T)
+    u = np.matmul((p - a)[:, None, :], ab[:, None])[:, 0, 0] / denom
+    closest = a + np.clip(u, 0.0, 1.0)[:, None] * ab
+    return np.hypot(*(p - closest).T)
 
 
 def rdp_decimate(polyline, epsilon: float) -> list[int]:
     """Indices of vertices kept by Ramer-Douglas-Peucker decimation.
 
     First and last vertices are always kept; every dropped vertex lies
-    within epsilon of the chord joining its enclosing kept vertices.
-    Iterative (explicit stack) so arbitrarily long tracks cannot blow the
-    recursion limit.
+    within epsilon of the chord joining its enclosing kept vertices. Of
+    equally distant vertices the first is kept. Iterative (explicit stack)
+    so arbitrarily long tracks cannot blow the recursion limit.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -131,18 +135,13 @@ def rdp_decimate(polyline, epsilon: float) -> list[int]:
         lo, hi = stack.pop()
         if hi - lo < 2:
             continue
-        a, b = pts[lo], pts[hi]
-        best_d = -1.0
-        best_i = -1
-        for i in range(lo + 1, hi):
-            d = _point_segment_dist(pts[i], a, b)
-            if d > best_d:
-                best_d = d
-                best_i = i
-        if best_d > epsilon:
-            keep[best_i] = True
-            stack.append((lo, best_i))
-            stack.append((best_i, hi))
+        d = _chord_distances(pts[lo + 1 : hi], pts[lo], pts[hi])
+        best = int(np.argmax(d))
+        if d[best] > epsilon:
+            best += lo + 1
+            keep[best] = True
+            stack.append((lo, best))
+            stack.append((best, hi))
     return np.flatnonzero(keep).tolist()
 
 

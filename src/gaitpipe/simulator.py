@@ -640,8 +640,3 @@ def make_scenario(
     overrides = {"base_speed": base_speed, "step_period": step_period, "n_walks": n_walks}
     args = {**args, **{k: v for k, v in overrides.items() if v is not None and k in args}}
     return build(name, default_seed if seed is None else seed, **args)
-
-
-def scenario_library() -> dict[str, SceneSpec]:
-    """All named presets with their default seeds."""
-    return {name: make_scenario(name) for name in SCENARIO_NAMES}

@@ -10,7 +10,6 @@ consecutive hits and die after a run of consecutive misses.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -24,10 +23,15 @@ from .pointcloud import Session
 
 NOISE = -1
 _FORBIDDEN = 1e12  # cost surrogate for pairs outside the gate
-# track_frames clusters consecutive frames holding at most this many points
-# in one dbscan call. Fewer calls pay off on sparse frames; larger stacks slow
-# the neighbor search on dense ones (measured in ROADMAP.md, item 2).
-CHUNK_POINTS = 256
+# track_frames clusters consecutive frames holding at most CHUNK_POINTS points
+# in one dbscan call, except that a frame of more than DENSE_FRAME_POINTS
+# points shares its call only with empty frames. Measured on the benchmark's
+# seed-1 sessions on a 2-vCPU host: a one-walk clinic session (95 frames,
+# 720 points) is one call in place of 3.4 with a 256-point cap, and
+# track_frames takes 0.7x the time; letting the dense home frames (122-347
+# points) share 2048-point stacks too made track_frames 1.15-1.5x slower.
+CHUNK_POINTS = 2048
+DENSE_FRAME_POINTS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,19 +314,6 @@ class KalmanCV:
         self.r = sigma_m**2
         self.pp, self.pv, self.vv = self.r, 0.0, v0_sigma**2
 
-    @property
-    def state(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.vx, self.vy])
-
-    @state.setter
-    def state(self, value) -> None:
-        self.x, self.y, self.vx, self.vy = map(float, value)
-
-    @property
-    def cov(self) -> np.ndarray:
-        """The 4x4 covariance over (x, y, vx, vy)."""
-        return np.kron([[self.pp, self.pv], [self.pv, self.vv]], np.eye(2))
-
     def predict(self, dt: float) -> None:
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
@@ -361,27 +352,48 @@ class _LiveTrack:
     ever_confirmed: bool = False
 
 
+def _stacks(sizes: list[int], dense: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) frame ranges that cover frames of the given sizes in order.
+
+    A stack takes frames while it holds at most CHUNK_POINTS points, but a
+    frame of more than `dense` points shares its stack only with empty
+    frames: the stack closes before it if it already holds points, and
+    after it at the next non-empty frame.
+    """
+    start = held = 0
+    held_dense = False
+    for k, size in enumerate(sizes):
+        if not size:
+            continue
+        if held and (held_dense or size > dense or held + size > CHUNK_POINTS):
+            yield start, k
+            start, held = k, 0
+        held += size
+        held_dense = size > dense
+    if sizes:
+        yield start, len(sizes)
+
+
 def _frame_detections(
     session: Session, db: DbscanConfig
 ) -> Iterator[tuple[float, list[Detection]]]:
     """(t, detections) for each frame of the session, in time order.
 
-    One `dbscan` call clusters a chunk of consecutive frames that together
-    hold at most CHUNK_POINTS points; a frame that holds more stands alone,
-    since stacking dense frames slows the neighbor search more than it
-    saves in calls. The stacked tree's squared extent must stay finite (see
-    `dbscan_labels`), so a huge eps or huge coordinates fall back to one
-    non-empty frame per chunk.
+    One `dbscan` call clusters a stack of consecutive frames (see `_stacks`):
+    sparse frames share a tree, since fewer calls pay off on them, while a
+    dense frame keeps its own, since stacking dense frames slows the neighbor
+    search more than it saves in calls. The stacked tree's squared extent
+    must stay finite (see `dbscan_labels`), so a huge eps or huge coordinates
+    fall back to one non-empty frame per stack.
     """
     times, points, offsets = session.times.tolist(), session.points, session.offsets
     # The stacked tree's squared extent is at most 13 * bound**2: the rank
-    # column's span plus three axes of width 2 * max |coordinate|.
+    # column's span (a sparse stack has at most CHUNK_POINTS non-empty
+    # frames) plus three axes of width 2 * max |coordinate|.
     bound = max(2.0 * db.eps * CHUNK_POINTS, float(np.abs(points[:, :3]).max(initial=0.0)))
-    limit = CHUNK_POINTS if math.isfinite(16.0 * bound * bound) else 1
+    dense = DENSE_FRAME_POINTS if math.isfinite(16.0 * bound * bound) else 0
     firsts = offsets.tolist()
-    start = 0
-    while start < len(times):
-        stop = max(start + 1, bisect.bisect_right(firsts, firsts[start] + limit) - 1)
+    for start, stop in _stacks(np.diff(offsets).tolist(), dense):
         a, b = firsts[start], firsts[stop]
         found = dbscan(points[a:b], db.eps, db.min_pts, db.min_cluster_size,
                        offsets=offsets[start : stop + 1] - a)
@@ -389,7 +401,6 @@ def _frame_detections(
         for det in found:
             by_frame[det.frame].append(det)
         yield from zip(times[start:stop], by_frame)
-        start = stop
 
 
 def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Track]:

@@ -216,6 +216,22 @@ def brute_force_assignment(cost: np.ndarray) -> float:
     return best
 
 
+def kalman_state(kf) -> np.ndarray:
+    """A closed-form filter's state (x, y, vx, vy) as an array."""
+    return np.array([kf.x, kf.y, kf.vx, kf.vy])
+
+
+def set_kalman_state(kf, value) -> None:
+    """Overwrite a closed-form filter's state (x, y, vx, vy)."""
+    kf.x, kf.y, kf.vx, kf.vy = map(float, value)
+
+
+def kalman_cov(kf) -> np.ndarray:
+    """A closed-form filter's 4x4 covariance over (x, y, vx, vy), from its
+    per-axis (position, velocity) entries pp, pv and vv."""
+    return np.kron([[kf.pp, kf.pv], [kf.pv, kf.vv]], np.eye(2))
+
+
 class MatrixKalmanCV:
     """Constant-velocity Kalman filter in full 4x4 matrix algebra over state
     (x, y, vx, vy): F, Q, H and R built as matrices, the gain through an
@@ -331,6 +347,8 @@ def radial_angle_by_vectors(
 def point_to_chord_distance(
     p: tuple[float, float], a: tuple[float, float], b: tuple[float, float]
 ) -> float:
+    """Distance from p to the segment ab: the projection's parameter from
+    one `@` dot product, clamped to [0, 1], then np.hypot of the offset."""
     p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
     ab = b - a
     denom = float(ab @ ab)
@@ -338,6 +356,32 @@ def point_to_chord_distance(
         return float(np.hypot(*(p - a)))
     u = min(1.0, max(0.0, float((p - a) @ ab) / denom))
     return float(np.hypot(*(p - (a + u * ab))))
+
+
+def per_vertex_rdp(polyline, epsilon: float) -> tuple[list[int], list[tuple[int, int, list]]]:
+    """Ramer-Douglas-Peucker with one `point_to_chord_distance` call per
+    interior vertex and a strict `>` scan for the farthest, so the first of
+    equal maxima wins. Returns the kept indices and, for each interval
+    (lo, hi) it split or tested, its interior vertices' distances."""
+    pts = np.asarray(polyline, dtype=float)
+    keep = {0, len(pts) - 1}
+    intervals = []
+    stack = [(0, len(pts) - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        dists = [point_to_chord_distance(pts[i], pts[lo], pts[hi]) for i in range(lo + 1, hi)]
+        intervals.append((lo, hi, dists))
+        best_d, best_i = -1.0, -1
+        for i, d in enumerate(dists, start=lo + 1):
+            if d > best_d:
+                best_d, best_i = d, i
+        if best_d > epsilon:
+            keep.add(best_i)
+            stack.append((lo, best_i))
+            stack.append((best_i, hi))
+    return sorted(keep), intervals
 
 
 def brute_force_peaks(

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gaitpipe.pointcloud import (
     BATCH_POINTS,
     MAX_COORD_M,
+    MAX_TIME_S,
     Frame,
     NonMonotonicTimeError,
     Session,
@@ -72,6 +73,19 @@ def test_non_monotonic_time(tmp_path):
     )
     with pytest.raises(NonMonotonicTimeError):
         read_session(path)
+
+
+def test_frame_times_bounded(tmp_path):
+    # Up to MAX_TIME_S is a time; past it, or not finite, the line is malformed.
+    assert MAX_TIME_S == 1e10
+    session = read_session(write_lines(tmp_path, HEADER, '{"t":0,"pts":[]}',
+                                       '{"t":1e10,"pts":[]}'))
+    assert session.times.tolist() == [0.0, MAX_TIME_S]
+    for t in ("10000000000.000002", "1e300", "1e999", "-1e-300", "NaN"):
+        path = write_lines(tmp_path, HEADER, '{"t":1,"pts":[]}', f'{{"t":{t},"pts":[]}}')
+        with pytest.raises(SessionFormatError) as excinfo:
+            read_session(path)
+        assert excinfo.value.line == 3 and "t must be in [0, 1e+10] s" in str(excinfo.value)
 
 
 def test_invalid_json_and_missing_header(tmp_path):

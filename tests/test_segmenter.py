@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gaitpipe.segmenter import (
+    _chord_distances,
     LinearSegment,
     WalkEntry,
     WalkLog,
@@ -18,7 +19,7 @@ from gaitpipe.segmenter import (
 )
 from gaitpipe.tracker import Track, TrackState
 
-from oracles import point_to_chord_distance, radial_angle_by_vectors
+from oracles import per_vertex_rdp, point_to_chord_distance, radial_angle_by_vectors
 
 
 def make_track(xy, t0=0.0, dt=0.1, track_id=0):
@@ -98,6 +99,58 @@ def test_rdp_removed_points_within_eps_random():
 )
 def test_rdp_property(points, eps):
     assert_rdp_within_eps(np.array(points, dtype=float), eps)
+
+
+@st.composite
+def rdp_cases(draw):
+    """(polyline, epsilon): a random walk at a scale from 1e-3 to 1e3, also
+    closed into a loop or with repeated vertices; a run along an axis whose
+    off-axis vertices tie at the farthest distance; vertices exactly epsilon
+    from their chord; or 2 and 3 vertices. Some come as lists of tuples."""
+    kind = draw(st.sampled_from(["walk", "loop", "repeats", "ties", "at_epsilon", "short"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    eps = scale * draw(st.floats(0.05, 5.0))
+    n = draw(st.integers(2, 3) if kind == "short" else st.integers(3, 60))
+    poly = np.cumsum(rng.normal(0.0, scale, (n, 2)), axis=0)
+    if kind == "loop":
+        poly[-1] = poly[0]
+    elif kind == "repeats":
+        poly = poly[np.sort(rng.integers(0, n, n + draw(st.integers(1, 20))))]
+    elif kind in ("ties", "at_epsilon"):
+        # Dyadic values, so the distances off the chord are exact: on a
+        # chord along an axis the ties are exact, and |y| == eps is eps.
+        eps = 2.0 ** draw(st.integers(-10, 10))
+        off = eps * (2.0 if kind == "ties" else 1.0)
+        y = rng.choice([0.0, off, -off, 0.5 * off], n)
+        y[0] = y[-1] = 0.0
+        poly = np.column_stack([np.arange(n) * eps, y])
+        if draw(st.booleans()):
+            poly = poly[:, ::-1]
+    if draw(st.booleans()):
+        poly = [tuple(v) for v in poly.tolist()]
+    return poly, eps
+
+
+@settings(max_examples=300)
+@given(rdp_cases())
+def test_rdp_matches_per_vertex_oracle(case):
+    # Equal kept indices, and every distance the one-vertex form takes in
+    # an interval has the same bits in the array pass.
+    poly, eps = case
+    kept, intervals = per_vertex_rdp(poly, eps)
+    assert rdp_decimate(poly, eps) == kept
+    pts = np.asarray(poly, dtype=float)
+    for lo, hi, dists in intervals:
+        got = _chord_distances(pts[lo + 1 : hi], pts[lo], pts[hi])
+        assert got.tobytes() == np.array(dists).tobytes(), (lo, hi)
+
+
+def test_rdp_keeps_the_first_of_tied_vertices():
+    # Vertices 3 and 4 are both 1 from the chord. Keeping vertex 3 puts
+    # vertex 2 0.63 from the chord 0-3, so it is kept too; keeping vertex 4
+    # would leave every other vertex within 0.5 of its chord.
+    assert rdp_decimate([(0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 0)], 0.5) == [0, 2, 3, 5]
 
 
 # ------------------------------------------------------------- split_track

@@ -12,7 +12,6 @@ from gaitpipe.simulator import (
     _WalkKinematics,
     make_scenario,
     read_truth_header,
-    scenario_library,
     simulate,
     write_truth,
 )
@@ -143,8 +142,8 @@ def test_walker_spec_validation():
 
 
 def test_scenario_library_presets():
-    library = scenario_library()
-    assert set(library) == set(SCENARIO_NAMES)
+    library = {name: make_scenario(name) for name in SCENARIO_NAMES}
+    assert len(library) == len(SCENARIO_NAMES) > 0
     for name, scene in library.items():
         session, truth = simulate(scene)
         assert len(session.frames) > 0

@@ -10,6 +10,8 @@ from gaitpipe.config import DbscanConfig, PipelineConfig
 from gaitpipe.pointcloud import Session, write_session
 from gaitpipe.simulator import WalkerSpec, SceneSpec, make_scenario, simulate
 from gaitpipe.tracker import (
+    CHUNK_POINTS,
+    DENSE_FRAME_POINTS,
     Detection,
     _component_roots,
     KalmanCV,
@@ -25,7 +27,10 @@ from oracles import (
     MatrixKalmanCV,
     brute_force_assignment,
     canonical_labels,
+    kalman_cov,
+    kalman_state,
     naive_dbscan,
+    set_kalman_state,
     union_find_roots,
 )
 
@@ -337,7 +342,7 @@ def test_kalman_fixed_point():
 
 def test_kalman_prediction_only_advances_by_velocity():
     kf = KalmanCV(0.0, 0.0, sigma_a=2.0, sigma_m=0.15)
-    kf.state = np.array([1.0, 2.0, 0.5, -0.25])
+    set_kalman_state(kf, [1.0, 2.0, 0.5, -0.25])
     kf.predict(0.2)
     assert kf.x == pytest.approx(1.0 + 0.5 * 0.2, abs=1e-12)
     assert kf.y == pytest.approx(2.0 - 0.25 * 0.2, abs=1e-12)
@@ -350,8 +355,9 @@ def test_kalman_covariance_stays_symmetric_positive():
         kf.predict(0.1)
         if k % 3:
             kf.update(float(rng.normal(0, 0.2)), 5.0 - 0.1 * k)
-        assert np.allclose(kf.cov, kf.cov.T)
-        assert np.all(np.linalg.eigvalsh(kf.cov) > 0)
+        cov = kalman_cov(kf)
+        assert np.allclose(cov, cov.T)
+        assert np.all(np.linalg.eigvalsh(cov) > 0)
 
 
 def test_kalman_beats_raw_measurements_on_cv_motion():
@@ -402,7 +408,7 @@ def test_kalman_matches_matrix_reference():
         for _ in range(100):
             if rng.random() < 0.05:
                 state = np.concatenate([rng.uniform(-5, 8, 2), rng.uniform(-2, 2, 2)])
-                kf.state = state
+                set_kalman_state(kf, state)
                 ref.state = state.copy()
             dt = rng.uniform(0.02, 0.5)
             kf.predict(dt)
@@ -411,8 +417,8 @@ def test_kalman_matches_matrix_reference():
                 zx, zy = (float(v) for v in rng.uniform(-5, 8, 2))
                 kf.update(zx, zy)
                 ref.update(zx, zy)
-            assert np.max(np.abs(kf.state - ref.state)) <= 1e-12
-            assert np.max(np.abs(kf.cov - ref.cov)) <= 1e-12
+            assert np.max(np.abs(kalman_state(kf) - ref.state)) <= 1e-12
+            assert np.max(np.abs(kalman_cov(kf) - ref.cov)) <= 1e-12
 
 
 # ------------------------------------------------------------ track_frames
@@ -492,6 +498,94 @@ def per_frame_dbscan(points, eps, min_pts, min_cluster_size=1, offsets=None):
         for k, (a, b) in enumerate(zip(offsets[:-1], offsets[1:]))
         for d in dbscan(points[a:b], eps, min_pts, min_cluster_size)
     ]
+
+
+def stack_sizes(session, monkeypatch):
+    """Points per frame of each frame stack `track_frames` passes to `dbscan`."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.diff(kwargs["offsets"]).tolist())
+        return dbscan(*args, **kwargs)
+
+    monkeypatch.setattr(gaitpipe.tracker, "dbscan", counting)
+    track_frames(session, PipelineConfig())
+    assert sum(calls, []) == np.diff(session.offsets).tolist()
+    return calls
+
+
+def test_sparse_frames_stack_up_to_chunk_points(monkeypatch):
+    # Every frame of a clinic session is sparse, so each call takes frames
+    # until the next non-empty one would pass CHUNK_POINTS.
+    session, _ = simulate(make_scenario("clinic_control", seed=7))
+    calls = stack_sizes(session, monkeypatch)
+    assert max(map(max, calls)) <= DENSE_FRAME_POINTS
+    assert len(calls) > 1
+    assert all(sum(sizes) <= CHUNK_POINTS for sizes in calls)
+    for sizes, after in zip(calls, calls[1:]):
+        assert sum(sizes) + next(n for n in after if n) > CHUNK_POINTS
+    assert (CHUNK_POINTS, DENSE_FRAME_POINTS) == (2048, 128)
+    assert len(calls) == math.ceil(len(session.points) / 2048)
+
+
+def test_dense_frames_share_calls_only_with_empty_frames(monkeypatch):
+    scene = make_scenario("home_radial", seed=104)
+    scene = dataclasses.replace(scene, walkers=tuple(
+        dataclasses.replace(w, points_torso=w.points_torso * 10,
+                            points_arms=w.points_arms * 10, points_legs=w.points_legs * 10)
+        for w in scene.walkers
+    ))
+    session, _ = simulate(scene)
+    calls = stack_sizes(session, monkeypatch)
+    assert any(max(sizes) > DENSE_FRAME_POINTS for sizes in calls)
+    for sizes in calls:
+        if max(sizes) > DENSE_FRAME_POINTS:
+            assert np.count_nonzero(sizes) == 1
+
+
+# Points per frame by kind: empty, sparse, up to DENSE_FRAME_POINTS, and dense.
+FRAME_KINDS = ((0, 0), (1, 20), (100, DENSE_FRAME_POINTS), (DENSE_FRAME_POINTS + 1, 300))
+# A de Bruijn sequence over the four kinds: every ordered pair is adjacent once.
+EVERY_PAIR = (0, 0, 1, 0, 2, 0, 3, 1, 1, 2, 1, 3, 2, 2, 3, 3, 0)
+
+
+def mixed_session(seed: int) -> Session:
+    """A walker's blob in frames of every kind, in every order of two kinds
+    and with sizes at the ends of each kind's range, then a run of frames
+    of 100 to 128 points that passes CHUNK_POINTS, then random kinds. Two
+    points of a non-empty frame are strays far from the blob."""
+    rng = np.random.default_rng(seed)
+    relabel = rng.permutation(4)
+    kinds = [int(relabel[k]) for k in EVERY_PAIR] + [2] * 20 + rng.integers(0, 4, 30).tolist()
+    frames = []
+    for k, kind in enumerate(kinds):
+        lo, hi = FRAME_KINDS[kind]
+        n = int(rng.choice([lo, hi]) if k < len(EVERY_PAIR) else rng.integers(lo, hi + 1))
+        strays = min(n, 2)
+        blob = np.column_stack([
+            rng.normal(0.1 * math.sin(0.2 * k), 0.1, n - strays),
+            rng.normal(6.0 - 0.06 * k, 0.1, n - strays),
+            rng.uniform(-0.8, 0.8, n - strays),
+            rng.normal(-1.0, 0.3, n - strays),
+        ])
+        far = np.array([[-3.0, 1.0, 0.0, 0.5], [3.0, 2.0, 0.5, -0.5]])[:strays]
+        frames.append((0.1 * (k + 1), np.vstack([blob, far])))
+    return Session(frame_rate=10.0, site="home", room_label="r", device_id="d", frames=frames)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_track_frames_matches_one_call_per_frame(monkeypatch, seed):
+    session = mixed_session(seed)
+
+    def rows():
+        return [(tr.track_id, s.t, s.x, s.y, s.points.tobytes())
+                for tr in track_frames(session, PipelineConfig()) for s in tr.states]
+
+    stacked = rows()
+    assert stacked
+    monkeypatch.setattr(gaitpipe.tracker, "_stacks",
+                        lambda sizes, dense: ((k, k + 1) for k in range(len(sizes))))
+    assert stacked == rows()
 
 
 @pytest.mark.parametrize("eps", ["1e153", "1e308"])
