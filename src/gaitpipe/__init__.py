@@ -9,7 +9,7 @@ tables, ICC reliability) round out the toolkit.
 
 from .config import PipelineConfig, load_config
 from .pointcloud import Frame, Session, read_session, write_session
-from .tracker import Detection, Track, TrackState, track_frames
+from .tracker import Detection, Track, track_frames
 from .segmenter import LinearSegment, WalkLog, WalkEntry, match_clinic_walks, split_track
 from .gaitmetrics import StepMeasurement, TorsoSpeedSeries, WalkResult, analyze_segment
 from .simulator import SceneSpec, WalkerSpec, make_scenario, simulate
@@ -27,7 +27,6 @@ __all__ = [
     "write_session",
     "Detection",
     "Track",
-    "TrackState",
     "track_frames",
     "LinearSegment",
     "WalkLog",

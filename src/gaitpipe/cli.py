@@ -163,25 +163,17 @@ def _write_bundle(
     atomic_write_text(session_out / "walks.jsonl", "\n".join(walk_lines) + ("\n" if walk_lines else ""))
     atomic_write_text(session_out / "segments.csv", _segments_csv(result.segments))
     if dump_tracks:
-        lines = []
-        for track in result.tracks:
-            for state in track.states:
-                lines.append(
-                    json.dumps(
-                        {
-                            "track_id": track.track_id,
-                            "t": round(state.t, 6),
-                            "x": round(state.x, 6),
-                            "y": round(state.y, 6),
-                            "n_points": len(state.points),
-                        },
-                        sort_keys=True,
-                    )
-                )
+        lines = [
+            json.dumps({"track_id": tr.track_id, "t": round(t, 6), "x": round(x, 6),
+                        "y": round(y, 6), "n_points": n}, sort_keys=True)
+            for tr in result.tracks
+            for t, x, y, n in zip(tr.t.tolist(), tr.x.tolist(), tr.y.tolist(),
+                                  tr.n_points.tolist())
+        ]
         atomic_write_text(session_out / "tracks.jsonl", "\n".join(lines) + ("\n" if lines else ""))
 
-    xs = [s.x for tr in result.tracks for s in tr.states]
-    ys = [s.y for tr in result.tracks for s in tr.states]
+    xs = [x for tr in result.tracks for x in tr.x.tolist()]
+    ys = [y for tr in result.tracks for y in tr.y.tolist()]
     return {
         "stem": stem,
         "room": session.room_label,

@@ -1,13 +1,13 @@
 """Torso-speed extraction and step-length measurement on a valid segment.
 
 The torso return is isolated from each frame's assigned points by an
-elevation gate around the radar mount height plus a travel-direction sign
-gate (arms can swing against the direction of travel; their Doppler has
-the wrong sign and is rejected). Speed peaks of the resulting series mark
-steps: consecutive peak pairs give a step time and, from the tracked
-positions, a step length; implausible pairs are rejected as missed-step
-artifacts, and a walk needs at least two surviving steps to report an
-average.
+elevation gate around the radar mount height, applied by the tracker, plus
+a travel-direction sign gate (arms swing against the direction of travel;
+their Doppler has the wrong sign and is rejected). Speed peaks of the
+series mark steps: consecutive peak pairs give a step time and, from the
+tracked positions, a step length; implausible pairs are rejected as
+missed-step artifacts, and a walk needs at least two surviving steps to
+report an average.
 """
 
 from __future__ import annotations
@@ -61,30 +61,20 @@ def direction_sign(segment: LinearSegment) -> int:
     return APPROACH if segment.r_end < segment.r_start else RECEDE
 
 
-def torso_speed(segment: LinearSegment, z_torso: float) -> TorsoSpeedSeries:
-    """Extract the torso-speed series from a segment's per-frame points.
+def torso_speed(segment: LinearSegment) -> TorsoSpeedSeries:
+    """Extract the torso-speed series from a segment's rows.
 
-    A point qualifies as torso when |z| <= z_torso and its Doppler sign
-    matches the direction of travel; each sample's speed is the magnitude
-    of the mean qualifying Doppler. Samples with no qualifying points are
-    omitted rather than interpolated.
+    A frame's speed is the magnitude of the mean Doppler of its torso points
+    (|z| <= z_torso, see `tracker.track_row`) whose sign matches the
+    direction of travel. Frames with no such points are omitted rather
+    than interpolated.
     """
-    sign = direction_sign(segment)
-    states = segment.states
-    points = np.concatenate([np.empty((0, 4))] + [state.points for state in states])
-    s = points[:, 3]
-    torso = (np.abs(points[:, 2]) <= z_torso) & (sign * s > 0)
-    speeds = s[torso].tolist()
-    # bounds[k]:bounds[k + 1] of `speeds` are state k's.
-    bounds = np.concatenate(([0], np.cumsum(torso)))[
-        np.cumsum([0] + [len(state.points) for state in states])
-    ].tolist()
-    rows = []
-    for state, a, b in zip(states, bounds, bounds[1:]):
-        if b > a:
-            rows.append((state.t, abs(math.fsum(speeds[a:b]) / (b - a)), state.x, state.y))
-    times, v, xs, ys = np.array(rows, dtype=float).reshape(-1, 4).T
-    return TorsoSpeedSeries(times=times, speeds=v, xs=xs, ys=ys)
+    track, rows = segment.track, slice(segment.lo, segment.hi + 1)
+    column = 0 if direction_sign(segment) == APPROACH else 1
+    has = track.torso_count[rows, column] > 0
+    return TorsoSpeedSeries(times=track.t[rows][has],
+                            speeds=np.abs(track.torso_mean[rows, column][has]),
+                            xs=track.x[rows][has], ys=track.y[rows][has])
 
 
 def detect_peaks(series: TorsoSpeedSeries, nms_window: float, min_peak_gap: float) -> list[float]:
@@ -164,6 +154,6 @@ def measure_steps(
 
 def analyze_segment(segment: LinearSegment, gait: GaitConfig) -> WalkResult:
     """Full per-segment gait analysis: torso series, peaks, steps."""
-    series = torso_speed(segment, gait.z_torso)
+    series = torso_speed(segment)
     peaks = detect_peaks(series, gait.nms_window, gait.min_peak_gap)
     return measure_steps(segment, series, peaks, gait)

@@ -113,7 +113,7 @@ def _overlaps_other_track(seg: LinearSegment, tracks: list[Track]) -> bool:
     for track in tracks:
         if track.track_id == seg.parent_track:
             continue
-        if track.t_start <= seg.t_end and seg.t_start <= track.t_end:
+        if track.t[0] <= seg.t_end and seg.t_start <= track.t[-1]:
             return True
     return False
 

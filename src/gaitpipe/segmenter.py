@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pointcloud import atomic_write_text, json_float
-from .tracker import Track, TrackState
+from .tracker import Track
 
 WALK_TYPES = ("control", "fast", "narrow", "obstacle", "dual_task")
 
@@ -34,16 +34,17 @@ WALKWAY_END = (0.0, 2.03)
 
 @dataclass
 class LinearSegment:
-    """A maximal straight sub-track with its radial-alignment geometry.
+    """Rows lo to hi, both included, of a track: a maximal straight run.
 
     length is the chord between the first and last filtered positions;
     angle_deg is the misalignment from the radial axis (None when the
     chord is degenerate). valid is set by classify().
     """
 
-    parent_track: int
+    track: Track
     seg_index: int
-    states: tuple[TrackState, ...]
+    lo: int
+    hi: int
     r_start: float = 0.0
     r_end: float = 0.0
     length: float = 0.0
@@ -51,20 +52,24 @@ class LinearSegment:
     valid: bool = False
 
     @property
+    def parent_track(self) -> int:
+        return self.track.track_id
+
+    @property
     def t_start(self) -> float:
-        return self.states[0].t
+        return self.track.t[self.lo].item()
 
     @property
     def t_end(self) -> float:
-        return self.states[-1].t
+        return self.track.t[self.hi].item()
 
     @property
     def first_xy(self) -> tuple[float, float]:
-        return (self.states[0].x, self.states[0].y)
+        return (self.track.x[self.lo].item(), self.track.y[self.lo].item())
 
     @property
     def last_xy(self) -> tuple[float, float]:
-        return (self.states[-1].x, self.states[-1].y)
+        return (self.track.x[self.hi].item(), self.track.y[self.hi].item())
 
 
 @dataclass(frozen=True)
@@ -173,28 +178,18 @@ def segment_geometry(
 def split_track(track: Track, rdp_epsilon: float) -> list[LinearSegment]:
     """Split a track into linear segments at its RDP-kept vertices.
 
-    Consecutive segments share exactly their boundary state; the union of
+    Consecutive segments share exactly their boundary row; the union of
     segments covers the whole track. Geometry is filled in; validity is
     left to classify().
     """
-    states = track.states
-    if len(states) < 2:
+    if len(track) < 2:
         return []
-    poly = [(s.x, s.y) for s in states]
-    kept = rdp_decimate(poly, rdp_epsilon)
-    segments = []
-    for k in range(len(kept) - 1):
-        lo, hi = kept[k], kept[k + 1]
-        seg = LinearSegment(
-            parent_track=track.track_id,
-            seg_index=k,
-            states=tuple(states[lo : hi + 1]),
-        )
-        seg.r_start, seg.r_end, seg.length, seg.angle_deg = segment_geometry(
-            seg.first_xy, seg.last_xy
-        )
-        segments.append(seg)
-    return segments
+    kept = rdp_decimate(np.column_stack([track.x, track.y]), rdp_epsilon)
+    x, y = track.x.tolist(), track.y.tolist()
+    return [
+        LinearSegment(track, k, lo, hi, *segment_geometry((x[lo], y[lo]), (x[hi], y[hi])))
+        for k, (lo, hi) in enumerate(zip(kept, kept[1:]))
+    ]
 
 
 def classify(segment: LinearSegment, min_length: float, max_angle_deg: float) -> bool:

@@ -5,14 +5,15 @@ it runs on a chunk of consecutive frames at a time, with exactly the
 per-frame results. Per frame, minimum-cost assignment then associates
 detections to live tracks, and a constant-velocity Kalman filter in the
 x-y plane carries each track's position. Tracks confirm after a run of
-consecutive hits and die after a run of consecutive misses.
+consecutive hits and die after a run of consecutive misses. A track keeps
+no points, only each frame's torso Doppler summary (see `track_row`).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -47,28 +48,54 @@ class Detection:
 
 
 @dataclass(frozen=True, eq=False)
-class TrackState:
-    """Filtered position at time t plus the (k, 4) rows x, y, z, s of the
-    detection assigned that frame."""
-
-    t: float
-    x: float
-    y: float
-    points: np.ndarray
-
-
-@dataclass
 class Track:
+    """A confirmed track as columns, one row per frame it was matched in:
+    the frame time, the filtered position, the size of the detection
+    assigned that frame and that detection's torso Doppler summary (see
+    `track_row`), column 0 for approach and column 1 for recede."""
+
     track_id: int
-    states: list[TrackState] = field(default_factory=list)
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    n_points: np.ndarray
+    torso_mean: np.ndarray  # (n, 2)
+    torso_count: np.ndarray  # (n, 2)
 
-    @property
-    def t_start(self) -> float:
-        return self.states[0].t
+    @classmethod
+    def from_rows(cls, track_id: int, rows: list[tuple]) -> Track:
+        """The track of `track_row` rows, in time order."""
+        t, x, y, n, mean_a, count_a, mean_r, count_r = zip(*rows)
+        return cls(track_id, np.array(t), np.array(x), np.array(y), np.array(n),
+                   np.column_stack([mean_a, mean_r]), np.column_stack([count_a, count_r]))
 
-    @property
-    def t_end(self) -> float:
-        return self.states[-1].t
+    def __len__(self) -> int:
+        return len(self.t)
+
+
+def _mean(values: list[float]) -> float:
+    """math.fsum(values) / len(values), 0.0 for no values. An overflowing
+    sum is taken over the terms scaled by 2**-k, 2**k > len(values), which
+    is exact for normal floats, so the mean of finite values is finite."""
+    n = len(values)
+    try:
+        return math.fsum(values) / n if n else 0.0
+    except OverflowError:
+        scale = 2.0 ** n.bit_length()
+        return math.fsum(v / scale for v in values) / n * scale
+
+
+def track_row(t: float, x: float, y: float, points: np.ndarray, z_torso: float) -> tuple:
+    """One `Track` row: t, x, y, the number of (k, 4) points, then the mean
+    and count of the torso Dopplers for approach and for recede.
+
+    A point is torso when |z| <= z_torso; its Doppler counts for approach
+    when negative and for recede when positive.
+    """
+    torso = points[:, 3][np.abs(points[:, 2]) <= z_torso].tolist()
+    approach = [s for s in torso if s < 0]
+    recede = [s for s in torso if s > 0]
+    return (t, x, y, len(points), _mean(approach), len(approach), _mean(recede), len(recede))
 
 
 def dbscan_labels(
@@ -346,7 +373,8 @@ class KalmanCV:
 @dataclass
 class _LiveTrack:
     kf: KalmanCV
-    track: Track
+    track_id: int
+    rows: list[tuple]
     consecutive_hits: int = 1
     consecutive_misses: int = 0
     ever_confirmed: bool = False
@@ -412,6 +440,7 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
     cfg = cfg or PipelineConfig()
     db: DbscanConfig = cfg.dbscan
     tk: TrackerConfig = cfg.tracker
+    z_torso = cfg.gait.z_torso
 
     live: list[_LiveTrack] = []
     finished: list[Track] = []
@@ -435,9 +464,7 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
             lt = live[ti]
             det = detections[dj]
             lt.kf.update(det.centroid_x, det.centroid_y)
-            lt.track.states.append(
-                TrackState(t=t, x=lt.kf.x, y=lt.kf.y, points=det.points)
-            )
+            lt.rows.append(track_row(t, lt.kf.x, lt.kf.y, det.points, z_torso))
             lt.consecutive_hits += 1
             lt.consecutive_misses = 0
             if not lt.ever_confirmed and lt.consecutive_hits >= tk.confirm_hits:
@@ -451,22 +478,18 @@ def track_frames(session: Session, cfg: PipelineConfig | None = None) -> list[Tr
             if lt.consecutive_misses < tk.kill_misses:
                 still_live.append(lt)
             elif lt.ever_confirmed:
-                finished.append(lt.track)
-        still_live.sort(key=lambda lt: lt.track.track_id)
+                finished.append(Track.from_rows(lt.track_id, lt.rows))
+        still_live.sort(key=lambda lt: lt.track_id)
         live = still_live
 
         for dj in unmatched_dets:
             det = detections[dj]
             kf = KalmanCV(det.centroid_x, det.centroid_y, tk.sigma_a, tk.sigma_m)
-            track = Track(track_id=next_id)
-            track.states.append(
-                TrackState(t=t, x=kf.x, y=kf.y, points=det.points)
-            )
-            live.append(
-                _LiveTrack(kf=kf, track=track, ever_confirmed=tk.confirm_hits <= 1)
-            )
+            row = track_row(t, kf.x, kf.y, det.points, z_torso)
+            live.append(_LiveTrack(kf=kf, track_id=next_id, rows=[row],
+                                   ever_confirmed=tk.confirm_hits <= 1))
             next_id += 1
 
-    finished.extend(lt.track for lt in live if lt.ever_confirmed)
+    finished.extend(Track.from_rows(lt.track_id, lt.rows) for lt in live if lt.ever_confirmed)
     finished.sort(key=lambda tr: tr.track_id)
     return finished

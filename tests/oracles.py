@@ -140,20 +140,20 @@ def reference_torso_speeds(
 
 
 def per_state_torso_speed(
-    segment, z_torso: float
+    rows, z_torso: float, sign: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Torso-speed columns (times, speeds, xs, ys), one numpy mask per
-    track state: a row for each state with a point of |z| <= z_torso whose
-    Doppler has the sign of travel (negative when the segment ends radially
-    closer than it starts), its speed |fsum of those Dopplers| / count."""
-    sign = -1 if segment.r_end < segment.r_start else 1
-    rows = []
-    for state in segment.states:
-        s = state.points[:, 3]
-        speeds = s[(np.abs(state.points[:, 2]) <= z_torso) & (sign * s > 0)].tolist()
+    """Torso-speed columns (times, speeds, xs, ys) of (t, x, y, points) rows,
+    one numpy mask per row's (k, 4) points: a row for each with a point of
+    |z| <= z_torso whose Doppler has the given sign of travel (negative for
+    approach), its speed |fsum of those Dopplers| / count."""
+    out = []
+    for t, x, y, points in rows:
+        points = np.asarray(points, dtype=float).reshape(-1, 4)
+        s = points[:, 3]
+        speeds = s[(np.abs(points[:, 2]) <= z_torso) & (sign * s > 0)].tolist()
         if speeds:
-            rows.append((state.t, abs(math.fsum(speeds) / len(speeds)), state.x, state.y))
-    return tuple(np.array(rows, dtype=float).reshape(-1, 4).T)
+            out.append((t, abs(math.fsum(speeds) / len(speeds)), x, y))
+    return tuple(np.array(out, dtype=float).reshape(-1, 4).T)
 
 
 def per_sample_peaks(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +16,11 @@ from gaitpipe.gaitmetrics import (
     torso_speed,
 )
 from gaitpipe.pointcloud import Session
-from gaitpipe.segmenter import LinearSegment, classify, segment_geometry, split_track
-from gaitpipe.simulator import SceneSpec, WalkerSpec, make_scenario, simulate
-from gaitpipe.tracker import TrackState, track_frames
+from gaitpipe.segmenter import classify, split_track
+from gaitpipe.simulator import SCENARIO_NAMES, SceneSpec, WalkerSpec, make_scenario, simulate
+from gaitpipe.tracker import track_frames
 
+from builders import dense_home_session, make_track, points_by_row, spy_rows, whole_segment
 from oracles import (
     brute_force_peaks,
     per_sample_peaks,
@@ -27,23 +29,18 @@ from oracles import (
 )
 
 
-def segment_from_states(states, track_id=0):
-    seg = LinearSegment(parent_track=track_id, seg_index=0, states=tuple(states))
-    seg.r_start, seg.r_end, seg.length, seg.angle_deg = segment_geometry(
-        seg.first_xy, seg.last_xy
-    )
+def segment_from_rows(rows, z_torso=0.25):
+    """A valid segment over every (t, x, y, points) row."""
+    seg = whole_segment(make_track(rows, z_torso))
     seg.valid = True
     return seg
 
 
 def approach_segment(point_lists):
     # Walks from y=5 toward the radar; r_end < r_start so sign is APPROACH.
-    states = [
-        TrackState(t=0.1 * i, x=0.1, y=5.0 - 0.1 * i,
-                   points=np.array(pts, dtype=float).reshape(-1, 4))
-        for i, pts in enumerate(point_lists)
-    ]
-    return segment_from_states(states)
+    return segment_from_rows(
+        [(0.1 * i, 0.1, 5.0 - 0.1 * i, pts) for i, pts in enumerate(point_lists)]
+    )
 
 
 def mk_series(times, speeds):
@@ -61,13 +58,14 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def series_from_states(states, speed=1.0):
-    """Every state a sample at the given speed, at its tracked position."""
+def series_from_segment(seg, speed=1.0):
+    """Every row a sample at the given speed, at its tracked position."""
+    track = seg.track
     return TorsoSpeedSeries(
-        times=np.array([s.t for s in states]),
-        speeds=np.full(len(states), speed),
-        xs=np.array([s.x for s in states]),
-        ys=np.array([s.y for s in states]),
+        times=track.t.copy(),
+        speeds=np.full(len(track), speed),
+        xs=track.x.copy(),
+        ys=track.y.copy(),
     )
 
 
@@ -82,7 +80,7 @@ def test_gate_application():
         (0.1, 3.0, -0.25, -0.8),  # kept, band edge inclusive
     ])
     seg = approach_segment([pts, pts])
-    series = torso_speed(seg, z_torso=0.25)
+    series = torso_speed(seg)
     assert len(series) == 2
     assert series.speeds[0] == pytest.approx(1.0)  # |(-1.2 + -0.8)/2|
 
@@ -101,7 +99,7 @@ def test_gate_matches_per_point_reference():
             ]
             for n in rng.integers(0, 12, size=8)
         ]
-        series = torso_speed(approach_segment(frames), z_torso=0.25)
+        series = torso_speed(approach_segment(frames))
         expected = reference_torso_speeds(frames, 0.25, APPROACH)
         assert series.speeds.tolist() == [e[0] for e in expected if e is not None]
         assert series.times.tolist() == [
@@ -112,20 +110,19 @@ def test_gate_matches_per_point_reference():
 def test_constant_speed_mean():
     pts = [(0.0, 3.0, 0.0, -1.0)] * 4
     seg = approach_segment([pts] * 5)
-    series = torso_speed(seg, 0.25)
+    series = torso_speed(seg)
     assert series.speeds.tolist() == [1.0] * 5
 
 
 def test_direction_sign_by_radial_distance():
     toward = approach_segment([[(0, 3, 0, -1)]] * 2)
     assert direction_sign(toward) == APPROACH
-    away_states = [
-        TrackState(t=0.0, x=0.0, y=2.0, points=np.array([(0, 2, 0, 1.0)])),
-        TrackState(t=0.1, x=0.0, y=2.5, points=np.array([(0, 2.5, 0, 1.0)])),
-    ]
-    away = segment_from_states(away_states)
+    away = segment_from_rows([
+        (0.0, 0.0, 2.0, [(0, 2, 0, 1.0)]),
+        (0.1, 0.0, 2.5, [(0, 2.5, 0, 1.0)]),
+    ])
     assert direction_sign(away) == RECEDE
-    series = torso_speed(away, 0.25)
+    series = torso_speed(away)
     assert series.speeds[0] == pytest.approx(1.0)
 
 
@@ -133,9 +130,9 @@ def test_empty_samples_omitted_and_empty_series():
     good = [(0.0, 3.0, 0.0, -1.0)]
     bad = [(0.0, 3.0, 0.9, -1.0)]  # outside z band
     seg = approach_segment([good, bad, good])
-    series = torso_speed(seg, 0.25)
+    series = torso_speed(seg)
     assert len(series) == 2  # middle sample omitted
-    empty = torso_speed(approach_segment([bad, bad]), 0.25)
+    empty = torso_speed(approach_segment([bad, bad]))
     assert len(empty) == 0
     assert detect_peaks(empty, 0.4, 0.3) == []
 
@@ -149,7 +146,7 @@ def test_torso_speed_matches_per_state_loop():
         z_set = [-0.25, 0.25, 0.0, -0.3, 0.3, *rng.uniform(-0.6, 0.6, 3)]
         if trial % 5 == 0:
             z_set = [0.9, -0.9]
-        states = []
+        rows = []
         for i in range(int(rng.integers(1, 30))):
             k = int(rng.integers(0, 10))
             points = np.column_stack([
@@ -157,15 +154,40 @@ def test_torso_speed_matches_per_state_loop():
                 rng.choice(z_set, size=k), rng.choice([0.0, -0.0, *rng.normal(0, 1.2, 4)], size=k),
             ])
             t = round(0.1 * i + float(rng.uniform(0, 0.05)), 6)
-            states.append(TrackState(t=t, x=float(rng.uniform(-1, 1)), y=3.0 + step * i,
-                                     points=points))
-        seg = segment_from_states(states)
+            rows.append((t, float(rng.uniform(-1, 1)), 3.0 + step * i, points))
         z_torso = 0.25 if trial % 3 else float(rng.uniform(0.05, 0.5))
-        got = torso_speed(seg, z_torso)
-        want = per_state_torso_speed(seg, z_torso)
+        seg = segment_from_rows(rows, z_torso)
+        got = torso_speed(seg)
+        want = per_state_torso_speed(rows, z_torso, -1 if seg.r_end < seg.r_start else 1)
         assert all(map(same_bits, (got.times, got.speeds, got.xs, got.ys), want))
         if trial % 5 == 0:
             assert len(got) == 0
+
+
+@pytest.mark.parametrize("scenario", [*SCENARIO_NAMES, "dense home_radial"])
+def test_torso_speed_matches_point_oracle_on_tracks(monkeypatch, scenario):
+    # The points of each row as `track_frames` saw them, through the
+    # per-point oracle, for either direction of travel on every segment.
+    session = (dense_home_session() if scenario.startswith("dense")
+               else simulate(make_scenario(scenario, seed=1))[0])
+    cfg = PipelineConfig()
+    calls = spy_rows(monkeypatch)
+    tracks = track_frames(session, cfg)
+    recorded = points_by_row(calls)
+    samples = {APPROACH: 0, RECEDE: 0}
+    for seg in (s for tr in tracks for s in split_track(tr, cfg.segmenter.rdp_epsilon)):
+        track = seg.track
+        rows = [(t, x, y, recorded[t, x, y]) for t, x, y in zip(
+            *(column[seg.lo : seg.hi + 1].tolist() for column in (track.t, track.x, track.y))
+        )]
+        for sign, (r_start, r_end) in ((APPROACH, (1.0, 0.0)), (RECEDE, (0.0, 1.0))):
+            turned = dataclasses.replace(seg, r_start=r_start, r_end=r_end)
+            assert direction_sign(turned) == sign
+            got = torso_speed(turned)
+            want = per_state_torso_speed(rows, cfg.gait.z_torso, sign)
+            assert all(map(same_bits, (got.times, got.speeds, got.xs, got.ys), want))
+            samples[sign] += len(got)
+    assert samples[APPROACH] and samples[RECEDE]
 
 
 # ------------------------------------------------------------ detect_peaks
@@ -249,7 +271,7 @@ def test_peaks_match_per_sample_loop():
 
 def test_single_peak_no_steps():
     seg = approach_segment([[(0, 3, 0, -1)]] * 10)
-    series = torso_speed(seg, 0.25)
+    series = torso_speed(seg)
     result = measure_steps(seg, series, [0.5], GaitConfig())
     assert result.steps == ()
     assert result.avg_step_length is None
@@ -257,13 +279,11 @@ def test_single_peak_no_steps():
 
 
 def test_two_peaks_direct_distance():
-    states = [
-        TrackState(t=round(0.1 * i, 6), x=0.0, y=5.0 - 0.1 * i,
-                   points=np.array([(0, 5 - 0.1 * i, 0, -1.0)]))
+    seg = segment_from_rows([
+        (round(0.1 * i, 6), 0.0, 5.0 - 0.1 * i, [(0, 5 - 0.1 * i, 0, -1.0)])
         for i in range(20)
-    ]
-    seg = segment_from_states(states)
-    series = torso_speed(seg, 0.25)
+    ])
+    series = torso_speed(seg)
     result = measure_steps(seg, series, [1.0, 1.6], GaitConfig())
     assert len(result.steps) == 1
     step = result.steps[0]
@@ -273,23 +293,15 @@ def test_two_peaks_direct_distance():
 
 
 def test_outlier_rejection():
-    states = [
-        TrackState(t=round(0.1 * i, 6), x=0.0, y=8.0 - 0.2 * i, points=np.empty((0, 4)))
-        for i in range(40)
-    ]
-    seg = segment_from_states(states)
-    series = series_from_states(states)
+    seg = segment_from_rows([(round(0.1 * i, 6), 0.0, 8.0 - 0.2 * i, ()) for i in range(40)])
+    series = series_from_segment(seg)
     # Peak pair 6 samples apart covers 1.2 m: over the 1 m cap, dropped.
     result = measure_steps(seg, series, [0.5, 1.1, 1.7, 2.0], GaitConfig())
     assert all(s.step_length <= 1.0 for s in result.steps)
     assert len(result.steps) == 1  # only the 0.3 s / 0.6 m pair survives
     # A 3.5 s gap exceeds the 3 s step-time cap even when short enough.
-    slow = [
-        TrackState(t=round(0.5 * i, 6), x=0.0, y=4.0 - 0.05 * i, points=np.empty((0, 4)))
-        for i in range(9)
-    ]
-    slow_seg = segment_from_states(slow)
-    slow_series = series_from_states(slow)
+    slow_seg = segment_from_rows([(round(0.5 * i, 6), 0.0, 4.0 - 0.05 * i, ()) for i in range(9)])
+    slow_series = series_from_segment(slow_seg)
     result2 = measure_steps(slow_seg, slow_series, [0.5, 4.0], GaitConfig())
     assert result2.steps == ()
 
@@ -299,28 +311,21 @@ def test_step_length_is_hypot_of_peak_samples():
     # math.hypot of the two peak samples' tracked positions, bit for bit.
     rng = np.random.default_rng(12)
     t = np.cumsum(rng.uniform(0.05, 0.15, size=30))
-    states = [
-        TrackState(t=float(ti), x=float(x), y=float(y), points=np.empty((0, 4)))
+    seg = segment_from_rows([
+        (float(ti), float(x), float(y), ())
         for ti, x, y in zip(t, rng.normal(0.0, 0.05, 30), 6.0 - 0.1 * np.arange(30))
-    ]
-    seg = segment_from_states(states)
+    ])
+    x, y = seg.track.x.tolist(), seg.track.y.tolist()
     picks = [2, 7, 11, 16, 23]
-    result = measure_steps(seg, series_from_states(states), [float(t[i]) for i in picks], GaitConfig())
-    expected = [
-        math.hypot(states[a].x - states[b].x, states[a].y - states[b].y)
-        for a, b in zip(picks, picks[1:])
-    ]
+    result = measure_steps(seg, series_from_segment(seg), [float(t[i]) for i in picks], GaitConfig())
+    expected = [math.hypot(x[a] - x[b], y[a] - y[b]) for a, b in zip(picks, picks[1:])]
     assert len(result.steps) == len(expected)
     assert [s.step_length for s in result.steps] == expected
 
 
 def test_avg_present_iff_two_steps():
-    states = [
-        TrackState(t=round(0.1 * i, 6), x=0.0, y=6.0 - 0.06 * i, points=np.empty((0, 4)))
-        for i in range(40)
-    ]
-    seg = segment_from_states(states)
-    series = series_from_states(states)
+    seg = segment_from_rows([(round(0.1 * i, 6), 0.0, 6.0 - 0.06 * i, ()) for i in range(40)])
+    series = series_from_segment(seg)
     result = measure_steps(seg, series, [0.5, 1.0, 1.5], GaitConfig())
     assert len(result.steps) == 2
     assert result.avg_step_length == pytest.approx(
@@ -348,7 +353,7 @@ def radial_scene():
 
 def test_series_correlates_with_true_speed(radial_scene):
     _, _, truth, seg = radial_scene
-    series = torso_speed(seg, 0.25)
+    series = torso_speed(seg)
     walker = truth.walkers[0]
     true_t = np.array([s.t for s in walker.samples])
     true_v = np.array([s.speed for s in walker.samples])

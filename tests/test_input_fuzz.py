@@ -243,3 +243,28 @@ def test_fuzz_frame_magnitudes(clinic):
                     assert "NaN" not in text and "Infinity" not in text, artifact.name
 
     check()
+
+
+@pytest.mark.parametrize("doppler", [-1e308, 1e308])
+def test_huge_torso_doppler(clinic, doppler):
+    # Four copies of a frame's first point moved to z = 0 with a Doppler
+    # near the float maximum, in the non-empty frames 41-69 of the walk: their sum overflows, for the
+    # approach (negative) and the recede (positive) torso summary alike.
+    header, *lines = (clinic / "clinic_control-5.session.jsonl").read_text().splitlines()
+    frames = [json.loads(line) for line in lines]
+    for frame in frames[41:70]:
+        if frame["pts"]:
+            x, y, _, _ = frame["pts"][0]
+            frame["pts"] += [[x, y, 0.0, doppler]] * 4
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.session.jsonl"
+        path.write_text("\n".join([header] + [json.dumps(f) for f in frames]) + "\n")
+        out = Path(tmp) / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["process", "--input", str(path), "--out", str(out), "--dump-tracks"])
+        assert code == 0, err.getvalue()
+        for artifact in out.rglob("*"):
+            if artifact.is_file():
+                text = artifact.read_text()
+                assert "NaN" not in text and "Infinity" not in text, artifact.name

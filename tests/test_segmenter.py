@@ -17,32 +17,20 @@ from gaitpipe.segmenter import (
     split_track,
     write_walklog,
 )
-from gaitpipe.tracker import Track, TrackState
 
+import builders
+from builders import whole_segment
 from oracles import per_vertex_rdp, point_to_chord_distance, radial_angle_by_vectors
 
 
 def make_track(xy, t0=0.0, dt=0.1, track_id=0):
-    states = [
-        TrackState(t=t0 + i * dt, x=float(x), y=float(y), points=np.empty((0, 4)))
-        for i, (x, y) in enumerate(xy)
-    ]
-    track = Track(track_id=track_id)
-    track.states = states
-    return track
+    return builders.make_track(
+        [(t0 + i * dt, float(x), float(y), ()) for i, (x, y) in enumerate(xy)], track_id=track_id
+    )
 
 
 def make_segment(start, end, track_id=0, seg_index=0):
-    seg = LinearSegment(
-        parent_track=track_id,
-        seg_index=seg_index,
-        states=(
-            TrackState(t=0.0, x=start[0], y=start[1], points=np.empty((0, 4))),
-            TrackState(t=1.0, x=end[0], y=end[1], points=np.empty((0, 4))),
-        ),
-    )
-    seg.r_start, seg.r_end, seg.length, seg.angle_deg = segment_geometry(start, end)
-    return seg
+    return whole_segment(make_track([start, end], dt=1.0, track_id=track_id), seg_index)
 
 
 # --------------------------------------------------------------------- rdp
@@ -186,11 +174,12 @@ def test_split_three_corner_track_four_segments():
 def test_split_segments_share_boundary_and_cover():
     track = make_track([(0.0, 6.0), (0.0, 4.0), (0.0, 2.0), (2.0, 2.0), (4.0, 2.0)])
     segments = split_track(track, 0.5)
-    assert segments[0].states[-1] == segments[1].states[0]
-    total_states = sum(len(s.states) for s in segments)
-    assert total_states == len(track.states) + len(segments) - 1
-    assert segments[0].states[0] == track.states[0]
-    assert segments[-1].states[-1] == track.states[-1]
+    assert all(seg.track is track for seg in segments)
+    assert segments[0].hi == segments[1].lo
+    total_rows = sum(seg.hi - seg.lo + 1 for seg in segments)
+    assert total_rows == len(track) + len(segments) - 1
+    assert segments[0].lo == 0
+    assert segments[-1].hi == len(track) - 1
 
 
 def test_split_too_short_track():
@@ -280,12 +269,13 @@ def test_classify_degenerate_invalid():
     st.floats(1.0, 90.0),
 )
 def test_classify_monotone(length, angle, min_length, max_angle):
-    seg = LinearSegment(parent_track=0, seg_index=0, states=())
+    track = make_track([(0.0, 1.0), (0.0, 2.0)])
+    seg = LinearSegment(track=track, seg_index=0, lo=0, hi=1)
     seg.length, seg.angle_deg = length, angle
     base = classify(seg, min_length, max_angle)
-    longer = LinearSegment(parent_track=0, seg_index=0, states=())
+    longer = LinearSegment(track=track, seg_index=0, lo=0, hi=1)
     longer.length, longer.angle_deg = length * 2, angle
-    straighter = LinearSegment(parent_track=0, seg_index=0, states=())
+    straighter = LinearSegment(track=track, seg_index=0, lo=0, hi=1)
     straighter.length, straighter.angle_deg = length, angle / 2
     if base:
         assert classify(longer, min_length, max_angle)
@@ -297,17 +287,7 @@ def test_classify_monotone(length, angle, min_length, max_angle):
 
 def walkway_segment(t0, track_id=0, seg_index=0, x_off=0.0):
     xy = [(x_off, 6.0 - 0.1 * i) for i in range(41)]  # 6.0 -> 2.0
-    seg = LinearSegment(
-        parent_track=track_id,
-        seg_index=seg_index,
-        states=tuple(
-            TrackState(t=t0 + 0.1 * i, x=x, y=y, points=np.empty((0, 4)))
-            for i, (x, y) in enumerate(xy)
-        ),
-    )
-    seg.r_start, seg.r_end, seg.length, seg.angle_deg = segment_geometry(
-        seg.first_xy, seg.last_xy
-    )
+    seg = whole_segment(make_track(xy, t0=t0, track_id=track_id), seg_index)
     seg.valid = classify(seg, 2.0, 15.0)
     return seg
 

@@ -14,8 +14,8 @@ from gaitpipe.stats import (
     interval_reliability,
     valid_track_stats,
 )
-from gaitpipe.tracker import Track, TrackState
 
+from builders import make_track
 from oracles import anova_icc2k, anova_icc3k, icc_ci_mcgraw_wong
 
 # Shrout & Fleiss (1979), six targets rated by four judges. Published
@@ -280,17 +280,13 @@ def test_valid_track_stats_empty_home_skipped():
 
 
 def straight_track():
-    track = Track(track_id=0)
-    track.states = [
-        TrackState(t=0.1 * i, x=0.3, y=1.0 + 0.2 * i, points=np.empty((0, 4))) for i in range(20)
-    ]
-    return track
+    return make_track([(0.1 * i, 0.3, 1.0 + 0.2 * i, ()) for i in range(20)])
 
 
 def track_heatmap(tracks, cell):
-    """Visit-count grid over every track state, collected as `process` does."""
-    xs = [s.x for tr in tracks for s in tr.states]
-    ys = [s.y for tr in tracks for s in tr.states]
+    """Visit-count grid over every track row, collected as `process` does."""
+    xs = [x for tr in tracks for x in tr.x.tolist()]
+    ys = [y for tr in tracks for y in tr.y.tolist()]
     return heatmap_from_xy(xs, ys, cell)
 
 

@@ -21,8 +21,10 @@ from gaitpipe.tracker import (
     merge_close_detections,
     min_cost_assignment,
     track_frames,
+    track_row,
 )
 
+from builders import dense_home_session, points_by_row, spy_rows
 from oracles import (
     MatrixKalmanCV,
     brute_force_assignment,
@@ -445,33 +447,84 @@ def test_single_walker_single_confirmed_track(single_walker):
     assert len(tracks) == 1
     walker = truth.walkers[0]
     walk_duration = walker.t_end - walker.t_start
-    covered = tracks[0].t_end - tracks[0].t_start
+    covered = tracks[0].t[-1] - tracks[0].t[0]
     assert covered >= 0.9 * walk_duration
 
 
 def test_track_state_times_strictly_increase(single_walker):
     _, session, _ = single_walker
     for track in track_frames(session, PipelineConfig()):
-        times = [s.t for s in track.states]
+        times = track.t.tolist()
         assert all(b > a for a, b in zip(times, times[1:]))
 
 
-def test_track_points_subset_of_frame(single_walker):
+def test_track_points_subset_of_frame(single_walker, monkeypatch):
+    # Each row's detection is a (merged) detection of its frame, and the
+    # points its torso summary was taken from are that frame's.
     _, session, _ = single_walker
-    frames_by_t = {f.t: set(map(tuple, f.points.tolist())) for f in session.frames}
-    for track in track_frames(session, PipelineConfig()):
-        for state in track.states:
-            assert set(map(tuple, state.points.tolist())) <= frames_by_t[state.t]
+    db = PipelineConfig().dbscan
+    calls = spy_rows(monkeypatch)
+    tracks = track_frames(session, PipelineConfig())
+    recorded = points_by_row(calls)
+    frames_by_t = {f.t: f.points for f in session.frames}
+    for track in tracks:
+        for t, x, y, n in zip(track.t.tolist(), track.x.tolist(), track.y.tolist(),
+                              track.n_points.tolist()):
+            frame = frames_by_t[t]
+            detections = merge_close_detections(
+                dbscan(frame, db.eps, db.min_pts, db.min_cluster_size), db.merge_radius
+            )
+            assert n in {len(d.points) for d in detections}
+            assert len(recorded[t, x, y]) == n
+            assert set(map(tuple, recorded[t, x, y].tolist())) <= set(map(tuple, frame.tolist()))
 
 
-def test_tracker_deterministic(single_walker):
+COLUMNS = ("t", "x", "y", "n_points", "torso_mean", "torso_count")
+
+
+def tracked(session, monkeypatch):
+    """Every column of each confirmed track, and the (t, x, y, points) of
+    every row `track_frames` records, confirmed or not."""
+    calls = spy_rows(monkeypatch)
+    tracks = track_frames(session, PipelineConfig())
+    columns = [(tr.track_id, *(getattr(tr, name).tobytes() for name in COLUMNS))
+               for tr in tracks]
+    return columns, [(t, x, y, points.tobytes()) for t, x, y, points in calls]
+
+
+def test_tracker_deterministic(single_walker, monkeypatch):
     _, session, _ = single_walker
-    a = track_frames(session, PipelineConfig())
-    b = track_frames(session, PipelineConfig())
-    def rows(tracks):
-        return [(tr.track_id, s.t, s.x, s.y, s.points.tolist()) for tr in tracks for s in tr.states]
+    assert tracked(session, monkeypatch) == tracked(session, monkeypatch)
 
-    assert rows(a) == rows(b)
+
+def test_track_columns_hold_a_fixed_size_per_row():
+    # Rows hold no points: t, x, y, n_points and the 2-column torso mean
+    # and count are 64 bytes a row, whatever the detections' sizes.
+    tracks = track_frames(dense_home_session(), PipelineConfig())
+    assert tracks
+    for track in tracks:
+        arrays = [getattr(track, f.name) for f in dataclasses.fields(track)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert [a.shape[0] for a in arrays] == [len(track)] * len(COLUMNS)
+        assert sum(a.nbytes for a in arrays) == 64 * len(track)
+
+
+@pytest.mark.parametrize("s", [-1e308, 1e308, -1.7976931348623157e308, 1.7976931348623157e308])
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
+def test_torso_mean_of_huge_dopplers_is_finite(s, n):
+    # The sum of n >= 2 such Dopplers overflows; their mean is finite, and
+    # is the mean of the same Dopplers scaled down by 2**10, scaled back up.
+    def summary(s):
+        """(mean, count) for approach, then for recede."""
+        row = track_row(0.0, 0.0, 2.0, np.array([(0.0, 2.0, 0.0, s)] * n), 0.25)
+        return row[4:6], row[6:8]
+
+    (mean, count), other = summary(s) if s < 0 else summary(s)[::-1]
+    assert count == n and math.isfinite(mean) and other == (0.0, 0)
+    scaled, _ = summary(s / 1024)[0 if s < 0 else 1]
+    assert mean == scaled * 1024
+    if n in (1, 4):  # a power-of-two count divides exactly
+        assert mean == s
 
 
 def test_track_frames_detects_chunks_of_frames(monkeypatch):
@@ -529,14 +582,7 @@ def test_sparse_frames_stack_up_to_chunk_points(monkeypatch):
 
 
 def test_dense_frames_share_calls_only_with_empty_frames(monkeypatch):
-    scene = make_scenario("home_radial", seed=104)
-    scene = dataclasses.replace(scene, walkers=tuple(
-        dataclasses.replace(w, points_torso=w.points_torso * 10,
-                            points_arms=w.points_arms * 10, points_legs=w.points_legs * 10)
-        for w in scene.walkers
-    ))
-    session, _ = simulate(scene)
-    calls = stack_sizes(session, monkeypatch)
+    calls = stack_sizes(dense_home_session(), monkeypatch)
     assert any(max(sizes) > DENSE_FRAME_POINTS for sizes in calls)
     for sizes in calls:
         if max(sizes) > DENSE_FRAME_POINTS:
@@ -576,16 +622,11 @@ def mixed_session(seed: int) -> Session:
 @pytest.mark.parametrize("seed", range(4))
 def test_track_frames_matches_one_call_per_frame(monkeypatch, seed):
     session = mixed_session(seed)
-
-    def rows():
-        return [(tr.track_id, s.t, s.x, s.y, s.points.tobytes())
-                for tr in track_frames(session, PipelineConfig()) for s in tr.states]
-
-    stacked = rows()
-    assert stacked
+    stacked = tracked(session, monkeypatch)
+    assert stacked[0]
     monkeypatch.setattr(gaitpipe.tracker, "_stacks",
                         lambda sizes, dense: ((k, k + 1) for k in range(len(sizes))))
-    assert stacked == rows()
+    assert stacked == tracked(session, monkeypatch)
 
 
 @pytest.mark.parametrize("eps", ["1e153", "1e308"])
@@ -614,7 +655,7 @@ def test_huge_coordinate_alone_in_its_frame():
     frames = [(float(t), pts((1e200, 1.0)) if t == 1 else blob) for t in range(1, 6)]
     session = Session(frame_rate=1.0, site="home", room_label="r", device_id="d", frames=frames)
     (track,) = track_frames(session, PipelineConfig())
-    assert [s.t for s in track.states] == [2.0, 3.0, 4.0, 5.0]
+    assert track.t.tolist() == [2.0, 3.0, 4.0, 5.0]
 
 
 def test_two_separated_walkers_no_identity_swap():
@@ -642,10 +683,10 @@ def test_two_separated_walkers_no_identity_swap():
     for track in tracks:
         dists = {
             w.walker_id: max(
-                math.hypot(*(np.array([s.x, s.y]) - truth_xy(w, s.t)))
-                for s in track.states
+                math.hypot(*(np.array([x, y]) - truth_xy(w, t)))
+                for t, x, y in zip(track.t.tolist(), track.x.tolist(), track.y.tolist())
             )
             for w in truth.walkers
-            if w.t_start <= track.t_start <= w.t_end
+            if w.t_start <= track.t[0] <= w.t_end
         }
         assert min(dists.values()) < 0.5
