@@ -14,6 +14,16 @@ import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from .pointcloud import MAX_COORD_M
+
+# Upper bounds of some fields, beyond finite and positive. eps is a length
+# in the room like a session's coordinates, and bounding both keeps the
+# squared extent of stacked frames' trees finite. The noise levels' squares
+# then keep the Kalman covariance finite over any gap up to
+# pointcloud.MAX_TIME_S.
+MAX_SIGMA = 1e3
+_AT_MOST = {"dbscan.eps": MAX_COORD_M, "tracker.sigma_a": MAX_SIGMA, "tracker.sigma_m": MAX_SIGMA}
+
 
 class ConfigError(ValueError):
     """Invalid configuration value or unreadable config file."""
@@ -71,12 +81,11 @@ class PipelineConfig:
         for section_field in fields(self):
             section = getattr(self, section_field.name)
             for f in fields(section):
-                value = getattr(section, f.name)
+                key, value = f"{section_field.name}.{f.name}", getattr(section, f.name)
                 if not 0 < value < math.inf:
-                    raise ConfigError(
-                        f"{section_field.name}.{f.name} must be finite and positive, "
-                        f"got {value}"
-                    )
+                    raise ConfigError(f"{key} must be finite and positive, got {value}")
+                if value > _AT_MOST.get(key, math.inf):
+                    raise ConfigError(f"{key} must be at most {_AT_MOST[key]:g}, got {value}")
         if not self.gait.min_peak_gap > self.gait.nms_window / 2:
             raise ConfigError(
                 f"gait.min_peak_gap ({self.gait.min_peak_gap}) must exceed half the "

@@ -26,18 +26,22 @@ SITES = ("clinic", "home")
 
 NAME_MAX = 255  # bytes in one file name on common file systems; bounds heatmap_<room>.csv
 
-# m; a point farther out on any axis is dropped at ingest. Indoor radars
-# see a few meters, and the tracker's squared distances of coordinates
-# past about 1e154 overflow.
+# m; a point farther out on any axis is dropped when a Session is built.
+# Indoor radars see a few meters, and the tracker's squared distances of
+# coordinates past about 1e154 overflow; `dbscan.eps` is bounded by it too.
 MAX_COORD_M = 1000.0
+# m/s; a point with a faster Doppler is dropped likewise. People walk at
+# a few m/s, and the torso Doppler sums stay finite far past this.
+MAX_DOPPLER_MS = 1000.0
 # s; a frame line with a later time is malformed. About 317 years, so any
 # recording fits, while the tracker's Kalman covariance overflows only over
 # gaps near 1e77 s.
 MAX_TIME_S = 1e10
 # Bounds of a kept point's x, y, z, s: in front of the sensor (y >= 0),
-# within MAX_COORD_M on each axis, and finite. NaN fails every bound.
-_POINT_LOW = np.array([-MAX_COORD_M, 0.0, -MAX_COORD_M, -np.finfo(float).max])
-_POINT_HIGH = np.array([MAX_COORD_M, MAX_COORD_M, MAX_COORD_M, np.finfo(float).max])
+# within MAX_COORD_M on each axis and MAX_DOPPLER_MS in Doppler. NaN fails
+# every bound.
+_POINT_LOW = np.array([-MAX_COORD_M, 0.0, -MAX_COORD_M, -MAX_DOPPLER_MS])
+_POINT_HIGH = np.array([MAX_COORD_M, MAX_COORD_M, MAX_COORD_M, MAX_DOPPLER_MS])
 # read_session converts the points of plain frame lines with one np.asarray
 # per batch of about this many points; a bigger batch only adds memory.
 BATCH_POINTS = 2048
@@ -87,8 +91,10 @@ class Session:
 
     `points` (N, 4) holds every frame's points back to back, rows x, y, z, s;
     frame k at `times[k]` owns rows `offsets[k]:offsets[k + 1]`. Built from
-    (t, (k, 4) array) pairs; the arrays are read-only: immutable after load;
-    safe to share read-only across threads.
+    (t, (k, 4) array) pairs. However it is built, a session keeps only the
+    points within `_POINT_LOW` and `_POINT_HIGH` and counts the others in
+    `dropped_points`. The arrays are read-only: immutable after load; safe
+    to share read-only across threads.
     """
 
     frame_rate: float
@@ -98,34 +104,34 @@ class Session:
     times: np.ndarray    # (F,)
     points: np.ndarray   # (N, 4)
     offsets: np.ndarray  # (F + 1,)
-    dropped_points: int = 0  # points rejected at ingest (non-finite, beyond MAX_COORD_M, or y < 0)
+    dropped_points: int  # points not kept: non-finite, beyond MAX_COORD_M or MAX_DOPPLER_MS, or y < 0
 
     def __init__(self, frame_rate: float, site: str, room_label: str, device_id: str,
-                 frames: Iterable[tuple[float, np.ndarray]] = (), dropped_points: int = 0):
+                 frames: Iterable[tuple[float, np.ndarray]] = ()):
         frames = list(frames)
-        self._set(frame_rate, site, room_label, device_id, dropped_points,
-                  times=np.array([t for t, _ in frames], dtype=float),
-                  points=np.concatenate([np.empty((0, 4))] + [pts for _, pts in frames]),
-                  offsets=np.cumsum([0] + [len(pts) for _, pts in frames]))
-
-    @classmethod
-    def _from_columns(cls, *args, **columns: np.ndarray) -> Session:
-        """A session over ready `times`, `points` and `offsets` columns; the
-        other arguments are `__init__`'s, with `dropped_points` after `device_id`."""
-        session = cls.__new__(cls)
-        session._set(*args, **columns)
-        return session
+        self._set(frame_rate, site, room_label, device_id,
+                  np.array([t for t, _ in frames], dtype=float),
+                  np.concatenate([np.empty((0, 4))] + [pts for _, pts in frames]),
+                  [len(pts) for _, pts in frames])
 
     def _set(self, frame_rate: float, site: str, room_label: str, device_id: str,
-             dropped_points: int, **columns: np.ndarray) -> None:
+             times: np.ndarray, points: np.ndarray, counts: list[int]) -> None:
+        """Check the metadata and store the columns of frames at `times`
+        holding `counts` of `points` each, less the points out of bounds."""
         if not frame_rate > 0:
             raise ValueError(f"frame_rate must be positive, got {frame_rate}")
         if site not in SITES:
             raise ValueError(f"site must be one of {SITES}, got {site!r}")
+        # Spurious returns behind the sensor plane or out of range are
+        # expected from CFAR output; drop rather than fail the whole session.
+        keep = ((points >= _POINT_LOW) & (points <= _POINT_HIGH)).all(axis=1)
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        columns = dict(times=times, points=points[keep], offsets=kept_before[np.cumsum([0] + counts)])
         for a in columns.values():
             a.flags.writeable = False
         self.__dict__.update(frame_rate=frame_rate, site=site, room_label=room_label,
-                             device_id=device_id, dropped_points=dropped_points, **columns)
+                             device_id=device_id, dropped_points=len(points) - int(kept_before[-1]),
+                             **columns)
 
     @property
     def frames(self) -> tuple[Frame, ...]:
@@ -256,19 +262,12 @@ def read_session(path: str | os.PathLike) -> Session:
     if header is None:
         raise SessionFormatError("empty file: header line required", 1)
 
-    # Spurious returns behind the sensor plane or out of range are expected
-    # from CFAR output; drop rather than fail the whole session.
     points = np.concatenate([np.empty((0, 4))] + chunks)
-    chunks.clear()  # frees the batches before points[keep] copies
-    keep = ((points >= _POINT_LOW) & (points <= _POINT_HIGH)).all(axis=1)
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
-    return Session._from_columns(
-        frame_rate, str(header["site"]), room, str(header["device"]),
-        len(points) - int(kept_before[-1]),
-        times=np.array(times, dtype=float),
-        points=points[keep],
-        offsets=kept_before[np.cumsum([0] + counts)],
-    )
+    chunks.clear()  # frees the batches before the session copies the kept points
+    session = Session.__new__(Session)  # over the columns, with no frame pairs to build
+    session._set(frame_rate, str(header["site"]), room, str(header["device"]),
+                 np.array(times, dtype=float), points, counts)
+    return session
 
 
 def _check_header(obj: dict, lineno: int) -> tuple[float, str]:

@@ -74,15 +74,8 @@ class Track:
 
 
 def _mean(values: list[float]) -> float:
-    """math.fsum(values) / len(values), 0.0 for no values. An overflowing
-    sum is taken over the terms scaled by 2**-k, 2**k > len(values), which
-    is exact for normal floats, so the mean of finite values is finite."""
-    n = len(values)
-    try:
-        return math.fsum(values) / n if n else 0.0
-    except OverflowError:
-        scale = 2.0 ** n.bit_length()
-        return math.fsum(v / scale for v in values) / n * scale
+    """math.fsum(values) / len(values), 0.0 for no values."""
+    return math.fsum(values) / len(values) if values else 0.0
 
 
 def track_row(t: float, x: float, y: float, points: np.ndarray, z_torso: float) -> tuple:
@@ -120,11 +113,11 @@ def dbscan_labels(
     edge once its ends share a root. Each core point's component root is
     the smallest core index in its component, so numbering the roots in
     index order gives the cluster ids. When two or more stacked frames hold
-    points, each point gets a 4th coordinate, 2 * eps times its frame's
-    rank among the non-empty frames: within a frame it adds exactly 0 to
-    the squared distance, across frames at least 4 * eps * eps. cKDTree
-    raises ValueError when that coordinate or the squared extent of the
-    stack overflows.
+    points, each point gets a 4th coordinate, its frame's rank among the
+    non-empty frames times max(2 * eps, 1): within a frame it adds exactly
+    0 to the squared distance, across frames at least max(4 * eps * eps, 1),
+    which no eps, however small, rounds to 0. cKDTree raises ValueError
+    when that coordinate or the squared extent of the stack overflows.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -141,7 +134,7 @@ def dbscan_labels(
         sizes = np.diff(offsets)
         if np.count_nonzero(sizes) > 1:
             rank = np.repeat((sizes > 0).cumsum() - 1, sizes)
-            coords = np.column_stack([xyz, rank * 2.0 * eps])
+            coords = np.column_stack([xyz, rank * max(2.0 * eps, 1.0)])
     # Contiguous columns with i < j, as query_pairs yields them.
     i, j = cKDTree(coords).query_pairs(eps, output_type="ndarray").T.copy()
     core = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1 >= min_pts
@@ -380,12 +373,12 @@ class _LiveTrack:
     ever_confirmed: bool = False
 
 
-def _stacks(sizes: list[int], dense: int) -> Iterator[tuple[int, int]]:
+def _stacks(sizes: list[int]) -> Iterator[tuple[int, int]]:
     """(start, stop) frame ranges that cover frames of the given sizes in order.
 
     A stack takes frames while it holds at most CHUNK_POINTS points, but a
-    frame of more than `dense` points shares its stack only with empty
-    frames: the stack closes before it if it already holds points, and
+    frame of more than DENSE_FRAME_POINTS points shares its stack only with
+    empty frames: the stack closes before it if it already holds points, and
     after it at the next non-empty frame.
     """
     start = held = 0
@@ -393,11 +386,11 @@ def _stacks(sizes: list[int], dense: int) -> Iterator[tuple[int, int]]:
     for k, size in enumerate(sizes):
         if not size:
             continue
-        if held and (held_dense or size > dense or held + size > CHUNK_POINTS):
+        if held and (held_dense or size > DENSE_FRAME_POINTS or held + size > CHUNK_POINTS):
             yield start, k
             start, held = k, 0
         held += size
-        held_dense = size > dense
+        held_dense = size > DENSE_FRAME_POINTS
     if sizes:
         yield start, len(sizes)
 
@@ -411,17 +404,12 @@ def _frame_detections(
     sparse frames share a tree, since fewer calls pay off on them, while a
     dense frame keeps its own, since stacking dense frames slows the neighbor
     search more than it saves in calls. The stacked tree's squared extent
-    must stay finite (see `dbscan_labels`), so a huge eps or huge coordinates
-    fall back to one non-empty frame per stack.
+    stays finite (see `dbscan_labels`): a session's coordinates and the
+    config's eps are at most MAX_COORD_M.
     """
     times, points, offsets = session.times.tolist(), session.points, session.offsets
-    # The stacked tree's squared extent is at most 13 * bound**2: the rank
-    # column's span (a sparse stack has at most CHUNK_POINTS non-empty
-    # frames) plus three axes of width 2 * max |coordinate|.
-    bound = max(2.0 * db.eps * CHUNK_POINTS, float(np.abs(points[:, :3]).max(initial=0.0)))
-    dense = DENSE_FRAME_POINTS if math.isfinite(16.0 * bound * bound) else 0
     firsts = offsets.tolist()
-    for start, stop in _stacks(np.diff(offsets).tolist(), dense):
+    for start, stop in _stacks(np.diff(offsets).tolist()):
         a, b = firsts[start], firsts[stop]
         found = dbscan(points[a:b], db.eps, db.min_pts, db.min_cluster_size,
                        offsets=offsets[start : stop + 1] - a)

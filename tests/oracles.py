@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.stats import f as f_dist
 
-from gaitpipe.pointcloud import MAX_COORD_M
+from gaitpipe.pointcloud import MAX_COORD_M, MAX_DOPPLER_MS
 
 
 def naive_dbscan(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -100,8 +100,9 @@ def reference_frame_points(frame_pts: list) -> tuple:
     An entry is rejected unless it is a 4-element list of JSON numbers:
     ints or floats, not true/false or strings, which float() would also
     take. It is then dropped when non-finite, when |x|, |y| or |z| exceeds
-    MAX_COORD_M, or when y < 0. Integers past the float range are rejected
-    as non-numeric (float() raises OverflowError).
+    MAX_COORD_M, when |s| exceeds MAX_DOPPLER_MS, or when y < 0. Integers
+    past the float range are rejected as non-numeric (float() raises
+    OverflowError).
     """
     kept, dropped = [], 0
     for line, pts in enumerate(frame_pts, start=2):
@@ -119,7 +120,7 @@ def reference_frame_points(frame_pts: list) -> tuple:
             except (TypeError, OverflowError):
                 return ("reject", line, f"non-numeric point entry {raw!r}")
             if (not all(math.isfinite(v) for v in (x, y, z, s)) or y < 0
-                    or max(abs(x), abs(y), abs(z)) > MAX_COORD_M):
+                    or max(abs(x), abs(y), abs(z)) > MAX_COORD_M or abs(s) > MAX_DOPPLER_MS):
                 dropped += 1
             else:
                 frame.append((x, y, z, s))

@@ -13,8 +13,8 @@ import pytest
 import gaitpipe
 import gaitpipe.cli
 from gaitpipe.cli import main
-from gaitpipe.config import PipelineConfig
-from gaitpipe.pointcloud import write_session
+from gaitpipe.config import MAX_SIGMA, PipelineConfig
+from gaitpipe.pointcloud import Session, write_session
 from gaitpipe.simulator import make_scenario, simulate
 from gaitpipe.stats import icc2k, icc3k
 
@@ -234,6 +234,32 @@ def test_bad_config_rejected(sim_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {str(cfg_path)!r}")
     assert "tracker.sigma_a must be finite and positive" in err
+
+
+@pytest.mark.parametrize("key", ["sigma_a", "sigma_m"])
+def test_noise_level_bounded(tmp_path, capsys, key):
+    # At MAX_SIGMA the Kalman covariance stays finite across a gap of nearly
+    # MAX_TIME_S, here 9.9e9 s in the middle of the first walk's track; past
+    # it, sigma**2 could overflow, and process exits 2.
+    sim, _ = simulate(make_scenario("home_radial", seed=6))
+    frames = [(t + 9.9e9 * (t >= 4.0), pts) for t, pts in sim.frames]
+    write_session(Session(sim.frame_rate, sim.site, sim.room_label, sim.device_id, frames),
+                  tmp_path / "gap.session.jsonl")
+    cfg_path = tmp_path / "c.toml"
+
+    def process(value, out):
+        cfg_path.write_text(f"[tracker]\n{key} = {value}\n")
+        return main(["process", "--input", str(tmp_path / "gap.session.jsonl"), "--config",
+                     str(cfg_path), "--out", str(tmp_path / out), "--dump-tracks"])
+
+    assert process(MAX_SIGMA, "ok") == 0
+    for artifact in (tmp_path / "ok").rglob("*"):
+        if artifact.is_file():
+            text = artifact.read_text()
+            assert "NaN" not in text and "Infinity" not in text, artifact.name
+    capsys.readouterr()
+    assert process(1e300, "huge") == 2
+    assert f"tracker.{key} must be at most" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")  # numpy's cast warning would fail the test

@@ -3,11 +3,13 @@ from dataclasses import asdict, fields
 import pytest
 
 from gaitpipe.config import (
+    MAX_SIGMA,
     ConfigError,
     PipelineConfig,
     apply_overrides,
     load_config,
 )
+from gaitpipe.pointcloud import MAX_COORD_M
 
 
 def test_defaults_validate():
@@ -66,6 +68,21 @@ def test_validation_rules(tmp_path):
             load_config(path)
     with pytest.raises(ConfigError, match="finite and positive"):
         apply_overrides(PipelineConfig(), {"gait.z_torso": float("inf")})
+
+
+def test_eps_and_noise_levels_bounded(tmp_path):
+    # eps is a length in the room, bounded as a session's coordinates are;
+    # the noise levels so that their squares keep the Kalman filter finite.
+    path = tmp_path / "cfg.toml"
+    for section, key, bound in (("dbscan", "eps", MAX_COORD_M),
+                                ("tracker", "sigma_a", MAX_SIGMA),
+                                ("tracker", "sigma_m", MAX_SIGMA)):
+        path.write_text(f"[{section}]\n{key} = {bound!r}\n")
+        assert getattr(getattr(load_config(path), section), key) == bound
+        for value in (bound * (1 + 2**-52), 1e153, 1e300):
+            path.write_text(f"[{section}]\n{key} = {value!r}\n")
+            with pytest.raises(ConfigError, match=f"^{section}.{key} must be at most"):
+                load_config(path)
 
 
 def test_nonnumeric_value_rejected(tmp_path):

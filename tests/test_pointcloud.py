@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from gaitpipe.pointcloud import (
     BATCH_POINTS,
     MAX_COORD_M,
+    MAX_DOPPLER_MS,
     MAX_TIME_S,
     Frame,
     NonMonotonicTimeError,
@@ -131,17 +132,28 @@ def test_behind_sensor_and_nonfinite_points_dropped(tmp_path):
 
 
 def test_points_beyond_max_coord_dropped(tmp_path):
-    # Up to MAX_COORD_M on each axis is kept; past it, on any axis, is dropped.
+    # Up to MAX_COORD_M on each axis and MAX_DOPPLER_MS in Doppler is kept;
+    # past it, on any of them, is dropped.
     path = write_lines(
         tmp_path,
         HEADER,
-        '{"t":0.1,"pts":[[-1000,1000,1000,1e300],[1000.5,1,0,1],[0,1000.5,0,1],'
-        '[0,1,-1e200,1],[0,1,0,Infinity]]}',
+        '{"t":0.1,"pts":[[-1000,1000,1000,-1000],[1000.5,1,0,1],[0,1000.5,0,1],'
+        '[0,1,-1e200,1],[0,1,0,Infinity],[0,1,0,1000.5],[0,1,0,-1e300]]}',
     )
     session = read_session(path)
-    assert MAX_COORD_M == 1000.0
-    assert session.dropped_points == 4
-    assert session.frames[0].points.tolist() == [[-1000.0, 1000.0, 1000.0, 1e300]]
+    assert MAX_COORD_M == MAX_DOPPLER_MS == 1000.0
+    assert session.dropped_points == 6
+    assert session.frames[0].points.tolist() == [[-1000.0, 1000.0, 1000.0, -1000.0]]
+
+
+def test_session_built_in_code_drops_points_as_the_reader_does():
+    far, fast = (1e200, 2.0, 0.0, 1.0), (0.5, 2.0, 0.0, 1e308)
+    kept = (0.5, 2.0, 0.0, MAX_DOPPLER_MS)
+    frames = [(0.1, np.array([far, kept])), (0.2, np.array([fast])), (0.3, np.array([kept]))]
+    session = Session(frame_rate=10.0, site="home", room_label="r", device_id="d", frames=frames)
+    assert session.dropped_points == 2
+    assert session.offsets.tolist() == [0, 1, 1, 2]
+    assert session.points.tolist() == [list(kept)] * 2
 
 
 def test_point_order_preserved(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 import gaitpipe.tracker
 from gaitpipe.cli import main
 from gaitpipe.config import DbscanConfig, PipelineConfig
-from gaitpipe.pointcloud import Session, write_session
+from gaitpipe.pointcloud import MAX_COORD_M, MAX_DOPPLER_MS, Session, write_session
 from gaitpipe.simulator import WalkerSpec, SceneSpec, make_scenario, simulate
 from gaitpipe.tracker import (
     CHUNK_POINTS,
@@ -226,6 +226,14 @@ def test_stacked_dbscan_matches_per_frame_calls():
             assert g.frame == k
             assert (g.centroid_x, g.centroid_y) == (w.centroid_x, w.centroid_y)
             assert np.array_equal(g.points, w.points)
+
+
+def test_tiny_eps_keeps_stacked_frames_apart():
+    # Two frames of two identical points each. A rank column of 2 * eps per
+    # frame would square to 0 at this eps and join the frames.
+    xyz = np.array([[0.5, 3.0, 0.0]] * 4)
+    for eps in (1e-100, 1e-200, 5e-324):
+        assert dbscan_labels(xyz, eps, 2, np.array([0, 2, 4])).tolist() == [0, 0, 1, 1]
 
 
 def test_dbscan_centroids_match_np_mean_per_cluster():
@@ -512,19 +520,18 @@ def test_track_columns_hold_a_fixed_size_per_row():
 @pytest.mark.parametrize("s", [-1e308, 1e308, -1.7976931348623157e308, 1.7976931348623157e308])
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
 def test_torso_mean_of_huge_dopplers_is_finite(s, n):
-    # The sum of n >= 2 such Dopplers overflows; their mean is finite, and
-    # is the mean of the same Dopplers scaled down by 2**10, scaled back up.
-    def summary(s):
-        """(mean, count) for approach, then for recede."""
-        row = track_row(0.0, 0.0, 2.0, np.array([(0.0, 2.0, 0.0, s)] * n), 0.25)
-        return row[4:6], row[6:8]
+    # A session drops Dopplers past MAX_DOPPLER_MS, whose sums could
+    # overflow, so the torso means are of Dopplers within it; n of them at
+    # the bound average to the bound exactly.
+    frames = [(0.0, np.array([(0.0, 2.0, 0.0, s)] * n))]
+    session = Session(frame_rate=1.0, site="home", room_label="r", device_id="d", frames=frames)
+    assert (len(session.points), session.dropped_points) == (0, n)
 
-    (mean, count), other = summary(s) if s < 0 else summary(s)[::-1]
-    assert count == n and math.isfinite(mean) and other == (0.0, 0)
-    scaled, _ = summary(s / 1024)[0 if s < 0 else 1]
-    assert mean == scaled * 1024
-    if n in (1, 4):  # a power-of-two count divides exactly
-        assert mean == s
+    bound = math.copysign(MAX_DOPPLER_MS, s)
+    row = track_row(0.0, 0.0, 2.0, np.array([(0.0, 2.0, 0.0, bound)] * n), 0.25)
+    approach, recede = row[4:6], row[6:8]
+    summary, other = (approach, recede) if s < 0 else (recede, approach)
+    assert summary == (bound, n) and other == (0.0, 0)
 
 
 def test_track_frames_detects_chunks_of_frames(monkeypatch):
@@ -625,32 +632,38 @@ def test_track_frames_matches_one_call_per_frame(monkeypatch, seed):
     stacked = tracked(session, monkeypatch)
     assert stacked[0]
     monkeypatch.setattr(gaitpipe.tracker, "_stacks",
-                        lambda sizes, dense: ((k, k + 1) for k in range(len(sizes))))
+                        lambda sizes: ((k, k + 1) for k in range(len(sizes))))
     assert stacked == tracked(session, monkeypatch)
 
 
-@pytest.mark.parametrize("eps", ["1e153", "1e308"])
-def test_huge_eps_gives_the_per_frame_bundle(tmp_path, monkeypatch, eps):
-    # 1e308 overflows the stacked frames' rank column itself, 1e153 only its
-    # square; either way each chunk holds one non-empty frame.
+@pytest.mark.parametrize("eps", ["1000", "1e153", "1e308"])
+def test_huge_eps_gives_the_per_frame_bundle(tmp_path, monkeypatch, capsys, eps):
+    # The largest eps the config takes is MAX_COORD_M, and its stacked frames
+    # give the per-frame bundle. Past it, the stacked trees' squared extent
+    # could overflow (at 1e153) or their rank column itself (at 1e308), and
+    # process exits 2 naming the key.
     session, _ = simulate(make_scenario("home_radial", seed=104))
     write_session(session, tmp_path / "s.session.jsonl")
     (tmp_path / "c.toml").write_text(f"[dbscan]\neps = {eps}\n")
 
     def process(out):
-        assert main(["process", "--input", str(tmp_path / "s.session.jsonl"),
-                     "--config", str(tmp_path / "c.toml"), "--out", str(tmp_path / out)]) == 0
-        return {p.relative_to(tmp_path / out): p.read_bytes()
-                for p in sorted((tmp_path / out).rglob("*")) if p.is_file()}
+        code = main(["process", "--input", str(tmp_path / "s.session.jsonl"),
+                     "--config", str(tmp_path / "c.toml"), "--out", str(tmp_path / out)])
+        return code, {p.relative_to(tmp_path / out): p.read_bytes()
+                      for p in sorted((tmp_path / out).rglob("*")) if p.is_file()}
 
     chunked = process("chunked")
+    if float(eps) > MAX_COORD_M:
+        assert chunked == (2, {}) and "dbscan.eps" in capsys.readouterr().err
+        return
+    assert chunked[0] == 0 and float(eps) == MAX_COORD_M
     monkeypatch.setattr(gaitpipe.tracker, "dbscan", per_frame_dbscan)
     assert chunked == process("per_frame")
 
 
 def test_huge_coordinate_alone_in_its_frame():
-    # A finite point at 1e200 is noise alone in its frame; stacked with the
-    # next frame it would overflow the tree's squared extent.
+    # A session drops a finite point at 1e200, which stacked with the next
+    # frame would overflow the tree's squared extent; its frame is empty.
     blob = pts((0.0, 2.0), (0.1, 2.0), (0.0, 2.1), (0.1, 2.1), (0.05, 2.05))
     frames = [(float(t), pts((1e200, 1.0)) if t == 1 else blob) for t in range(1, 6)]
     session = Session(frame_rate=1.0, site="home", room_label="r", device_id="d", frames=frames)
