@@ -16,13 +16,16 @@ from dataclasses import dataclass, field, fields, replace
 
 from .pointcloud import MAX_COORD_M
 
-# Upper bounds of some fields, beyond finite and positive. eps is a length
-# in the room like a session's coordinates, and bounding both keeps the
+# Bounds of some fields, beyond finite and positive. eps is a length in
+# the room like a session's coordinates, and bounding both keeps the
 # squared extent of stacked frames' trees finite. The noise levels' squares
 # then keep the Kalman covariance finite over any gap up to
-# pointcloud.MAX_TIME_S.
+# pointcloud.MAX_TIME_S, and the measurement noise's square is a normal
+# float, so the filter's innovation variance never underflows to 0.
 MAX_SIGMA = 1e3
+MIN_SIGMA_M = 1e-150
 _AT_MOST = {"dbscan.eps": MAX_COORD_M, "tracker.sigma_a": MAX_SIGMA, "tracker.sigma_m": MAX_SIGMA}
+_AT_LEAST = {"tracker.sigma_m": MIN_SIGMA_M}
 
 
 class ConfigError(ValueError):
@@ -86,6 +89,8 @@ class PipelineConfig:
                     raise ConfigError(f"{key} must be finite and positive, got {value}")
                 if value > _AT_MOST.get(key, math.inf):
                     raise ConfigError(f"{key} must be at most {_AT_MOST[key]:g}, got {value}")
+                if value < _AT_LEAST.get(key, 0):
+                    raise ConfigError(f"{key} must be at least {_AT_LEAST[key]:g}, got {value}")
         if not self.gait.min_peak_gap > self.gait.nms_window / 2:
             raise ConfigError(
                 f"gait.min_peak_gap ({self.gait.min_peak_gap}) must exceed half the "

@@ -3,20 +3,22 @@
 Walkers move along waypoint paths with a cyclic forward-speed profile
 (v = base_speed + speed_amp * sin(2*pi*t/step_period - pi/2), one crest
 per step, starting at a trough) attenuated by smoothstep ramps at the
-start and end of the walk. Each radar frame scatters points over the
+start and end of the walk, each max(step_period/2, base_speed/1.8) s long
+(`WalkerSpec.ramp_time`). Each radar frame scatters points over the
 torso, arms, and legs, with Doppler equal to the radial projection of
 each scatterer's velocity plus noise; the two arms swing counter-phase so
 the backswing arm's Doppler crosses zero and flips sign, exercising the
 torso sign gate. Pets are small, slow, low-elevation scatterer groups
 circling a center.
 
-A walker's spec fields are its path, gait (`base_speed`, `step_period`,
-`speed_amp`, `ramp_time`), start time, points per scatterer group,
-Doppler noise and dropout; a pet's only field is its center; a scene's
-are its walkers, pets, duration, seed, frame rate and room label. The
-rest of a scene is fixed by the module constants below: the phase of the
-speed cycle, the torso band, the arm swing, the position noise, the
-pets' motion and returns, and the device id.
+A walker's spec fields are its path, gait (`base_speed`, `step_period`
+of at least `MIN_STEP_PERIOD`, `speed_amp`), start time, points per
+scatterer group, Doppler noise and dropout; `WalkerSpec` also rejects a
+path too short for the ramps. A pet's only field is its center; a
+scene's are its walkers, pets, duration, seed, frame rate and room
+label. The rest of a scene is fixed by the module constants below: the
+phase of the speed cycle, the torso band, the arm swing, the position
+noise, the pets' motion and returns, and the device id.
 
 Everything is driven by one seeded generator, so a scene spec plus seed
 reproduces its session byte for byte. The nominal step length of a walker
@@ -26,6 +28,7 @@ zero, so the distance between consecutive speed crests is exactly that.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -45,6 +48,7 @@ WALK_PHASE = -math.pi / 2   # phase of the speed cycle: it starts at its trough
 TORSO_HALF_BAND = 0.2       # torso scatterer |z| spread, meters
 ARM_SWING_GAIN = 1.2        # arm swing amplitude, times base_speed
 NOISE_POS = 0.08            # scatterer position noise, meters
+MIN_STEP_PERIOD = 0.1       # s; bounds a walk's step events, one per period
 
 PET_WANDER_RADIUS = 0.4     # m, radius of the circle a pet walks
 PET_SPEED = 0.25            # m/s
@@ -61,7 +65,6 @@ class WalkerSpec:
     step_period: float = 0.55     # s, one speed crest per step
     speed_amp: float = 0.25       # m/s oscillation amplitude
     start_time: float = 1.0       # s into the session
-    ramp_time: float | None = None   # smoothstep ramp duration; default step_period/2
     points_torso: int = 8
     points_arms: int = 4
     points_legs: int = 6
@@ -72,17 +75,25 @@ class WalkerSpec:
         if len(self.path) < 2:
             raise ValueError("walker path needs at least 2 waypoints")
         if not self.base_speed > self.speed_amp >= 0:
+            raise ValueError("need base_speed > speed_amp >= 0 so the torso never reverses")
+        if not self.step_period >= MIN_STEP_PERIOD:
             raise ValueError(
-                "need base_speed > speed_amp >= 0 so the torso never reverses"
+                f"step_period must be at least {MIN_STEP_PERIOD} s, got {self.step_period}"
             )
-        if not self.step_period > 0:
-            raise ValueError(f"step_period must be positive, got {self.step_period}")
-        if self.ramp_time is not None and not self.ramp_time > 0:
-            raise ValueError(f"ramp_time must be positive, got {self.ramp_time}")
         if self.base_speed * self.step_period > 1.0 + 1e-9:
             raise ValueError("nominal step length base_speed*step_period exceeds 1 m")
         if self.start_time < 0:
             raise ValueError("start_time must be >= 0")
+        # Each ramp covers about base_speed * ramp_time / 2, and the walk
+        # needs a cruise at least that long between them.
+        ramps = self.base_speed * self.ramp_time
+        if _arc_lengths(self.path)[-1] <= ramps + ramps / 2:
+            raise ValueError("path too short for the ramp profile")
+
+    @property
+    def ramp_time(self) -> float:
+        """Smoothstep ramp duration: ~1.8 m/s^2 to cruise, but at least half a step."""
+        return max(self.step_period / 2, self.base_speed / 1.8)
 
     @property
     def true_step_length(self) -> float:
@@ -146,6 +157,16 @@ def _smoothstep(u: float) -> float:
     return u * u * (3.0 - 2.0 * u)
 
 
+def _arc_lengths(path) -> np.ndarray:
+    """Arc length at each waypoint of a path, from 0 at the first."""
+    pts = np.asarray(path, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(np.hypot(*(pts[1:] - pts[:-1]).T))])
+
+
+def _cumulative_trapezoid(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0.0], np.cumsum((v[1:] + v[:-1]) / 2 * np.diff(t))])
+
+
 class _WalkKinematics:
     """Arc-length motion of one walker along its path.
 
@@ -157,69 +178,45 @@ class _WalkKinematics:
 
     def __init__(self, spec: WalkerSpec):
         self.spec = spec
-        pts = np.asarray(spec.path, dtype=float)
-        seg_lengths = np.hypot(*(pts[1:] - pts[:-1]).T)
-        self.cum = np.concatenate([[0.0], np.cumsum(seg_lengths)])
-        self.pts = pts
+        self.pts = np.asarray(spec.path, dtype=float)
+        self.cum = _arc_lengths(spec.path)
         self.length = float(self.cum[-1])
-
-        if spec.ramp_time is not None:
-            self.t_ramp = spec.ramp_time
-        else:
-            # Reaching cruise takes longer the faster the walk (~1.8 m/s^2),
-            # never less than half a step.
-            self.t_ramp = max(spec.step_period / 2, spec.base_speed / 1.8)
+        self.t_ramp = spec.ramp_time
         self.omega = 2.0 * math.pi / spec.step_period
         v0, amp, phi = spec.base_speed, spec.speed_amp, WALK_PHASE
 
-        d_out = v0 * self.t_ramp / 2
-        if self.length <= v0 * self.t_ramp + d_out:
-            raise ValueError("path too short for the ramp profile")
-
-        # Ramp-in on a fine grid.
-        grid_in = np.arange(0.0, self.t_ramp + self._DT, self._DT)
-        env = np.array([_smoothstep(u / self.t_ramp) for u in grid_in])
-        v_in = env * (v0 + amp * np.sin(self.omega * grid_in + phi))
-        s_in = np.concatenate([[0.0], np.cumsum((v_in[1:] + v_in[:-1]) / 2 * np.diff(grid_in))])
-        self._grid_in_t, self._grid_in_s, self._grid_in_v = grid_in, s_in, v_in
-        self.s_ramp_in = float(s_in[-1])
+        # Both ramps on one grid: the smoothstep envelope on the way in, its
+        # complement on the way out.
+        self._grid = np.arange(0.0, self.t_ramp + self._DT, self._DT)
+        ramp = np.array([_smoothstep(u / self.t_ramp) for u in self._grid])
+        self._s_in = _cumulative_trapezoid(
+            ramp * (v0 + amp * np.sin(self.omega * self._grid + phi)), self._grid
+        )
+        self.s_ramp_in = float(self._s_in[-1])
 
         # Cruise: closed form, solve for the ramp-out trigger.
         self._cos_ref = math.cos(self.omega * self.t_ramp + phi)
-        target = self.length - d_out
+        target = self.length - v0 * self.t_ramp / 2
         tau1 = self.t_ramp + (target - self.s_ramp_in) / v0
         for _ in range(3):  # Newton refinement against the oscillation term
             err = self._cruise_s(tau1) - target
             tau1 -= err / max(v0 - amp, 1e-6)
         self.tau1 = max(tau1, self.t_ramp)
 
-        # Ramp-out on a fine grid.
-        grid_out = np.arange(0.0, self.t_ramp + self._DT, self._DT)
-        env = np.array([1.0 - _smoothstep(u / self.t_ramp) for u in grid_out])
-        v_out = env * (
-            v0 + amp * np.sin(self.omega * (self.tau1 + grid_out) + phi)
+        self._s_out = self._cruise_s(self.tau1) + _cumulative_trapezoid(
+            (1.0 - ramp) * (v0 + amp * np.sin(self.omega * (self.tau1 + self._grid) + phi)),
+            self._grid,
         )
-        s_out = self._cruise_s(self.tau1) + np.concatenate(
-            [[0.0], np.cumsum((v_out[1:] + v_out[:-1]) / 2 * np.diff(grid_out))]
-        )
-        self._grid_out_t, self._grid_out_s, self._grid_out_v = grid_out, s_out, v_out
-
         self.tau_end = self.tau1 + self.t_ramp
         self.t_start = spec.start_time
         self.t_end = spec.start_time + self.tau_end
 
-        # Step events: speed crests of the underlying cycle during the walk.
+        # Step events: speed crests of the underlying cycle during the walk,
+        # the first half a step in.
         crest0 = (math.pi / 2 - phi) / self.omega
-        while crest0 < 0:
-            crest0 += spec.step_period
-        self.step_times = []
-        k = 0
-        while True:
-            tc = crest0 + k * spec.step_period
-            if tc > self.tau_end:
-                break
-            self.step_times.append(spec.start_time + tc)
-            k += 1
+        crests = (crest0 + k * spec.step_period for k in itertools.count())
+        walk = itertools.takewhile(lambda tc: tc <= self.tau_end, crests)
+        self.step_times = [spec.start_time + tc for tc in walk]
 
     def _cruise_s(self, tau: float) -> float:
         spec = self.spec
@@ -239,14 +236,14 @@ class _WalkKinematics:
         spec = self.spec
         base = spec.base_speed + spec.speed_amp * math.sin(self.omega * tau + WALK_PHASE)
         if tau <= self.t_ramp:
-            s = float(np.interp(tau, self._grid_in_t, self._grid_in_s))
+            s = float(np.interp(tau, self._grid, self._s_in))
             v = _smoothstep(tau / self.t_ramp) * base
         elif tau <= self.tau1:
             s = self._cruise_s(tau)
             v = base
         else:
             u = tau - self.tau1
-            s = float(np.interp(u, self._grid_out_t, self._grid_out_s))
+            s = float(np.interp(u, self._grid, self._s_out))
             v = (1.0 - _smoothstep(u / self.t_ramp)) * base
         return min(s, self.length), v
 
@@ -259,13 +256,6 @@ class _WalkKinematics:
         seg_len = float(np.hypot(*seg))
         u = 0.0 if seg_len == 0 else (s - self.cum[i]) / seg_len
         return self.pts[i] + u * seg, seg / max(seg_len, 1e-12)
-
-
-def _radial_doppler(points: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-    """Radial projection of a shared velocity onto each 3D point's unit vector."""
-    r = np.linalg.norm(points, axis=1)
-    r = np.where(r < 1e-9, 1e-9, r)
-    return (points @ velocity) / r
 
 
 def _scatter_group(
@@ -285,8 +275,10 @@ def _scatter_group(
     xy = center + rng.normal(0.0, pos_sigma, size=(n, 2))
     z = rng.uniform(z_low, z_high, size=n)
     pts3 = np.column_stack([xy, z])
-    vel3 = np.array([velocity_xy[0], velocity_xy[1], 0.0])
-    doppler = _radial_doppler(pts3, vel3) + rng.normal(0.0, noise_doppler, size=n)
+    # The radial projection of the group's velocity onto each point's unit vector.
+    r = np.linalg.norm(pts3, axis=1)
+    radial = (pts3 @ np.array([velocity_xy[0], velocity_xy[1], 0.0])) / np.where(r < 1e-9, 1e-9, r)
+    doppler = radial + rng.normal(0.0, noise_doppler, size=n)
     rows = np.concatenate([pts3, doppler[:, None]], axis=1)
     return rows[(rng.random(n) >= dropout) & (np.abs(doppler) >= MIN_DOPPLER) & (xy[:, 1] >= 0)]
 
@@ -297,69 +289,48 @@ def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
     kinematics = [_WalkKinematics(w) for w in scene.walkers]
 
     n_frames = int(round(scene.duration * scene.frame_rate))
-    frame_times = [k / scene.frame_rate for k in range(n_frames)]
-
     truth_samples: list[list[TruthSample]] = [[] for _ in scene.walkers]
-    peak_flags: list[set[int]] = []
-    for kin in kinematics:
-        flags = set()
-        for tc in kin.step_times:
-            idx = int(round(tc * scene.frame_rate))
-            if 0 <= idx < n_frames:
-                flags.add(idx)
-        peak_flags.append(flags)
+    peak_flags = [{round(tc * scene.frame_rate) for tc in kin.step_times} for kin in kinematics]
 
     frames = []
-    for idx, t in enumerate(frame_times):
+    for idx in range(n_frames):
+        t = idx / scene.frame_rate
         pts: list[np.ndarray] = [_NO_POINTS]
         for w_i, (spec, kin) in enumerate(zip(scene.walkers, kinematics)):
             if not kin.active(t):
                 continue
             s, speed = kin.arc_state(t)
             center, direction = kin.position(s)
-            velocity = speed * direction
-            truth_samples[w_i].append(
-                TruthSample(
-                    t=round(t, 6),
-                    x=float(center[0]),
-                    y=float(center[1]),
-                    speed=speed,
-                    is_step_peak=idx in peak_flags[w_i],
-                )
-            )
-
-            pts.append(_scatter_group(
-                rng, center, spec.points_torso, NOISE_POS,
-                -TORSO_HALF_BAND, TORSO_HALF_BAND,
-                velocity, spec.noise_doppler, spec.dropout,
+            truth_samples[w_i].append(TruthSample(
+                t=round(t, 6), x=float(center[0]), y=float(center[1]), speed=speed,
+                is_step_peak=idx in peak_flags[w_i],
             ))
+
             # Two arms anti-phase at the stride period: the backswing arm's
             # Doppler flips sign (rejected by the torso gate), the forward
             # arm reads faster than the torso.
             tau = t - kin.t_start
-            envelope = _smoothstep(tau / kin.t_ramp)
-            swing = envelope * (ARM_SWING_GAIN * spec.base_speed) * math.sin(
-                kin.omega * tau / 2 + WALK_PHASE
+            swing = _smoothstep(tau / kin.t_ramp) * (ARM_SWING_GAIN * spec.base_speed)
+            swing *= math.sin(kin.omega * tau / 2 + WALK_PHASE)
+            leg_speeds = [
+                max(0.0, 1.0 + 1.2 * math.sin(kin.omega * tau + WALK_PHASE + math.pi * leg)) * speed
+                for leg in (0, 1)
+            ]
+            half_arms, half_legs = spec.points_arms // 2, spec.points_legs // 2
+            # Per part: points, position noise, z band and speed. Hands reach
+            # hip level; the legs fill z from the hips down, keeping the
+            # person one density-connected cluster.
+            parts = (
+                (spec.points_torso, NOISE_POS, -TORSO_HALF_BAND, TORSO_HALF_BAND, speed),
+                (half_arms, 1.5 * NOISE_POS, -0.5, 0.35, speed + swing),
+                (spec.points_arms - half_arms, 1.5 * NOISE_POS, -0.5, 0.35, speed - swing),
+                (half_legs, NOISE_POS, -1.0, -0.15, leg_speeds[0]),
+                (spec.points_legs - half_legs, NOISE_POS, -1.0, -0.15, leg_speeds[1]),
             )
-            half_arms = spec.points_arms // 2
-            for arm_sign, n_arm in ((+1, half_arms), (-1, spec.points_arms - half_arms)):
-                # Hands reach hip level, so arm returns span below the torso.
+            for n, pos_sigma, z_low, z_high, part_speed in parts:
                 pts.append(_scatter_group(
-                    rng, center, n_arm, 1.5 * NOISE_POS,
-                    -0.5, 0.35,
-                    (speed + arm_sign * swing) * direction,
-                    spec.noise_doppler, spec.dropout,
-                ))
-            half = spec.points_legs // 2
-            for leg, n_leg in ((0, half), (1, spec.points_legs - half)):
-                factor = 1.0 + 1.2 * math.sin(kin.omega * tau + WALK_PHASE + math.pi * leg)
-                leg_speed = max(0.0, factor) * speed
-                # Lower body fills z from the hips down, keeping the
-                # person one density-connected cluster.
-                pts.append(_scatter_group(
-                    rng, center, n_leg, NOISE_POS,
-                    -1.0, -0.15,
-                    leg_speed * direction, spec.noise_doppler, spec.dropout,
+                    rng, center, n, pos_sigma, z_low, z_high,
+                    part_speed * direction, spec.noise_doppler, spec.dropout,
                 ))
 
         for pet in scene.pets:

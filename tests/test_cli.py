@@ -13,7 +13,7 @@ import pytest
 import gaitpipe
 import gaitpipe.cli
 from gaitpipe.cli import main
-from gaitpipe.config import MAX_SIGMA, PipelineConfig
+from gaitpipe.config import MAX_SIGMA, MIN_SIGMA_M, PipelineConfig
 from gaitpipe.pointcloud import Session, write_session
 from gaitpipe.simulator import make_scenario, simulate
 from gaitpipe.stats import icc2k, icc3k
@@ -52,12 +52,23 @@ def test_simulate_unknown_scenario(tmp_path):
     assert main(["simulate", "--scenario", "nope", "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("period", ["0", "nan"])
+@pytest.mark.parametrize("period", ["0", "nan", "1e-3"])
 def test_simulate_bad_step_period_exit_2(tmp_path, capsys, period):
     assert main(["simulate", "--scenario", "clinic_control", "--step-period", period,
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "step_period must be positive" in err and "Traceback" not in err
+    assert "step_period must be at least 0.1 s" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario,speed", [("clinic_control", "3"), ("home_L_shape", "3.2")])
+def test_simulate_fast_gait_too_long_for_path_exit_2(tmp_path, capsys, scenario, speed):
+    # At 3 m/s the ramps and a cruise need more than the preset's path: bad
+    # flags, found while building the scene, before any file is written.
+    assert main(["simulate", "--scenario", scenario, "--base-speed", speed,
+                 "--step-period", "0.3", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid scenario parameters: path too short for the ramp profile" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("scenario,n_walks,message", [
@@ -260,6 +271,27 @@ def test_noise_level_bounded(tmp_path, capsys, key):
     capsys.readouterr()
     assert process(1e300, "huge") == 2
     assert f"tracker.{key} must be at most" in capsys.readouterr().err
+
+
+def test_tiny_noise_levels(tmp_path, capsys):
+    # Both squares of 1e-300 underflow to 0, and the Kalman update divided
+    # by an innovation variance of 0. At MIN_SIGMA_M the walk is tracked.
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scenario", "clinic_control", "--seed", "3",
+                 "--out", str(sim)]) == 0
+    cfg_path = tmp_path / "c.toml"
+
+    def process(sigma_m, out):
+        cfg_path.write_text(f"[tracker]\nsigma_a = 1e-300\nsigma_m = {sigma_m!r}\n")
+        return main(["process", "--input", str(sim / "clinic_control-3.session.jsonl"),
+                     "--config", str(cfg_path), "--out", str(tmp_path / out)])
+
+    capsys.readouterr()
+    assert process(1e-300, "tiny") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {str(cfg_path)!r}")
+    assert "tracker.sigma_m must be at least 1e-150" in err and "Traceback" not in err
+    assert process(MIN_SIGMA_M, "ok") == 0
 
 
 @pytest.mark.filterwarnings("error")  # numpy's cast warning would fail the test

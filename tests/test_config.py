@@ -1,9 +1,11 @@
+import sys
 from dataclasses import asdict, fields
 
 import pytest
 
 from gaitpipe.config import (
     MAX_SIGMA,
+    MIN_SIGMA_M,
     ConfigError,
     PipelineConfig,
     apply_overrides,
@@ -83,6 +85,19 @@ def test_eps_and_noise_levels_bounded(tmp_path):
             path.write_text(f"[{section}]\n{key} = {value!r}\n")
             with pytest.raises(ConfigError, match=f"^{section}.{key} must be at most"):
                 load_config(path)
+
+
+def test_measurement_noise_bounded_below(tmp_path):
+    # sigma_m's square must stay a normal float: the Kalman update divides
+    # by the innovation variance, which is at least that square.
+    path = tmp_path / "cfg.toml"
+    path.write_text(f"[tracker]\nsigma_m = {MIN_SIGMA_M!r}\n")
+    assert load_config(path).tracker.sigma_m == MIN_SIGMA_M
+    assert MIN_SIGMA_M**2 >= sys.float_info.min
+    for value in (MIN_SIGMA_M * (1 - 2**-52), 1e-200, 1e-300):
+        path.write_text(f"[tracker]\nsigma_m = {value!r}\n")
+        with pytest.raises(ConfigError, match="^tracker.sigma_m must be at least 1e-150"):
+            load_config(path)
 
 
 def test_nonnumeric_value_rejected(tmp_path):

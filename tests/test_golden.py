@@ -12,7 +12,15 @@ import pytest
 
 from gaitpipe.cli import main
 from gaitpipe.pointcloud import write_session
-from gaitpipe.simulator import SCENARIO_NAMES, make_scenario, simulate
+from gaitpipe.simulator import (
+    SCENARIO_NAMES,
+    PetSpec,
+    SceneSpec,
+    WalkerSpec,
+    make_scenario,
+    simulate,
+    write_truth,
+)
 
 GOLDEN = {
     ("clinic_control", 7, "clinic"): {
@@ -94,6 +102,33 @@ GOLDEN_DENSE = {
     "heatmap_living.csv": "7dba2473ea0f74d8dbe8a063dfc0197fe67b0f7999baf563ae177803239010ff",
 }
 
+# A scene no preset covers: odd arm and leg counts (so the two arms and
+# the two legs draw different numbers of points), a pet, no speed
+# oscillation, no dropout and a repeated waypoint (a zero-length segment).
+ODD_SCENE = SceneSpec(
+    name="odd",
+    site="home",
+    duration=10.0,
+    seed=31,
+    walkers=(WalkerSpec(
+        walker_id="w",
+        path=((0.2, 6.0), (0.2, 3.5), (0.2, 3.5), (1.8, 2.0)),
+        base_speed=1.1,
+        step_period=0.5,
+        speed_amp=0.0,
+        start_time=0.7,
+        points_torso=7,
+        points_arms=5,
+        points_legs=7,
+        dropout=0.0,
+    ),),
+    pets=(PetSpec(center=(-1.5, 3.0)),),
+)
+GOLDEN_ODD = {
+    "session.jsonl": "9492be2e12447d14f7b99e2b1b2b1f0c05eccf21f4a7d5805bd91fabc41af515",
+    "truth.jsonl": "e4a9a5ef9da60947c42e09fa01cb98c7df522287e2150938c6851fff839159a6",
+}
+
 
 def _process_digests(tmp_path, session_path, stem, mode, walklog=None, dump_tracks=False):
     out = tmp_path / "out"
@@ -137,6 +172,17 @@ def test_golden_outputs(tmp_path, scenario, seed, mode):
     walklog = sim / f"{stem}.walklog.json" if mode == "clinic" else None
     digests = _process_digests(tmp_path, sim / f"{stem}.session.jsonl", stem, mode, walklog)
     assert digests == GOLDEN[(scenario, seed, mode)]
+
+
+def test_golden_odd_scene(tmp_path):
+    session, truth = simulate(ODD_SCENE)
+    write_session(session, tmp_path / "odd.session.jsonl")
+    write_truth(truth, tmp_path / "odd.truth.jsonl")
+    digests = {
+        p.name.split(".", 1)[1]: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.iterdir()
+    }
+    assert digests == GOLDEN_ODD
 
 
 def test_golden_dense_outputs(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from gaitpipe.pointcloud import write_session
 from gaitpipe.simulator import (
+    MIN_STEP_PERIOD,
     SCENARIO_NAMES,
     PetSpec,
     SceneSpec,
@@ -128,17 +129,37 @@ def test_walker_spec_validation():
     with pytest.raises(ValueError):
         SceneSpec(name="x", site="home", duration=0.0, seed=1)
     # A negative period never reaches the first speed crest; 0 and NaN
-    # would fail only later, inside the kinematics.
+    # would fail only later, inside the kinematics; 1e-3 would hold a
+    # thousand step events per second of walk.
     path = ((0, 5), (0, 1))
-    for value in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="step_period must be positive"):
+    for value in (0.0, -1.0, math.nan, 1e-3, MIN_STEP_PERIOD * (1 - 2**-52)):
+        with pytest.raises(ValueError, match="step_period must be at least 0.1 s"):
             WalkerSpec(walker_id="w", path=path, step_period=value)
-        with pytest.raises(ValueError, match="ramp_time must be positive"):
-            WalkerSpec(walker_id="w", path=path, ramp_time=value)
+    for value in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             SceneSpec(name="x", site="home", duration=value, seed=1)
         with pytest.raises(ValueError):
             SceneSpec(name="x", site="home", duration=9.0, seed=1, frame_rate=value)
+
+
+def test_ramp_time_rule():
+    # Reaching cruise takes longer the faster the walk, never less than
+    # half a step; the kinematics take the spec's rule.
+    slow = WalkerSpec(walker_id="w", path=((0, 5), (0, 1)), base_speed=0.5, step_period=1.5)
+    fast = WalkerSpec(walker_id="w", path=((0, 5), (0, 1)), base_speed=1.8, step_period=0.5)
+    assert slow.ramp_time == 0.75 == _WalkKinematics(slow).t_ramp
+    assert fast.ramp_time == 1.0 == _WalkKinematics(fast).t_ramp
+    WalkerSpec(walker_id="w", path=((0, 5), (0, 1)), step_period=MIN_STEP_PERIOD)
+
+
+def test_path_too_short_rejected_by_spec():
+    # 4 m at 3 m/s: the two ramps alone cover about 5 m.
+    with pytest.raises(ValueError, match="path too short for the ramp profile"):
+        WalkerSpec(walker_id="w", path=((0, 6), (0, 2)), base_speed=3.0, step_period=0.3)
+    # Just over the 1.5 * base_speed * ramp_time that the ramps and the
+    # shortest cruise take.
+    WalkerSpec(walker_id="w", path=((0, 6), (0, 6 - 1.5 * 3.0 * (3.0 / 1.8) - 1e-6)),
+               base_speed=3.0, step_period=0.3)
 
 
 def test_scenario_library_presets():
