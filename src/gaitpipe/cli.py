@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, PipelineConfig, apply_overrides, load_config
-from .pointcloud import atomic_write_text, json_float, read_session, write_session
+from .pointcloud import MAX_COORD_M, atomic_write_text, json_float, read_session, write_session
 from .segmenter import read_walklog, write_walklog
 from .simulator import SCENARIO_NAMES, make_scenario, read_truth_header, simulate, write_truth
 from .stats import (
@@ -126,17 +126,17 @@ def _segments_csv(segments) -> str:
 def _process_one(session_path: str, *args) -> dict:
     """Write one session's bundle and return its summary for report.json.
 
-    On failure the summary is {"stem", "error", "exit_code"}: exit code 2
-    for bad input, 1 for a bug, which also carries its "traceback" text.
-    One bad session never loses the others.
+    On failure the summary is {"stem", "file", "error", "exit_code"}: exit
+    code 2 for bad input, 1 for a bug, which also carries its "traceback"
+    text. One bad session never loses the others.
     """
-    stem = _session_stem(Path(session_path))
+    failed = {"stem": _session_stem(Path(session_path)), "file": session_path}
     try:
         return _write_bundle(session_path, *args)
     except _INPUT_ERRORS as exc:
-        return {"stem": stem, "error": str(exc), "exit_code": EXIT_INPUT}
+        return {**failed, "error": str(exc), "exit_code": EXIT_INPUT}
     except Exception as exc:  # invariant violation
-        return {"stem": stem, "error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_INTERNAL,
+        return {**failed, "error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_INTERNAL,
                 "traceback": traceback.format_exc()}
 
 
@@ -292,6 +292,12 @@ def cmd_process(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- evaluate
 
 
+# A step length is at most MAX_COORD_M, estimate or reference, and a
+# reference at least MIN_REFERENCE_M: then every error, percent error and
+# ICC that evaluate writes is finite.
+MIN_REFERENCE_M = 1e-3
+
+
 def _read_walks(path) -> list[dict]:
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -350,6 +356,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             outcomes.append((walk_type, est is not None))
             if est is None:
                 continue
+            if abs(est) > MAX_COORD_M:
+                raise InputError(f"walks {str(walks_file)!r}: walk {stem}/{ordinal} has "
+                                 f"estimate {est} m, beyond {MAX_COORD_M:g} m")
             if args.reference is not None:
                 key = f"{stem}/{ordinal}"
                 if key not in reference:
@@ -362,8 +371,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 if walkers is None:
                     walkers = _read("ground truth", truth_path, read_truth_header)["walkers"]
                 ref, source = _truth_reference(walkers, record), f"ground truth {str(truth_path)!r}"
-            if not ref > 0:
-                raise InputError(f"{source}: walk {stem}/{ordinal} has reference {ref}, not > 0")
+            if not MIN_REFERENCE_M <= ref <= MAX_COORD_M:
+                raise InputError(f"{source}: walk {stem}/{ordinal} has reference {ref} m, "
+                                 f"not in [{MIN_REFERENCE_M:g}, {MAX_COORD_M:g}] m")
             pairs.append((est, ref, walk_type))
 
     out = Path(args.out)

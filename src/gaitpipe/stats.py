@@ -19,6 +19,9 @@ import numpy as np
 from scipy.special import fdtri
 
 _DEGENERATE_TOL = 1e-12
+# Ratings up to this magnitude keep every sum of squares, and so the mean
+# squares and the ICC estimates, finite.
+MAX_RATING = 1e100
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,10 @@ class RatingsMatrix:
             raise ValueError(f"need at least 2 subjects and 2 raters, got {n}x{k}")
         if not np.isfinite(values).all():
             raise ValueError("ratings must be finite with no missing entries")
+        over = np.flatnonzero((np.abs(values) > MAX_RATING).any(axis=1))
+        if over.size:
+            raise ValueError(f"ratings must be at most {MAX_RATING:g} in magnitude; "
+                             f"row {over[0] + 1} is {values[over[0]].tolist()}")
         object.__setattr__(self, "values", values)
 
 

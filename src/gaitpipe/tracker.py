@@ -16,7 +16,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .config import DbscanConfig, PipelineConfig, TrackerConfig
@@ -269,10 +268,17 @@ def min_cost_assignment(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]
 
     Returns the matched (row, col) pairs and their total cost. Rectangular
     matrices match min(rows, cols) pairs.
+
+    scipy.optimize (about 11 MB) loads on the first call. `associate` calls
+    this only for a frame with tracks and detections to assign and more
+    than one of either, so a session that only ever tracks one person
+    never loads it.
     """
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
     if cost.size == 0:
         return [], 0.0
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     pairs = list(zip(rows.tolist(), cols.tolist()))
     return pairs, float(cost[rows, cols].sum())

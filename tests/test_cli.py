@@ -456,7 +456,8 @@ def test_bad_session_does_not_stop_batch(sim_dir, tmp_path, capsys):
     report = json.loads(trees[0]["report.json"])
     failed = report["sessions"]["b"]
     assert failed["exit_code"] == 2 and "b.session.jsonl" in failed["error"]
-    assert sorted(failed) == ["error", "exit_code"]
+    assert sorted(failed) == ["error", "exit_code", "file"]
+    assert failed["file"] == str(sessions / "b.session.jsonl")
     # Totals count only the sessions that succeeded.
     one = report["sessions"]["a"]
     assert report["sessions"]["c"] == one
@@ -485,7 +486,8 @@ def test_bug_in_batch_outranks_bad_input(sim_dir, tmp_path, capsys, monkeypatch)
     # The bug keeps its traceback on stderr, which names the raising function.
     assert "Traceback" in text and "broken_for_c" in text
     sessions = json.loads((out / "report.json").read_text())["sessions"]
-    assert sessions["c"] == {"error": "ValueError: invariant violated", "exit_code": 1}
+    assert sessions["c"] == {"error": "ValueError: invariant violated", "exit_code": 1,
+                             "file": str(tmp_path / "in" / "c.session.jsonl")}
     assert "n_walks" in sessions["a"]
 
 
@@ -724,25 +726,76 @@ def test_evaluate_malformed_walks_exit_2(tmp_path, capsys, line, field):
     assert str(results / "s" / "walks.jsonl") in err and "line 2" in err and field in err
 
 
-@pytest.mark.parametrize("value", [0, -0.5])
-@pytest.mark.parametrize("source", ["truth", "reference", "walks"])
-def test_evaluate_non_positive_reference_exit_2(tmp_path, capsys, source, value):
-    record = {**_WALK, "reference_step_length": value} if source == "walks" else _WALK
-    results = _results_tree(tmp_path, record)
+def _evaluate_two_walks(tmp_path, source, first, second):
+    """evaluate walks s/0 and s/1 with references `first` and `second` from `source`.
+
+    Returns the exit code, the file named as the source, and the output
+    directory.
+    """
+    walks = [_WALK, {**_WALK, "t_start": 20.0, "avg_step_len_m": 0.6}]
+    if source == "walks":
+        walks = [{**w, "reference_step_length": r} for w, r in zip(walks, (first, second))]
+    results = _results_tree(tmp_path, *walks)
     truth = tmp_path / "truth"
     truth.mkdir()
     (truth / "s.truth.jsonl").write_text(json.dumps(
         {"format": "gaitpipe-truth",
-         "walkers": [{"t_start": 2.0, "t_end": 9.0, "true_step_length": value}]}) + "\n")
+         "walkers": [{"t_start": 2.0, "t_end": 9.0, "true_step_length": first},
+                     {"t_start": 20.0, "t_end": 29.0, "true_step_length": second}]}) + "\n")
     ref = tmp_path / "ref.csv"
-    ref.write_text(f"key,reference_m\ns/0,{value}\n")
+    ref.write_text(f"key,reference_m\ns/0,{first!r}\ns/1,{second!r}\n")
     named = {"truth": truth / "s.truth.jsonl", "reference": ref,
              "walks": results / "s" / "walks.jsonl"}[source]
     how = ["--reference", str(ref)] if source == "reference" else ["--truth", str(truth)]
-    code = main(["evaluate", "--results", str(results), *how, "--out", str(tmp_path / "ev")])
+    out = tmp_path / "ev"
+    code = main(["evaluate", "--results", str(results), *how, "--out", str(out)])
+    return code, named, out
+
+
+@pytest.mark.parametrize("value", [0, -0.5])
+@pytest.mark.parametrize("source", ["truth", "reference", "walks"])
+def test_evaluate_non_positive_reference_exit_2(tmp_path, capsys, source, value):
+    code, named, _ = _evaluate_two_walks(tmp_path, source, value, 0.55)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and str(named) in err and "s/0" in err
+
+
+@pytest.mark.parametrize("first,second,walk", [(1e300, 2e300, "s/0"), (1e308, 1.7e308, "s/0"),
+                                               (0.5, 1e300, "s/1"), (1e-310, 0.5, "s/0")])
+@pytest.mark.parametrize("source", ["truth", "reference", "walks"])
+def test_evaluate_reference_out_of_range_exit_2(tmp_path, capsys, source, first, second, walk):
+    # Finite but huge (or tiny) references overflowed the errors and the ICC
+    # into NaN and Infinity; now the first one out of range names its walk.
+    code, named, out = _evaluate_two_walks(tmp_path, source, first, second)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and str(named) in err and f"walk {walk} " in err
+    assert "not in [0.001, 1000] m" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["truth", "reference", "walks"])
+def test_evaluate_references_at_the_bounds_stay_finite(tmp_path, capsys, source):
+    code, _, out = _evaluate_two_walks(tmp_path, source, 1e-3, 1000.0)
+    assert code == 0
+    for name in ("report.json", "icc.json", "error_table.csv"):
+        text = (out / name).read_text()
+        assert "NaN" not in text and "Infinity" not in text and "inf" not in text, name
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("estimate", [1e300, -1.7e308, 1000.5])
+def test_evaluate_huge_estimate_exit_2(tmp_path, capsys, estimate):
+    results = _results_tree(tmp_path, _WALK, {**_WALK, "avg_step_len_m": estimate})
+    ref = tmp_path / "ref.csv"
+    ref.write_text("key,reference_m\ns/0,0.55\ns/1,0.55\n")
+    code = main(["evaluate", "--results", str(results), "--reference", str(ref),
+                 "--out", str(tmp_path / "ev")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(results / "s" / "walks.jsonl") in err and "walk s/1 " in err
+    assert "beyond 1000 m" in err and not (tmp_path / "ev").exists()
 
 
 @pytest.mark.parametrize(
@@ -774,6 +827,26 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
+def test_process_loads_the_assignment_solver_only_for_two_people(sim_dir, tmp_path):
+    # One person never makes an assignment bigger than 1x1, so a clinic
+    # session runs without scipy.optimize (about 11 MB); two residents need it.
+    assert main(["simulate", "--scenario", "two_residents", "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    src = str(Path(gaitpipe.__file__).resolve().parents[1])
+    probe = ("import sys\n"
+             "from gaitpipe.cli import main\n"
+             "seen = ['scipy.optimize' in sys.modules]\n"
+             "for path, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+             "    code = main(['process', '--input', path, '--out', out])\n"
+             "    seen.append((code, 'scipy.optimize' in sys.modules))\n"
+             "print(seen)\n")
+    argv = [str(sim_dir / "clinic_control-5.session.jsonl"), str(tmp_path / "clinic"),
+            str(tmp_path / "two_residents-1.session.jsonl"), str(tmp_path / "home")]
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.splitlines()[-1] == "[False, (0, False), (0, True)]"
+
+
 def test_icc_command(tmp_path, capsys):
     rng = np.random.default_rng(4)
     matrix = rng.normal(0.6, 0.1, size=(10, 2))
@@ -790,3 +863,16 @@ def test_icc_command(tmp_path, capsys):
     bad.write_text("a,b\n1,2\n")
     assert main(["icc", "--matrix", str(bad)]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("huge", ["1e300", "1.7e308"])
+def test_icc_huge_ratings_exit_2(tmp_path, capsys, huge):
+    # These ratings are finite, but their squares overflowed to an ICC of NaN.
+    path = tmp_path / "huge.csv"
+    path.write_text(f"0.5,0.6\n-{huge},{huge}\n{huge},-{huge}\n")
+    out = tmp_path / "icc.json"
+    assert main(["icc", "--matrix", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: ratings matrix {str(path)!r}")
+    assert "at most 1e+100 in magnitude; row 2 is" in captured.err
+    assert "Traceback" not in captured.err and captured.out == "" and not out.exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaitpipe.stats import (
+    MAX_RATING,
     RatingsMatrix,
     _mean_squares,
     detection_rate,
@@ -41,6 +42,19 @@ def test_ratings_matrix_validation():
         RatingsMatrix(np.zeros((3, 1)))
     with pytest.raises(ValueError):
         RatingsMatrix(np.array([[1.0, np.nan], [2.0, 3.0]]))
+
+
+def test_ratings_bounded_so_the_icc_stays_finite():
+    # Up to MAX_RATING every ICC estimate is finite (the interval may be
+    # NaN by design); one rating past it is rejected, naming its row.
+    signs = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+    at_bound = RatingsMatrix(signs * MAX_RATING)
+    assert math.isfinite(icc2k(at_bound).icc) and math.isfinite(icc3k(at_bound).icc)
+    for huge in (np.nextafter(MAX_RATING, np.inf), 1e300, 1.7e308):
+        values = signs.copy()
+        values[2, 1] = -huge
+        with pytest.raises(ValueError, match=r"at most 1e\+100 in magnitude; row 3 is"):
+            RatingsMatrix(values)
 
 
 def test_icc_perfect_agreement():
