@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, PipelineConfig, apply_overrides, load_config
+from .config import ConfigError, PipelineConfig, load_config
 from .pointcloud import MAX_COORD_M, atomic_write_text, json_float, read_session, write_session
 from .segmenter import read_walklog, write_walklog
 from .simulator import SCENARIO_NAMES, make_scenario, read_truth_header, simulate, write_truth
@@ -171,6 +171,8 @@ def _write_bundle(
                                   tr.n_points.tolist())
         ]
         atomic_write_text(session_out / "tracks.jsonl", "\n".join(lines) + ("\n" if lines else ""))
+    else:  # a rerun without --dump-tracks leaves no earlier run's tracks
+        (session_out / "tracks.jsonl").unlink(missing_ok=True)
 
     xs = [x for tr in result.tracks for x in tr.x.tolist()]
     ys = [y for tr in result.tracks for y in tr.y.tolist()]
@@ -207,22 +209,10 @@ def _collect_sessions(input_arg: str) -> list[Path]:
     return [path]
 
 
-def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
-    cfg = _read("config", args.config, load_config)
-    overrides = {
-        "segmenter.rdp_epsilon": args.rdp_epsilon,
-        "segmenter.min_length": args.min_length,
-        "segmenter.max_angle_deg": args.max_angle_deg,
-        "gait.z_torso": args.z_torso,
-        "gait.min_peak_gap": args.min_peak_gap,
-    }
-    return apply_overrides(cfg, overrides)
-
-
 def cmd_process(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
-    cfg = _load_cfg(args)
+    cfg = _read("config", args.config, load_config)
     sessions = _collect_sessions(args.input)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -387,16 +377,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     writer.writerow(["walk_type", "n", "mean_cm", "sd_cm", "mean_pct", "sd_pct"])
     rows = list(summary.by_type.items()) + [("all", summary.overall)]
     for name, row in rows:
-        writer.writerow(
-            [
-                name,
-                row.n,
-                f"{row.mean_cm:.4f}",
-                "" if row.sd_cm is None else f"{row.sd_cm:.4f}",
-                f"{row.mean_pct:.4f}",
-                "" if row.sd_pct is None else f"{row.sd_pct:.4f}",
-            ]
-        )
+        values = (row.mean_cm, row.sd_cm, row.mean_pct, row.sd_pct)
+        writer.writerow([name, row.n] + ["" if v is None else f"{v:.4f}" for v in values])
     atomic_write_text(out / "error_table.csv", buf.getvalue())
 
     report = {
@@ -426,11 +408,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         }
         _json_dump(icc_report, out / "icc.json")
 
-    print(
-        f"evaluated {len(pairs)} measured walks "
-        f"(detection {rate.detected}/{rate.total}); "
-        f"mean error {summary.overall.mean_cm:.2f} cm / {summary.overall.mean_pct:.2f}%"
-    )
+    error = (f"mean error {summary.overall.mean_cm:.2f} cm / {summary.overall.mean_pct:.2f}%"
+             if pairs else "no walk was measured, so no mean error")
+    print(f"evaluated {len(pairs)} measured walks (detection {rate.detected}/{rate.total}); {error}")
     return EXIT_OK
 
 
@@ -482,11 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_proc.add_argument("--out", required=True)
     p_proc.add_argument("--jobs", type=int, default=1)
     p_proc.add_argument("--dump-tracks", action="store_true")
-    p_proc.add_argument("--rdp-epsilon", type=float, default=None)
-    p_proc.add_argument("--min-length", type=float, default=None)
-    p_proc.add_argument("--max-angle-deg", type=float, default=None)
-    p_proc.add_argument("--z-torso", type=float, default=None)
-    p_proc.add_argument("--min-peak-gap", type=float, default=None)
     p_proc.set_defaults(func=cmd_process)
 
     p_eval = sub.add_parser("evaluate", help="join estimates to ground truth or a reference")

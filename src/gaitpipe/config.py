@@ -3,8 +3,9 @@
 Defaults follow the operating values the pipeline was designed around:
 RDP tolerance 0.5 m, segment validity thresholds (2 m length, 15 deg from
 the radial axis), torso elevation gate 0.25 m, 0.4 s peak suppression
-window, and 0.3 s minimum peak-to-peak time. Everything is overridable via
-a TOML-style config file with [section] key = value lines.
+window, and 0.3 s minimum peak-to-peak time. Every one is set by a
+TOML-style config file with [section] key = value lines, or in code; a
+PipelineConfig checks its values when it is built.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .pointcloud import MAX_COORD_M
 
@@ -79,8 +80,10 @@ class PipelineConfig:
     gait: GaitConfig = field(default_factory=GaitConfig)
     reporting: ReportingConfig = field(default_factory=ReportingConfig)
 
-    def validate(self) -> "PipelineConfig":
-        # Every field is a count or a size.
+    def __post_init__(self) -> None:
+        """Raise ConfigError unless every value is in range, so a config is
+        valid once built, from a file or in code. Every field is a count or
+        a size."""
         for section_field in fields(self):
             section = getattr(self, section_field.name)
             for f in fields(section):
@@ -96,7 +99,6 @@ class PipelineConfig:
                 f"gait.min_peak_gap ({self.gait.min_peak_gap}) must exceed half the "
                 f"suppression window ({self.gait.nms_window / 2})"
             )
-        return self
 
     def check_frame_rate(self, frame_rate: float, source: str = "") -> None:
         """Raise ConfigError unless gait.nms_window covers two frame intervals.
@@ -130,7 +132,7 @@ def load_config(path: str | os.PathLike | None) -> PipelineConfig:
     typos never silently fall back to defaults.
     """
     if path is None:
-        return PipelineConfig().validate()
+        return PipelineConfig()
 
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
@@ -154,16 +156,5 @@ def load_config(path: str | os.PathLike | None) -> PipelineConfig:
             ftype = {"float": float, "int": int}[known[key]]
             kwargs[key] = _coerce(f"{section}.{key}", raw, ftype)
         sections[section] = section_type(**kwargs)
-    return PipelineConfig(**sections).validate()
-
-
-def apply_overrides(cfg: PipelineConfig, overrides: dict[str, float | None]) -> PipelineConfig:
-    """Apply dotted-name overrides such as {'segmenter.rdp_epsilon': 0.4}."""
-    for dotted, value in overrides.items():
-        if value is None:
-            continue
-        section_name, _, key = dotted.partition(".")
-        section = getattr(cfg, section_name)
-        cfg = replace(cfg, **{section_name: replace(section, **{key: value})})
-    return cfg.validate()
+    return PipelineConfig(**sections)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -313,16 +312,23 @@ def write_session(session: Session, path: str | os.PathLike) -> None:
         "device": session.device_id,
     }
     lines = [json.dumps(header)]
-    for t, pts in session.frames:
-        text = ",".join(["[{:.6f},{:.6f},{:.6f},{:.6f}]"] * len(pts)).format(*pts.ravel().tolist())
+    values = session.points.ravel().tolist()  # four per point
+    offsets = session.offsets.tolist()
+    for t, lo, hi in zip(session.times.tolist(), offsets, offsets[1:]):
+        text = ",".join(["[{:.6f},{:.6f},{:.6f},{:.6f}]"] * (hi - lo)).format(*values[4 * lo:4 * hi])
         lines.append(f'{{"t":{t:.6f},"pts":[{text}]}}')
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then rename it into place.
+
+    The temp file is created as open() creates a file, with mode 0o666 less
+    the umask, so the artifact gets the mode a plain write would give it.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -148,9 +148,9 @@ def icc3k(m: RatingsMatrix | np.ndarray | Sequence, confidence: float = 0.95) ->
 @dataclass(frozen=True)
 class ErrorRow:
     n: int
-    mean_cm: float
-    sd_cm: float | None
-    mean_pct: float
+    mean_cm: float | None  # None when n is 0
+    sd_cm: float | None    # None when n is under 2
+    mean_pct: float | None
     sd_pct: float | None
 
 
@@ -190,7 +190,7 @@ def error_table(
         )
 
     if not all_errors:
-        empty = ErrorRow(0, 0.0, None, 0.0, None)
+        empty = ErrorRow(0, None, None, None, None)
         return ErrorSummary(by_type={}, overall=empty)
     return ErrorSummary(
         by_type={name: row(errs) for name, errs in sorted(groups.items())},

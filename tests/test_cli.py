@@ -2,6 +2,9 @@ import configparser
 import csv
 import json
 import os
+import re
+import shutil
+import stat
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -316,29 +319,100 @@ def test_heatmap_cell_bounded_per_room(tmp_path, capsys):
         assert not (out / "heatmap_living.csv").exists()
 
 
-def test_parameter_override_flags(sim_dir, tmp_path):
+def test_parameters_come_from_the_config_file(sim_dir, tmp_path):
     session = str(sim_dir / "home_radial-6.session.jsonl")
-    out = tmp_path / "strict"
+    cfg_path = tmp_path / "c.toml"
+
+    def process(text, out):
+        cfg_path.write_text(text)
+        return main(["process", "--input", session, "--config", str(cfg_path),
+                     "--out", str(tmp_path / out)])
+
     # An impossible alignment gate filters every segment out.
-    assert main(["process", "--input", session, "--max-angle-deg", "0.001",
-                 "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
+    assert process("[segmenter]\nmax_angle_deg = 0.001\n", "strict") == 0
+    report = json.loads((tmp_path / "strict" / "report.json").read_text())
     assert report["n_walks"] == 0
     assert report["config"]["segmenter"]["max_angle_deg"] == 0.001
 
-    out2 = tmp_path / "loose"
-    assert main(["process", "--input", session, "--rdp-epsilon", "0.8",
-                 "--min-length", "1.0", "--z-torso", "0.3",
-                 "--min-peak-gap", "0.35", "--out", str(out2)]) == 0
-    cfg = json.loads((out2 / "report.json").read_text())["config"]
+    assert process("[segmenter]\nrdp_epsilon = 0.8\nmin_length = 1.0\n"
+                   "[gait]\nz_torso = 0.3\nmin_peak_gap = 0.35\n", "loose") == 0
+    cfg = json.loads((tmp_path / "loose" / "report.json").read_text())["config"]
     assert cfg["segmenter"]["rdp_epsilon"] == 0.8
     assert cfg["segmenter"]["min_length"] == 1.0
     assert cfg["gait"]["z_torso"] == 0.3
     assert cfg["gait"]["min_peak_gap"] == 0.35
 
-    # Overrides are validated like config files.
-    assert main(["process", "--input", session, "--min-peak-gap", "0.1",
-                 "--out", str(tmp_path / "bad")]) == 2
+    assert process("[gait]\nmin_peak_gap = 0.1\n", "bad") == 2
+
+
+def test_process_options(capsys):
+    # Pipeline parameters have one source, the config file: no flag sets one.
+    with pytest.raises(SystemExit) as exc:
+        main(["process", "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+        "--help", "--input", "--config", "--mode", "--walklog", "--out", "--jobs", "--dump-tracks"}
+
+
+def test_parameter_flag_rejected(sim_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["process", "--input", str(sim_dir / "home_radial-6.session.jsonl"),
+              "--rdp-epsilon", "0.8", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rdp-epsilon 0.8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_artifacts_get_the_umask_mode(sim_dir, tmp_path, umask, mode):
+    # Each artifact is renamed into place from a temp file made 0o600.
+    out = tmp_path / "o"
+    old = os.umask(umask)
+    try:
+        assert main(["process", "--input", str(sim_dir / "home_radial-6.session.jsonl"),
+                     "--dump-tracks", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {str(p.relative_to(out)): stat.S_IMODE(p.stat().st_mode)
+             for p in out.rglob("*") if p.is_file()}
+    assert modes == {name: mode for name in ("report.json", "heatmap_living.csv",
+                                             "home_radial-6/walks.jsonl",
+                                             "home_radial-6/segments.csv",
+                                             "home_radial-6/tracks.jsonl")}
+
+
+def test_rerun_without_dump_tracks_leaves_no_tracks(sim_dir, tmp_path):
+    session = str(sim_dir / "home_radial-6.session.jsonl")
+    out = tmp_path / "o"
+    assert main(["process", "--input", session, "--dump-tracks", "--out", str(out)]) == 0
+    assert (out / "home_radial-6" / "tracks.jsonl").is_file()
+    assert main(["process", "--input", session, "--out", str(out)]) == 0
+    assert main(["process", "--input", session, "--out", str(tmp_path / "fresh")]) == 0
+    assert read_tree(out) == read_tree(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("name,message", [("missing", "input {} does not exist"),
+                                          ("empty", "no session files found in {}")])
+def test_process_input_without_session_files_exit_2(tmp_path, capsys, name, message):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "a.truth.jsonl").write_text("{}\n")  # never taken for a session
+    path = tmp_path / name
+    assert main(["process", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path)}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_plain_jsonl_sessions_leave_out_truth_files(sim_dir, tmp_path):
+    # With no *.session.jsonl in a directory, its *.jsonl files are the
+    # sessions, less the *.truth.jsonl ground truth.
+    inp = tmp_path / "in"
+    inp.mkdir()
+    shutil.copy(sim_dir / "home_radial-6.session.jsonl", inp / "a.jsonl")
+    shutil.copy(sim_dir / "home_radial-6.truth.jsonl", inp / "a.truth.jsonl")
+    out = tmp_path / "o"
+    assert main(["process", "--input", str(inp), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert list(report["sessions"]) == ["a"] and report["n_measured"] == 2
 
 
 def test_malformed_session_exit_2(tmp_path, capsys):
@@ -648,6 +722,18 @@ def test_evaluate_requires_one_source(tmp_path):
     assert main(["evaluate", "--results", str(tmp_path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("sessions", [[], ["s"]], ids=["empty", "session_without_walks"])
+def test_evaluate_results_without_walks_exit_2(tmp_path, capsys, sessions):
+    results = tmp_path / "results"
+    results.mkdir()
+    for stem in sessions:
+        (results / stem).mkdir()
+    assert main(["evaluate", "--results", str(results), "--truth", str(tmp_path),
+                 "--out", str(tmp_path / "ev")]) == 2
+    assert capsys.readouterr().err == f"error: no walks.jsonl files under {results}\n"
+    assert not (tmp_path / "ev").exists()
+
+
 def test_evaluate_missing_truth_file(sim_dir, tmp_path):
     proc = tmp_path / "proc"
     assert main(["process", "--input", str(sim_dir / "home_radial-6.session.jsonl"),
@@ -724,6 +810,26 @@ def test_evaluate_malformed_walks_exit_2(tmp_path, capsys, line, field):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert str(results / "s" / "walks.jsonl") in err and "line 2" in err and field in err
+
+
+def test_evaluate_with_no_measured_walk_reports_no_mean(tmp_path, capsys):
+    # A walk without an estimate counts for detection only.
+    results = _results_tree(tmp_path, {**_WALK, "avg_step_len_m": None})
+    ref = tmp_path / "ref.csv"
+    ref.write_text("key,reference_m\ns/0,0.55\n")
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--results", str(results), "--reference", str(ref),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ("evaluated 0 measured walks (detection 0/1); "
+                                       "no walk was measured, so no mean error\n")
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_pairs"] == 0
+    assert report["error"] == {"by_type": {}, "overall": {
+        "n": 0, "mean_cm": None, "sd_cm": None, "mean_pct": None, "sd_pct": None}}
+    assert (report["detection"]["detected"], report["detection"]["total"]) == (0, 1)
+    assert (out / "error_table.csv").read_text() == (
+        "walk_type,n,mean_cm,sd_cm,mean_pct,sd_pct\nall,0,,,,\n")
+    assert not (out / "icc.json").exists()
 
 
 def _evaluate_two_walks(tmp_path, source, first, second):

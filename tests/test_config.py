@@ -7,8 +7,8 @@ from gaitpipe.config import (
     MAX_SIGMA,
     MIN_SIGMA_M,
     ConfigError,
+    GaitConfig,
     PipelineConfig,
-    apply_overrides,
     load_config,
 )
 from gaitpipe.pointcloud import MAX_COORD_M
@@ -64,12 +64,23 @@ def test_validation_rules(tmp_path):
     with pytest.raises(ConfigError):
         load_config(path)
     for line in ("[tracker]\nsigma_a = inf\n", "[tracker]\nsigma_m = inf\n",
-                 "[dbscan]\neps = nan\n"):
+                 "[dbscan]\neps = nan\n", "[gait]\nz_torso = inf\n"):
         path.write_text(line)
         with pytest.raises(ConfigError, match="finite and positive"):
             load_config(path)
-    with pytest.raises(ConfigError, match="finite and positive"):
-        apply_overrides(PipelineConfig(), {"gait.z_torso": float("inf")})
+
+
+def test_config_built_in_code_is_checked_like_a_file(tmp_path):
+    # A PipelineConfig is valid once built: in code or from a file, the same
+    # values raise the same error.
+    path = tmp_path / "cfg.toml"
+    path.write_text("[gait]\nmin_peak_gap = 0.1\n")
+    with pytest.raises(ConfigError) as from_file:
+        load_config(path)
+    with pytest.raises(ConfigError) as in_code:
+        PipelineConfig(gait=GaitConfig(min_peak_gap=0.1))
+    assert str(in_code.value) == str(from_file.value)
+    assert str(in_code.value).startswith("gait.min_peak_gap (0.1) must exceed half")
 
 
 def test_eps_and_noise_levels_bounded(tmp_path):
@@ -110,18 +121,6 @@ def test_nonnumeric_value_rejected(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.toml")
-
-
-def test_apply_overrides():
-    cfg = apply_overrides(
-        PipelineConfig(),
-        {"segmenter.rdp_epsilon": 0.6, "gait.z_torso": 0.2, "gait.min_peak_gap": None},
-    )
-    assert cfg.segmenter.rdp_epsilon == 0.6
-    assert cfg.gait.z_torso == 0.2
-    assert cfg.gait.min_peak_gap == 0.3  # None means "leave alone"
-    with pytest.raises(ConfigError):
-        apply_overrides(PipelineConfig(), {"gait.min_peak_gap": 0.1})
 
 
 def test_config_asdict_holds_every_section_field():
