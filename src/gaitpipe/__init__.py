@@ -8,7 +8,7 @@ tables, ICC reliability) round out the toolkit.
 """
 
 from .config import PipelineConfig, load_config
-from .pointcloud import Frame, Session, read_session, write_session
+from .pointcloud import Session, read_session, write_session
 from .tracker import Detection, Track, track_frames
 from .segmenter import LinearSegment, WalkLog, WalkEntry, match_clinic_walks, split_track
 from .gaitmetrics import StepMeasurement, TorsoSpeedSeries, WalkResult, analyze_segment
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PipelineConfig",
     "load_config",
-    "Frame",
     "Session",
     "read_session",
     "write_session",

@@ -97,11 +97,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _session_stem(path: Path) -> str:
-    name = path.name
-    for suffix in (".session.jsonl", ".jsonl"):
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return path.stem
+    suffix = ".session.jsonl"
+    return path.name[: -len(suffix)] if path.name.endswith(suffix) else path.stem
 
 
 def _segments_csv(segments) -> str:
@@ -123,36 +120,40 @@ def _segments_csv(segments) -> str:
     return buf.getvalue()
 
 
-def _process_one(session_path: str, *args) -> dict:
+def _process_one(session_path: str, cfg: PipelineConfig, mode: str, out_dir: str,
+                 dump_tracks: bool) -> dict:
     """Write one session's bundle and return its summary for report.json.
 
     On failure the summary is {"stem", "file", "error", "exit_code"}: exit
     code 2 for bad input, 1 for a bug, which also carries its "traceback"
-    text. One bad session never loses the others.
+    text, and no bundle file of the session is left, an earlier run's
+    neither. One bad session never loses the others.
     """
-    failed = {"stem": _session_stem(Path(session_path)), "file": session_path}
+    stem = _session_stem(Path(session_path))
+    if stem in ("", ".", ".."):  # the stem names a directory under out_dir
+        return {"stem": stem, "file": session_path, "exit_code": EXIT_INPUT,
+                "error": f"session {session_path!r}: stem {stem!r} is not a directory name"}
     try:
-        return _write_bundle(session_path, *args)
+        return _write_bundle(session_path, cfg, mode, out_dir, dump_tracks)
     except _INPUT_ERRORS as exc:
-        return {**failed, "error": str(exc), "exit_code": EXIT_INPUT}
+        failed = {"error": str(exc), "exit_code": EXIT_INPUT}
     except Exception as exc:  # invariant violation
-        return {**failed, "error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_INTERNAL,
-                "traceback": traceback.format_exc()}
+        failed = {"error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_INTERNAL,
+                  "traceback": traceback.format_exc()}
+    bundle = Path(out_dir) / stem
+    if bundle.is_dir():
+        for name in ("walks.jsonl", "segments.csv", "tracks.jsonl"):
+            (bundle / name).unlink(missing_ok=True)
+    return {"stem": stem, "file": session_path, **failed}
 
 
-def _write_bundle(
-    session_path: str,
-    cfg: PipelineConfig,
-    mode: str,
-    walklog_path: str | None,
-    out_dir: str,
-    dump_tracks: bool,
-) -> dict:
+def _write_bundle(session_path: str, cfg: PipelineConfig, mode: str, out_dir: str,
+                  dump_tracks: bool) -> dict:
     path = Path(session_path)
     stem = _session_stem(path)
     session = _read("session", session_path, read_session)
     sibling = path.with_name(f"{stem}.walklog.json")
-    walklog = _read("walk log", walklog_path or sibling, read_walklog) if mode == "clinic" else None
+    walklog = _read("walk log", sibling, read_walklog) if mode == "clinic" else None
     cfg.check_frame_rate(session.frame_rate, f"session {session_path!r}: ")
     result = process_session(session, cfg, mode=mode, walklog=walklog)
 
@@ -198,10 +199,6 @@ def _collect_sessions(input_arg: str) -> list[Path]:
     if path.is_dir():
         found = sorted(path.glob("*.session.jsonl"))
         if not found:
-            found = sorted(
-                p for p in path.glob("*.jsonl") if not p.name.endswith(".truth.jsonl")
-            )
-        if not found:
             raise InputError(f"no session files found in {path}")
         return found
     if not path.exists():
@@ -217,7 +214,7 @@ def cmd_process(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(str(p), cfg, args.mode, args.walklog, str(out), args.dump_tracks) for p in sessions]
+    jobs = [(str(p), cfg, args.mode, str(out), args.dump_tracks) for p in sessions]
 
     workers = min(args.jobs, len(jobs))
     if workers > 1:
@@ -249,6 +246,10 @@ def cmd_process(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"reporting.heatmap_cell, room {room!r}: {exc}") from None
         atomic_write_text(out / f"heatmap_{room}.csv", grid.to_csv())
+    written = {f"heatmap_{room}.csv" for room in per_room_xy}
+    for stale in out.glob("heatmap_*.csv"):  # rooms this run did not see
+        if stale.name not in written:
+            stale.unlink()
 
     rate = detection_rate(outcomes)
     tracks_stats = valid_track_stats(valid_flags)
@@ -407,6 +408,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             }
         }
         _json_dump(icc_report, out / "icc.json")
+    else:  # no earlier run's ICC beside this run's report
+        (out / "icc.json").unlink(missing_ok=True)
 
     error = (f"mean error {summary.overall.mean_cm:.2f} cm / {summary.overall.mean_pct:.2f}%"
              if pairs else "no walk was measured, so no mean error")
@@ -458,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_proc.add_argument("--input", required=True, help="session file or directory")
     p_proc.add_argument("--config", default=None)
     p_proc.add_argument("--mode", choices=MODES, default="home")
-    p_proc.add_argument("--walklog", default=None)
     p_proc.add_argument("--out", required=True)
     p_proc.add_argument("--jobs", type=int, default=1)
     p_proc.add_argument("--dump-tracks", action="store_true")

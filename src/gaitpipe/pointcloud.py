@@ -72,17 +72,6 @@ class Frame(NamedTuple):
     t: float
     points: np.ndarray
 
-    # Tuple equality would compare the arrays elementwise and raise on the
-    # ambiguous truth value, so both operators compare the arrays whole.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return self.t == other.t and np.array_equal(self.points, other.points)
-
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class Session:

@@ -94,7 +94,6 @@ def test_process_clinic_and_evaluate(sim_dir, tmp_path):
             "process",
             "--input", str(sim_dir / "clinic_control-5.session.jsonl"),
             "--mode", "clinic",
-            "--walklog", str(sim_dir / "clinic_control-5.walklog.json"),
             "--out", str(out),
             "--dump-tracks",
         ]
@@ -143,6 +142,38 @@ def test_process_clinic_without_walklog(sim_dir, tmp_path):
     lone.write_bytes(session.read_bytes())
     assert main(["process", "--input", str(lone), "--mode", "clinic",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_walklog_flag_rejected(sim_dir, tmp_path, capsys):
+    # A session's walk log is only ever the <stem>.walklog.json beside it.
+    with pytest.raises(SystemExit) as exc:
+        main(["process", "--input", str(sim_dir / "clinic_control-5.session.jsonl"),
+              "--mode", "clinic", "--walklog", str(sim_dir / "clinic_control-5.walklog.json"),
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --walklog" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_clinic_batch_matches_each_session_to_its_own_walk_log(sim_dir, tmp_path):
+    batch = tmp_path / "in"
+    assert main(["simulate", "--scenario", "clinic_fast", "--seed", "9",
+                 "--out", str(batch)]) == 0
+    for name in ("session.jsonl", "walklog.json"):
+        shutil.copy(sim_dir / f"clinic_control-5.{name}", batch)
+    assert main(["process", "--input", str(batch), "--mode", "clinic",
+                 "--out", str(tmp_path / "both")]) == 0
+    for stem, walk_type, step in (("clinic_control-5", "control", 0.55),
+                                  ("clinic_fast-9", "fast", 0.6525)):
+        walks = (tmp_path / "both" / stem / "walks.jsonl").read_text()
+        records = [json.loads(line) for line in walks.splitlines()]
+        assert len(records) == 2
+        assert {(r["walk_type"], r["reference_step_length"]) for r in records} == {
+            (walk_type, step)}
+        alone = tmp_path / stem
+        assert main(["process", "--input", str(batch / f"{stem}.session.jsonl"),
+                     "--mode", "clinic", "--out", str(alone)]) == 0
+        assert (alone / stem / "walks.jsonl").read_text() == walks
 
 
 def test_readme_python_blocks_run():
@@ -351,7 +382,7 @@ def test_process_options(capsys):
         main(["process", "--help"])
     assert exc.value.code == 0
     assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
-        "--help", "--input", "--config", "--mode", "--walklog", "--out", "--jobs", "--dump-tracks"}
+        "--help", "--input", "--config", "--mode", "--out", "--jobs", "--dump-tracks"}
 
 
 def test_parameter_flag_rejected(sim_dir, tmp_path, capsys):
@@ -391,6 +422,48 @@ def test_rerun_without_dump_tracks_leaves_no_tracks(sim_dir, tmp_path):
     assert read_tree(out) == read_tree(tmp_path / "fresh")
 
 
+@pytest.mark.parametrize("failure", ["input", "bug"])
+def test_failed_rerun_leaves_no_earlier_bundle(sim_dir, tmp_path, capsys, monkeypatch, failure):
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for name in ("session.jsonl", "walklog.json"):
+        shutil.copy(sim_dir / f"clinic_control-5.{name}", inp)
+    session = inp / "clinic_control-5.session.jsonl"
+    out = tmp_path / "o"
+    args = ["process", "--input", str(session), "--mode", "clinic", "--dump-tracks",
+            "--out", str(out)]
+    assert main(args) == 0
+    assert {p.name for p in (out / "clinic_control-5").iterdir()} == {
+        "walks.jsonl", "segments.csv", "tracks.jsonl"}
+    if failure == "input":
+        with open(session, "a") as fh:
+            fh.write("{bad\n")
+    else:
+        def broken(*args, **kwargs):
+            raise ValueError("invariant violated")
+
+        monkeypatch.setattr("gaitpipe.cli.process_session", broken)
+    assert main(args) == {"input": 2, "bug": 1}[failure]
+    # Nothing of the first run is left to be taken for this run's result.
+    assert sorted(p.name for p in out.rglob("*") if p.is_file()) == ["report.json"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_walks"] == 0 and "error" in report["sessions"]["clinic_control-5"]
+    capsys.readouterr()
+    assert main(["evaluate", "--results", str(out), "--truth", str(sim_dir),
+                 "--out", str(tmp_path / "ev")]) == 2
+    assert f"no walks.jsonl files under {out}" in capsys.readouterr().err
+
+
+def test_rerun_keeps_only_its_own_rooms_heatmaps(sim_dir, tmp_path):
+    out = tmp_path / "o"
+    assert main(["process", "--input", str(sim_dir / "home_radial-6.session.jsonl"),
+                 "--out", str(out)]) == 0
+    assert (out / "heatmap_living.csv").is_file()
+    assert main(["process", "--input", str(sim_dir / "clinic_control-5.session.jsonl"),
+                 "--mode", "clinic", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("heatmap_*.csv")) == ["heatmap_walkway.csv"]
+
+
 @pytest.mark.parametrize("name,message", [("missing", "input {} does not exist"),
                                           ("empty", "no session files found in {}")])
 def test_process_input_without_session_files_exit_2(tmp_path, capsys, name, message):
@@ -402,15 +475,17 @@ def test_process_input_without_session_files_exit_2(tmp_path, capsys, name, mess
     assert not (tmp_path / "o").exists()
 
 
-def test_plain_jsonl_sessions_leave_out_truth_files(sim_dir, tmp_path):
-    # With no *.session.jsonl in a directory, its *.jsonl files are the
-    # sessions, less the *.truth.jsonl ground truth.
+def test_directory_sessions_are_session_jsonl_files(sim_dir, tmp_path, capsys):
+    # In a directory only *.session.jsonl files are sessions; a file named
+    # on its own is one whatever its name.
     inp = tmp_path / "in"
     inp.mkdir()
     shutil.copy(sim_dir / "home_radial-6.session.jsonl", inp / "a.jsonl")
-    shutil.copy(sim_dir / "home_radial-6.truth.jsonl", inp / "a.truth.jsonl")
-    out = tmp_path / "o"
-    assert main(["process", "--input", str(inp), "--out", str(out)]) == 0
+    assert main(["process", "--input", str(inp), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: no session files found in {inp}\n"
+    assert not (tmp_path / "o").exists()
+    out = tmp_path / "one"
+    assert main(["process", "--input", str(inp / "a.jsonl"), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert list(report["sessions"]) == ["a"] and report["n_measured"] == 2
 
@@ -458,10 +533,12 @@ _ENTRY = {"participant": "p1", "walk_index": 0, "walk_type": "control", "t_start
          "t_start_past_float_range", "t_start_bool", "fractional_index"],
 )
 def test_malformed_walklog_exit_2(sim_dir, tmp_path, capsys, walklog, field):
+    session = tmp_path / "bad.session.jsonl"
+    shutil.copy(sim_dir / "clinic_control-5.session.jsonl", session)
     path = tmp_path / "bad.walklog.json"
     path.write_text(walklog if isinstance(walklog, str) else json.dumps(walklog))
-    code = main(["process", "--input", str(sim_dir / "clinic_control-5.session.jsonl"),
-                 "--mode", "clinic", "--walklog", str(path), "--out", str(tmp_path / "o")])
+    code = main(["process", "--input", str(session), "--mode", "clinic",
+                 "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
@@ -598,6 +675,24 @@ def test_room_label_cannot_escape_out(tmp_path, capsys):
     assert sessions["long"]["exit_code"] == 2 and sessions["odd"]["exit_code"] == 2
     assert "n_walks" in sessions["ok"]
     assert (batch / "out" / "heatmap_q.csv").is_file()
+
+
+def test_session_stem_cannot_escape_out(sim_dir, tmp_path, capsys):
+    # A stem of "..", "." or "" would put the bundle beside or above --out.
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    names = ["...session.jsonl", "..session.jsonl", ".session.jsonl", "ok.session.jsonl"]
+    for name in names:
+        shutil.copy(sim_dir / "home_radial-6.session.jsonl", batch / name)
+    out = batch / "out"
+    assert main(["process", "--input", str(batch), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(str(batch / name) in err for name in names[:3])
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                  if p.is_file() and out not in p.parents) == sorted(f"batch/{n}" for n in names)
+    sessions = json.loads((out / "report.json").read_text())["sessions"]
+    assert {stem: s.get("exit_code") for stem, s in sessions.items()} == {
+        "..": 2, ".": 2, "": 2, "ok": None}
 
 
 def test_zero_walk_home_session_is_success(tmp_path):
@@ -829,6 +924,21 @@ def test_evaluate_with_no_measured_walk_reports_no_mean(tmp_path, capsys):
     assert (report["detection"]["detected"], report["detection"]["total"]) == (0, 1)
     assert (out / "error_table.csv").read_text() == (
         "walk_type,n,mean_cm,sd_cm,mean_pct,sd_pct\nall,0,,,,\n")
+    assert not (out / "icc.json").exists()
+
+
+def test_evaluate_rerun_with_one_measured_walk_removes_icc(tmp_path):
+    ref = tmp_path / "ref.csv"
+    ref.write_text("key,reference_m\ns/0,0.55\ns/1,0.55\n")
+    out = tmp_path / "ev"
+    two = _results_tree(tmp_path / "two", _WALK, {**_WALK, "avg_step_len_m": 0.6})
+    assert main(["evaluate", "--results", str(two), "--reference", str(ref),
+                 "--out", str(out)]) == 0
+    assert (out / "icc.json").is_file()
+    one = _results_tree(tmp_path / "one", _WALK)
+    assert main(["evaluate", "--results", str(one), "--reference", str(ref),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["n_pairs"] == 1
     assert not (out / "icc.json").exists()
 
 

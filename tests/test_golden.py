@@ -130,11 +130,10 @@ GOLDEN_ODD = {
 }
 
 
-def _process_digests(tmp_path, session_path, stem, mode, walklog=None, dump_tracks=False):
+def _process_digests(tmp_path, session_path, stem, mode, dump_tracks=False):
+    # In clinic mode the walk log is the <stem>.walklog.json beside the session.
     out = tmp_path / "out"
     args = ["process", "--input", str(session_path), "--mode", mode, "--out", str(out)]
-    if walklog is not None:
-        args += ["--walklog", str(walklog)]
     files = {
         "session.jsonl": session_path,
         "walks.jsonl": out / stem / "walks.jsonl",
@@ -169,8 +168,7 @@ def test_golden_outputs(tmp_path, scenario, seed, mode):
     assert main(["simulate", "--scenario", scenario, "--seed", str(seed),
                  "--out", str(sim)]) == 0
     stem = f"{scenario}-{seed}"
-    walklog = sim / f"{stem}.walklog.json" if mode == "clinic" else None
-    digests = _process_digests(tmp_path, sim / f"{stem}.session.jsonl", stem, mode, walklog)
+    digests = _process_digests(tmp_path, sim / f"{stem}.session.jsonl", stem, mode)
     assert digests == GOLDEN[(scenario, seed, mode)]
 
 

@@ -19,6 +19,7 @@ import copy
 import io
 import json
 import math
+import shutil
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -136,10 +137,12 @@ def test_fuzz_walklog(clinic):
     @given(mutations(walklog))
     def check(text):
         with tempfile.TemporaryDirectory() as tmp:
+            # The walk log is the one beside the session.
+            shutil.copy(session, Path(tmp) / "w.session.jsonl")
             path = Path(tmp) / "w.walklog.json"
             path.write_text(text)
-            run_main(["process", "--input", str(session), "--mode", "clinic",
-                      "--walklog", str(path), "--out", str(Path(tmp) / "o")], path)
+            run_main(["process", "--input", str(Path(tmp) / "w.session.jsonl"),
+                      "--mode", "clinic", "--out", str(Path(tmp) / "o")], path)
 
     check()
 

@@ -9,7 +9,6 @@ from gaitpipe.pointcloud import (
     MAX_COORD_M,
     MAX_DOPPLER_MS,
     MAX_TIME_S,
-    Frame,
     NonMonotonicTimeError,
     Session,
     SessionFormatError,
@@ -208,24 +207,6 @@ def test_round_trip_simulator_output(tmp_path):
     write_session(session, out)
     back = read_session(out)
     assert same_frames(back, session)
-
-
-def test_frames_compare_by_time_and_points(tmp_path):
-    frames = [(0.1, [(0.5, 2.0, 0.1, -1.0), (0.6, 2.1, 0.0, -0.9)]), (0.2, []),
-              (0.3, [(0.4, 1.9, -0.1, -1.1)])]
-    session = build_session(10.0, "home", "den", "B2", frames)
-    out = tmp_path / "eq.session.jsonl"
-    write_session(session, out)
-    back = read_session(out)
-    assert back.frames == session.frames and not back.frames != session.frames
-    assert back.frames[0] == session.frames[0] and not back.frames[0] != session.frames[0]
-
-    moved = [frames[0], frames[1], (0.3, [(0.4, 1.9, -0.1, -1.2)])]
-    other = build_session(10.0, "home", "den", "B2", moved)
-    assert other.frames != session.frames and not other.frames == session.frames
-    assert other.frames[2] != session.frames[2] and not other.frames[2] == session.frames[2]
-    assert Frame(0.25, other.frames[1].points) != other.frames[1]  # t differs
-    assert other.frames[0] == session.frames[0]
 
 
 def test_session_validation():
