@@ -14,10 +14,12 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,8 @@ from .pipeline import MODES, process_session
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
+# One session's artifacts in <out>/<stem>/; the last only with --dump-tracks.
+BUNDLE_FILES = ("walks.jsonl", "segments.csv", "tracks.jsonl")
 
 
 class InputError(Exception):
@@ -126,33 +130,26 @@ def _process_one(session_path: str, cfg: PipelineConfig, mode: str, out_dir: str
 
     On failure the summary is {"stem", "file", "error", "exit_code"}: exit
     code 2 for bad input, 1 for a bug, which also carries its "traceback"
-    text, and no bundle file of the session is left, an earlier run's
-    neither. One bad session never loses the others.
+    text. One bad session never loses the others.
     """
     stem = _session_stem(Path(session_path))
     if stem in ("", ".", ".."):  # the stem names a directory under out_dir
         return {"stem": stem, "file": session_path, "exit_code": EXIT_INPUT,
                 "error": f"session {session_path!r}: stem {stem!r} is not a directory name"}
     try:
-        return _write_bundle(session_path, cfg, mode, out_dir, dump_tracks)
+        return _write_bundle(session_path, stem, cfg, mode, out_dir, dump_tracks)
     except _INPUT_ERRORS as exc:
         failed = {"error": str(exc), "exit_code": EXIT_INPUT}
     except Exception as exc:  # invariant violation
         failed = {"error": f"{type(exc).__name__}: {exc}", "exit_code": EXIT_INTERNAL,
                   "traceback": traceback.format_exc()}
-    bundle = Path(out_dir) / stem
-    if bundle.is_dir():
-        for name in ("walks.jsonl", "segments.csv", "tracks.jsonl"):
-            (bundle / name).unlink(missing_ok=True)
     return {"stem": stem, "file": session_path, **failed}
 
 
-def _write_bundle(session_path: str, cfg: PipelineConfig, mode: str, out_dir: str,
+def _write_bundle(session_path: str, stem: str, cfg: PipelineConfig, mode: str, out_dir: str,
                   dump_tracks: bool) -> dict:
-    path = Path(session_path)
-    stem = _session_stem(path)
     session = _read("session", session_path, read_session)
-    sibling = path.with_name(f"{stem}.walklog.json")
+    sibling = Path(session_path).with_name(f"{stem}.walklog.json")
     walklog = _read("walk log", sibling, read_walklog) if mode == "clinic" else None
     cfg.check_frame_rate(session.frame_rate, f"session {session_path!r}: ")
     result = process_session(session, cfg, mode=mode, walklog=walklog)
@@ -160,23 +157,18 @@ def _write_bundle(session_path: str, cfg: PipelineConfig, mode: str, out_dir: st
     session_out = Path(out_dir) / stem
     session_out.mkdir(parents=True, exist_ok=True)
 
-    walk_lines = [json.dumps(w.as_dict(), sort_keys=True) for w in result.walks]
-    atomic_write_text(session_out / "walks.jsonl", "\n".join(walk_lines) + ("\n" if walk_lines else ""))
-    atomic_write_text(session_out / "segments.csv", _segments_csv(result.segments))
+    texts = ["".join(json.dumps(w.as_dict(), sort_keys=True) + "\n" for w in result.walks),
+             _segments_csv(result.segments)]
     if dump_tracks:
-        lines = [
+        texts.append("".join(
             json.dumps({"track_id": tr.track_id, "t": round(t, 6), "x": round(x, 6),
-                        "y": round(y, 6), "n_points": n}, sort_keys=True)
+                        "y": round(y, 6), "n_points": n}, sort_keys=True) + "\n"
             for tr in result.tracks
             for t, x, y, n in zip(tr.t.tolist(), tr.x.tolist(), tr.y.tolist(),
-                                  tr.n_points.tolist())
-        ]
-        atomic_write_text(session_out / "tracks.jsonl", "\n".join(lines) + ("\n" if lines else ""))
-    else:  # a rerun without --dump-tracks leaves no earlier run's tracks
-        (session_out / "tracks.jsonl").unlink(missing_ok=True)
+                                  tr.n_points.tolist())))
+    for name, text in zip(BUNDLE_FILES, texts):
+        atomic_write_text(session_out / name, text)
 
-    xs = [x for tr in result.tracks for x in tr.x.tolist()]
-    ys = [y for tr in result.tracks for y in tr.y.tolist()]
     return {
         "stem": stem,
         "room": session.room_label,
@@ -187,10 +179,9 @@ def _write_bundle(session_path: str, cfg: PipelineConfig, mode: str, out_dir: st
         "n_measured": result.n_measured,
         "suppressed_segments": result.suppressed_segments,
         "dropped_points": session.dropped_points,
-        "walk_outcomes": [
-            (w.walk_type, w.avg_step_len_m is not None) for w in result.walks
-        ],
-        "track_xy": (xs, ys),
+        "walk_outcomes": [(w.walk_type, w.avg_step_len_m is not None) for w in result.walks],
+        "track_xy": np.concatenate(
+            [np.empty((0, 2))] + [np.column_stack((tr.x, tr.y)) for tr in result.tracks]),
     }
 
 
@@ -227,29 +218,38 @@ def cmd_process(args: argparse.Namespace) -> int:
     failures = [s for s in summaries if "error" in s]
     tracebacks = [f.pop("traceback", "") for f in failures]  # kept out of report.json
 
-    per_room_xy: dict[str, tuple[list, list]] = {}
+    # Of the files process owns in --out (report.json and heatmap_*.csv at its root,
+    # BUNDLE_FILES in each directory under it), keep this run's bundles, delete the rest.
+    ok = [s for s in summaries if "error" not in s]
+    bundle = BUNDLE_FILES if args.dump_tracks else BUNDLE_FILES[:-1]
+    written = {f"{s['stem']}/{name}" for s in ok for name in bundle}
+    with os.scandir(out) as entries:
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                owned = {f"{entry.name}/{name}" for name in BUNDLE_FILES} - written
+            elif entry.name == "report.json" or fnmatchcase(entry.name, "heatmap_*.csv"):
+                owned = {entry.name}
+            else:
+                continue
+            for name in owned:
+                (out / name).unlink(missing_ok=True)
+
+    per_room_xy: dict[str, list[np.ndarray]] = {}
     valid_flags: dict[str, list[bool]] = {}
     outcomes = []
-    for summary in (s for s in summaries if "error" not in s):
+    for summary in ok:
         room = summary["room"]
-        xs, ys = summary.pop("track_xy")
-        bucket = per_room_xy.setdefault(room, ([], []))
-        bucket[0].extend(xs)
-        bucket[1].extend(ys)
+        per_room_xy.setdefault(room, []).append(summary.pop("track_xy"))
         valid_flags.setdefault(room, []).extend(summary.pop("segment_valid_flags"))
         outcomes.extend(summary.pop("walk_outcomes"))
 
     for room in sorted(per_room_xy):
-        xs, ys = per_room_xy[room]
+        xy = np.concatenate(per_room_xy[room])
         try:
-            grid = heatmap_from_xy(xs, ys, cfg.reporting.heatmap_cell)
+            grid = heatmap_from_xy(xy[:, 0], xy[:, 1], cfg.reporting.heatmap_cell)
         except ValueError as exc:
             raise ConfigError(f"reporting.heatmap_cell, room {room!r}: {exc}") from None
         atomic_write_text(out / f"heatmap_{room}.csv", grid.to_csv())
-    written = {f"heatmap_{room}.csv" for room in per_room_xy}
-    for stale in out.glob("heatmap_*.csv"):  # rooms this run did not see
-        if stale.name not in written:
-            stale.unlink()
 
     rate = detection_rate(outcomes)
     tracks_stats = valid_track_stats(valid_flags)

@@ -205,8 +205,8 @@ class DetectionRate:
     by_type: dict[str, tuple[int, int]]  # type -> (detected, total)
 
     @property
-    def rate(self) -> float:
-        return self.detected / self.total if self.total else 0.0
+    def rate(self) -> float | None:  # None: no walk to count
+        return self.detected / self.total if self.total else None
 
 
 def detection_rate(
@@ -262,8 +262,8 @@ class ValidTrackStats:
     per_home: dict[str, float]  # percentage of valid segments
 
     @property
-    def mean(self) -> float:
-        return float(np.mean(list(self.per_home.values()))) if self.per_home else 0.0
+    def mean(self) -> float | None:  # None: no home has a segment
+        return float(np.mean(list(self.per_home.values()))) if self.per_home else None
 
     @property
     def sd(self) -> float | None:

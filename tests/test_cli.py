@@ -406,10 +406,9 @@ def test_artifacts_get_the_umask_mode(sim_dir, tmp_path, umask, mode):
         os.umask(old)
     modes = {str(p.relative_to(out)): stat.S_IMODE(p.stat().st_mode)
              for p in out.rglob("*") if p.is_file()}
-    assert modes == {name: mode for name in ("report.json", "heatmap_living.csv",
-                                             "home_radial-6/walks.jsonl",
-                                             "home_radial-6/segments.csv",
-                                             "home_radial-6/tracks.jsonl")}
+    # Every artifact: one added outside BUNDLE_FILES would escape the sweep.
+    names = [f"home_radial-6/{name}" for name in gaitpipe.cli.BUNDLE_FILES]
+    assert modes == {name: mode for name in ["report.json", "heatmap_living.csv", *names]}
 
 
 def test_rerun_without_dump_tracks_leaves_no_tracks(sim_dir, tmp_path):
@@ -462,6 +461,85 @@ def test_rerun_keeps_only_its_own_rooms_heatmaps(sim_dir, tmp_path):
     assert main(["process", "--input", str(sim_dir / "clinic_control-5.session.jsonl"),
                  "--mode", "clinic", "--out", str(out)]) == 0
     assert sorted(p.name for p in out.glob("heatmap_*.csv")) == ["heatmap_walkway.csv"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_rerun_tree_equals_a_fresh_run(sim_dir, tmp_path, jobs):
+    # Run A then run B into one --out leaves the tree run B leaves in an
+    # empty one, whatever run A wrote there.
+    living, walkway = (sim_dir / f"{stem}.session.jsonl" for stem in
+                       ("home_radial-6", "clinic_control-5"))
+    a, b = living.read_text(), walkway.read_text()
+    cases = {  # name: (run A's sessions, its flags, run B's sessions)
+        "b_dropped": ({"a": a, "b": b}, [], {"a": a}),
+        "tracks_then_none": ({"a": a, "b": b}, ["--dump-tracks"], {"a": a, "b": b}),
+        "b_fails": ({"a": a, "b": b}, [], {"a": a, "b": b + "{bad\n"}),
+        "room_change": ({"a": a, "b": b}, [], {"a": b, "b": b}),
+    }
+    for case, (first, flags, second) in cases.items():
+        runs = {}
+        for run, sessions in (("A", first), ("B", second)):
+            runs[run] = tmp_path / case / run
+            runs[run].mkdir(parents=True)
+            for stem, text in sessions.items():
+                (runs[run] / f"{stem}.session.jsonl").write_text(text)
+        out, fresh = tmp_path / case / "out", tmp_path / case / "fresh"
+        assert main(["process", "--input", str(runs["A"]), *flags, "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        codes = {main(["process", "--input", str(runs["B"]), "--jobs", jobs, "--out", str(o)])
+                 for o in (out, fresh)}
+        assert len(codes) == 1, case
+        assert read_tree(out) == read_tree(fresh), case
+
+
+def test_evaluate_counts_only_the_last_runs_sessions(sim_dir, tmp_path, capsys):
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for name in ("session.jsonl", "walklog.json", "truth.jsonl"):
+        shutil.copy(sim_dir / f"clinic_control-5.{name}", inp)
+    assert main(["simulate", "--scenario", "clinic_fast", "--seed", "9", "--n-walks", "2",
+                 "--out", str(inp)]) == 0
+    out = tmp_path / "o"
+    args = ["process", "--input", str(inp), "--mode", "clinic", "--out", str(out)]
+    assert main(args) == 0
+    for path in inp.glob("clinic_fast-9.*"):
+        path.unlink()
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--results", str(out), "--truth", str(inp),
+                 "--out", str(tmp_path / "ev")]) == 0
+    assert capsys.readouterr().out.startswith("evaluated 2 measured walks (detection 2/2);")
+
+
+def test_run_failing_at_the_heatmaps_leaves_no_report(sim_dir, tmp_path, capsys):
+    session = str(sim_dir / "home_radial-6.session.jsonl")
+    out = tmp_path / "o"
+    assert main(["process", "--input", session, "--out", str(out)]) == 0
+    cfg_path = tmp_path / "tiny.toml"
+    cfg_path.write_text("[reporting]\nheatmap_cell = 1e-6\n")
+    assert main(["process", "--input", session, "--config", str(cfg_path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: reporting.heatmap_cell, room 'living'")
+    assert not (out / "report.json").exists()
+    assert list(out.glob("heatmap_*.csv")) == []
+
+
+def test_rerun_leaves_files_process_does_not_write(sim_dir, tmp_path):
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for stem in ("home_radial-6", "clinic_control-5"):
+        shutil.copy(sim_dir / f"{stem}.session.jsonl", inp)
+    out = tmp_path / "o"
+    assert main(["process", "--input", str(inp), "--out", str(out)]) == 0
+    foreign = {"notes.txt": b"root\n", "clinic_control-5/notes.txt": b"stem\n"}
+    for name, data in foreign.items():
+        (out / name).write_bytes(data)
+    (out / "empty").mkdir()
+    (inp / "clinic_control-5.session.jsonl").unlink()
+    assert main(["process", "--input", str(inp), "--out", str(out)]) == 0
+    assert main(["process", "--input", str(inp), "--out", str(tmp_path / "fresh")]) == 0
+    assert read_tree(out) == {**read_tree(tmp_path / "fresh"), **foreign}
+    assert (out / "empty").is_dir()
 
 
 @pytest.mark.parametrize("name,message", [("missing", "input {} does not exist"),

@@ -37,7 +37,7 @@ GOLDEN = {
         "session.jsonl": "9e5152d818bc8308e5981c1d3b305aaa65ff7019cc96bcf71c32f7e8217f8950",
         "walks.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "segments.csv": "cc5f5e55d581e88bc81153ffb7dee8e20f1a16b667053df52666571787619718",
-        "report.json": "e5ea84387b09cf2959558cae122e32b50340f0f1cd7aa2b317d46e490190a2d9",
+        "report.json": "3ebeb0c096eef0d94cd014d448b8bea9c11b685f86525728c843e71e0000928c",
         "heatmap_living.csv": "62783f6a87895b229f9b27aa5b2c0c2b1b14047522a3d2fda213b1c09c807c2e",
     },
     ("home_with_pet", 107, "home"): {

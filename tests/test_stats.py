@@ -226,6 +226,8 @@ def test_detection_rate_bounds():
     rate = detection_rate([("control", True), ("fast", False), ("fast", True)])
     assert rate.rate == pytest.approx(2 / 3)
     assert rate.by_type["fast"] == (1, 2)
+    # No walk is not a miss: nothing to average reads None.
+    assert detection_rate([]).rate is None
 
 
 # ----------------------------------------------------- interval reliability
@@ -288,6 +290,9 @@ def test_valid_track_stats_empty_home_skipped():
     stats = valid_track_stats({"h1": [], "h2": [True]})
     assert stats.per_home == {"h2": 100.0}
     assert stats.sd is None
+    # No home with a segment: nothing to average reads None.
+    assert valid_track_stats({"h1": []}).mean is None
+    assert valid_track_stats({}).mean is None
 
 
 # ----------------------------------------------------------------- heatmap
