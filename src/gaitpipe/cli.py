@@ -44,6 +44,8 @@ EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 # One session's artifacts in <out>/<stem>/; the last only with --dump-tracks.
 BUNDLE_FILES = ("walks.jsonl", "segments.csv", "tracks.jsonl")
+# The run's artifacts at the root of <out>, as fnmatch patterns.
+ROOT_FILES = ("report.json", "heatmap_*.csv")
 
 
 class InputError(Exception):
@@ -133,9 +135,10 @@ def _process_one(session_path: str, cfg: PipelineConfig, mode: str, out_dir: str
     text. One bad session never loses the others.
     """
     stem = _session_stem(Path(session_path))
-    if stem in ("", ".", ".."):  # the stem names a directory under out_dir
+    # The stem names a directory under out_dir, beside the ROOT_FILES.
+    if stem in ("", ".", "..") or any(fnmatchcase(stem, p) for p in ROOT_FILES):
         return {"stem": stem, "file": session_path, "exit_code": EXIT_INPUT,
-                "error": f"session {session_path!r}: stem {stem!r} is not a directory name"}
+                "error": f"session {session_path!r}: stem {stem!r} cannot name its directory"}
     try:
         return _write_bundle(session_path, stem, cfg, mode, out_dir, dump_tracks)
     except _INPUT_ERRORS as exc:
@@ -218,7 +221,7 @@ def cmd_process(args: argparse.Namespace) -> int:
     failures = [s for s in summaries if "error" in s]
     tracebacks = [f.pop("traceback", "") for f in failures]  # kept out of report.json
 
-    # Of the files process owns in --out (report.json and heatmap_*.csv at its root,
+    # Of the files process owns in --out (ROOT_FILES at its root,
     # BUNDLE_FILES in each directory under it), keep this run's bundles, delete the rest.
     ok = [s for s in summaries if "error" not in s]
     bundle = BUNDLE_FILES if args.dump_tracks else BUNDLE_FILES[:-1]
@@ -227,7 +230,7 @@ def cmd_process(args: argparse.Namespace) -> int:
         for entry in entries:
             if entry.is_dir(follow_symlinks=False):
                 owned = {f"{entry.name}/{name}" for name in BUNDLE_FILES} - written
-            elif entry.name == "report.json" or fnmatchcase(entry.name, "heatmap_*.csv"):
+            elif any(fnmatchcase(entry.name, p) for p in ROOT_FILES):
                 owned = {entry.name}
             else:
                 continue

@@ -141,11 +141,9 @@ def process_session(
     result = SessionResult(tracks=tracks, segments=segments)
 
     if mode == "clinic":
-        matched = match_clinic_walks(segments, walklog, cfg.segmenter.clinic_tol)
-        for entry, seg in matched.matches:
-            result.walks.append(_walk_record(analyze_segment(seg, cfg.gait), entry))
-        for entry in matched.unmatched:
-            result.walks.append(_walk_record(None, entry))
+        for entry, seg in match_clinic_walks(segments, walklog, cfg.segmenter.clinic_tol):
+            measured = None if seg is None else analyze_segment(seg, cfg.gait)
+            result.walks.append(_walk_record(measured, entry))
         result.walks.sort(
             key=lambda w: (w.walk_index, w.t_start if w.t_start is not None else -1.0)
         )

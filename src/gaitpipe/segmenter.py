@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -74,18 +74,32 @@ class LinearSegment:
 
 @dataclass(frozen=True)
 class WalkEntry:
+    """One logged walkway pass. Its numbers are checked, and stored as
+    floats, when it is built."""
+
     participant: str
     walk_index: int
     walk_type: str
     t_start: float
     reference_step_length: float | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.walk_index, int) or isinstance(self.walk_index, bool):
+            raise ValueError(f"'walk_index' must be an integer, got {self.walk_index!r}")
+        if self.walk_type not in WALK_TYPES:
+            raise ValueError(f"'walk_type' must be one of {WALK_TYPES}, got {self.walk_type!r}")
+        object.__setattr__(self, "t_start", json_float(self.t_start, "'t_start'"))
+        if (ref := self.reference_step_length) is not None:
+            object.__setattr__(self, "reference_step_length",
+                               json_float(ref, "'reference_step_length'"))
+
 
 @dataclass(frozen=True)
 class WalkLog:
     """Logged walkway passes for a clinic session.
 
-    g_s and g_e are the walkway start and end in radar coordinates.
+    g_s and g_e are the walkway start and end in radar coordinates, each an
+    [x, y] pair of numbers, stored as a tuple of floats.
     """
 
     entries: tuple[WalkEntry, ...]
@@ -93,13 +107,20 @@ class WalkLog:
     g_e: tuple[float, float] = WALKWAY_END
 
     def __post_init__(self):
+        for name in ("g_s", "g_e"):
+            value = getattr(self, name)
+            try:
+                x, y = (json_float(v, name) for v in value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{name!r} must be an [x, y] pair of numbers, got {value!r}"
+                ) from None
+            object.__setattr__(self, name, (x, y))
         seen: dict[str, set[float]] = {}
         for e in self.entries:
             starts = seen.setdefault(e.participant, set())
             if e.t_start in starts:
-                raise ValueError(
-                    f"duplicate walk start time {e.t_start} for {e.participant}"
-                )
+                raise ValueError(f"duplicate walk start time {e.t_start} for {e.participant}")
             starts.add(e.t_start)
 
 
@@ -202,21 +223,17 @@ def classify(segment: LinearSegment, min_length: float, max_angle_deg: float) ->
     return segment.length >= min_length and segment.angle_deg <= max_angle_deg
 
 
-@dataclass(frozen=True)
-class ClinicMatch:
-    matches: tuple[tuple[WalkEntry, LinearSegment], ...]
-    unmatched: tuple[WalkEntry, ...]
-
-
 def match_clinic_walks(
     segments: list[LinearSegment], log: WalkLog, tol: float
-) -> ClinicMatch:
-    """Pair each logged walk with its walkway-crossing segment.
+) -> list[tuple[WalkEntry, LinearSegment | None]]:
+    """Pair each logged walk with its walkway-crossing segment, or None.
 
     A candidate segment must start within tol of the walkway start, end
-    within tol of the walkway end, and be valid; among candidates the one
-    nearest in start time wins. Each segment is used at most once; walks
-    with no candidate are reported unmatched (they are data, not errors).
+    within tol of the walkway end, and be valid. Walks take their segment
+    in order of start time, participant and walk index; each takes the
+    remaining candidate nearest in start time, so a segment is used at
+    most once. A walk left without a candidate pairs with None: that is
+    data, not an error. One pair per logged walk, in that order.
     """
     gs = np.asarray(log.g_s, dtype=float)
     ge = np.asarray(log.g_e, dtype=float)
@@ -227,50 +244,21 @@ def match_clinic_walks(
         and np.hypot(*(np.asarray(seg.first_xy) - gs)) <= tol
         and np.hypot(*(np.asarray(seg.last_xy) - ge)) <= tol
     ]
-    used: set[int] = set()
-    matches = []
-    unmatched = []
+    pairs = []
     for entry in sorted(log.entries, key=lambda e: (e.t_start, e.participant, e.walk_index)):
-        best = None
-        for idx, seg in enumerate(candidates):
-            if idx in used:
-                continue
-            key = (abs(seg.t_start - entry.t_start), seg.t_start, seg.parent_track, seg.seg_index)
-            if best is None or key < best[0]:
-                best = (key, idx)
-        if best is None:
-            unmatched.append(entry)
-        else:
-            used.add(best[1])
-            matches.append((entry, candidates[best[1]]))
-    return ClinicMatch(matches=tuple(matches), unmatched=tuple(unmatched))
-
-
-_REQUIRED = object()
-
-
-def _number(value: object) -> float:
-    return json_float(value, "value")
-
-
-def _index(value: object) -> int:
-    """A JSON integer; true and false are not indices."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError("not an integer")
-    return value
-
-
-def _xy(value: object) -> tuple[float, float]:
-    x, y = value
-    return _number(x), _number(y)
-
-
-def _optional_float(value: object) -> float | None:
-    return None if value is None else _number(value)
+        best = min(
+            candidates,
+            key=lambda seg: (abs(seg.t_start - entry.t_start), seg.t_start,
+                             seg.parent_track, seg.seg_index),
+            default=None,
+        )
+        candidates = [seg for seg in candidates if seg is not best]
+        pairs.append((entry, best))
+    return pairs
 
 
 def read_walklog(path: str | os.PathLike) -> WalkLog:
-    """Read a walk log file.
+    """Read a walk log file; WalkEntry and WalkLog check the values.
 
     Malformed content raises ValueError naming the entry and field, not the file.
     """
@@ -280,41 +268,19 @@ def read_walklog(path: str | os.PathLike) -> WalkLog:
         raise ValueError("not a walk log file")
     if not isinstance(obj.get("entries"), list):
         raise ValueError("'entries' must be a list")
-
-    def field(raw: dict, key: str, convert, where: str, default=_REQUIRED):
-        if key not in raw:
-            if default is _REQUIRED:
-                raise ValueError(f"{where} has no {key!r}")
-            return default
-        try:
-            return convert(raw[key])
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{where} has invalid {key!r}: {raw[key]!r}") from None
-
     entries = []
     for k, raw in enumerate(obj["entries"]):
-        where = f"entry {k}"
         if not isinstance(raw, dict):
-            raise ValueError(f"{where} is not an object")
-        walk_type = field(raw, "walk_type", str, where)
-        if walk_type not in WALK_TYPES:
-            raise ValueError(f"{where} has unknown walk_type {walk_type!r}")
-        entries.append(
-            WalkEntry(
-                participant=field(raw, "participant", str, where),
-                walk_index=field(raw, "walk_index", _index, where),
-                walk_type=walk_type,
-                t_start=field(raw, "t_start", _number, where),
-                reference_step_length=field(
-                    raw, "reference_step_length", _optional_float, where, default=None
-                ),
-            )
-        )
-    return WalkLog(
-        entries=tuple(entries),
-        g_s=field(obj, "g_s", _xy, "header", default=WALKWAY_START),
-        g_e=field(obj, "g_e", _xy, "header", default=WALKWAY_END),
-    )
+            raise ValueError(f"entry {k} is not an object")
+        for f in fields(WalkEntry):
+            if f.default is MISSING and f.name not in raw:
+                raise ValueError(f"entry {k} has no {f.name!r}")
+        known = {f.name: raw[f.name] for f in fields(WalkEntry) if f.name in raw}
+        try:
+            entries.append(WalkEntry(**{**known, "participant": str(raw["participant"])}))
+        except ValueError as exc:
+            raise ValueError(f"entry {k}: {exc}") from None
+    return WalkLog(tuple(entries), **{key: obj[key] for key in ("g_s", "g_e") if key in obj})
 
 
 def write_walklog(log: WalkLog, path: str | os.PathLike) -> None:

@@ -1,5 +1,6 @@
 import configparser
 import csv
+import hashlib
 import json
 import os
 import re
@@ -120,6 +121,14 @@ def test_process_clinic_and_evaluate(sim_dir, tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[-1]["walk_type"] == "all"
     assert (eval_out / "icc.json").exists()
+
+    # A blank line between the two records gives the same report.
+    walks = session_dir / "walks.jsonl"
+    first, second = walks.read_text().splitlines(keepends=True)
+    walks.write_text(first + "\n" + second)
+    assert main(["evaluate", "--results", str(out), "--truth", str(sim_dir),
+                 "--out", str(tmp_path / "blank")]) == 0
+    assert (tmp_path / "blank" / "report.json").read_text() == (eval_out / "report.json").read_text()
 
 
 def test_process_home_directory_mode(sim_dir, tmp_path):
@@ -600,15 +609,17 @@ _ENTRY = {"participant": "p1", "walk_index": 0, "walk_type": "control", "t_start
         ({"format": "gaitpipe-walklog", "entries": [3]}, "entry 0"),
         ("not json", "JSONDecodeError"),
         ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "t_start": 10**400}]},
-         "entry 0 has invalid 't_start'"),
+         "entry 0: 't_start'"),
         ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "t_start": True}]},
-         "entry 0 has invalid 't_start'"),
+         "entry 0: 't_start'"),
         ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "walk_index": 2.7}]},
-         "entry 0 has invalid 'walk_index'"),
+         "entry 0: 'walk_index'"),
+        ({"format": "gaitpipe-walklog", "entries": [_ENTRY, {**_ENTRY, "walk_type": "jog"}]},
+         "entry 1: 'walk_type'"),
     ],
     ids=["null_value", "missing_key", "top_level_list", "entries_not_list",
          "non_numeric_index", "bad_walkway", "entry_not_object", "not_json",
-         "t_start_past_float_range", "t_start_bool", "fractional_index"],
+         "t_start_past_float_range", "t_start_bool", "fractional_index", "unknown_walk_type"],
 )
 def test_malformed_walklog_exit_2(sim_dir, tmp_path, capsys, walklog, field):
     session = tmp_path / "bad.session.jsonl"
@@ -621,6 +632,24 @@ def test_malformed_walklog_exit_2(sim_dir, tmp_path, capsys, walklog, field):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert str(path) in err and field in err
+
+
+def test_clinic_participants_sharing_a_walk_index(sim_dir, tmp_path):
+    # P02's walk 0 starts after every segment is taken, so it is logged but
+    # not matched; P01's walk 0 keeps its segment. The bytes are pinned.
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    shutil.copy(sim_dir / "clinic_control-5.session.jsonl", batch)
+    log = json.loads((sim_dir / "clinic_control-5.walklog.json").read_text())
+    log["entries"].append({**log["entries"][0], "participant": "P02", "t_start": 500.0})
+    (batch / "clinic_control-5.walklog.json").write_text(json.dumps(log))
+    out = tmp_path / "out"
+    assert main(["process", "--input", str(batch), "--mode", "clinic", "--out", str(out)]) == 0
+    walks = (out / "clinic_control-5" / "walks.jsonl").read_bytes()
+    records = [json.loads(line) for line in walks.splitlines()]
+    assert [(r["walk_index"], r["matched"]) for r in records] == [(0, False), (0, True), (1, True)]
+    assert hashlib.sha256(walks).hexdigest() == (
+        "46b845beef31b6a4aaa6499f13e174dfce8788dd8ed0d37290e7e9fb10dda9e8")
 
 
 def test_session_frame_rate_too_low_for_nms_window_exit_2(tmp_path, capsys):
@@ -771,6 +800,25 @@ def test_session_stem_cannot_escape_out(sim_dir, tmp_path, capsys):
     sessions = json.loads((out / "report.json").read_text())["sessions"]
     assert {stem: s.get("exit_code") for stem, s in sessions.items()} == {
         "..": 2, ".": 2, "": 2, "ok": None}
+
+
+def test_session_stem_cannot_take_a_root_artifact_name(sim_dir, tmp_path, capsys):
+    # A bundle directory named report.json or heatmap_<room>.csv would stand
+    # where the run writes its report and that room's heatmap.
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    names = ["report.json.session.jsonl", "heatmap_living.csv.session.jsonl", "ok.session.jsonl"]
+    for name in names:
+        shutil.copy(sim_dir / "home_radial-6.session.jsonl", batch / name)
+    out = tmp_path / "out"
+    assert main(["process", "--input", str(batch), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(str(batch / name) in err for name in names[:2])
+    sessions = json.loads((out / "report.json").read_text())["sessions"]
+    assert {stem: s.get("exit_code") for stem, s in sessions.items()} == {
+        "report.json": 2, "heatmap_living.csv": 2, "ok": None}
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*")) == [
+        "heatmap_living.csv", "ok", "ok/segments.csv", "ok/walks.jsonl", "report.json"]
 
 
 def test_zero_walk_home_session_is_success(tmp_path):

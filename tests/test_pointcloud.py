@@ -12,6 +12,7 @@ from gaitpipe.pointcloud import (
     NonMonotonicTimeError,
     Session,
     SessionFormatError,
+    atomic_write_text,
     build_session,
     read_session,
     write_session,
@@ -398,3 +399,14 @@ def test_batched_reader_names_each_malformed_line(tmp_path):
             with pytest.raises(NonMonotonicTimeError) as excinfo:
                 read_session(write_lines(tmp_path, HEADER, mixed[0], *mixed))
             assert excinfo.value.line == 3
+
+
+def test_atomic_write_failure_leaves_the_old_file_and_no_temp_file(tmp_path):
+    # A lone surrogate cannot be encoded as UTF-8: the write fails after the
+    # temp file is made, which is then removed; the old bytes stay in place.
+    path = tmp_path / "report.json"
+    path.write_bytes(b"old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "\ud800")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gaitpipe.segmenter import (
     _chord_distances,
     LinearSegment,
+    WALKLOG_FORMAT,
     WalkEntry,
     WalkLog,
     classify,
@@ -295,18 +297,13 @@ def walkway_segment(t0, track_id=0, seg_index=0, x_off=0.0):
 def test_match_single_walk():
     log = WalkLog(entries=(WalkEntry("P1", 0, "control", 2.0),))
     seg = walkway_segment(2.0)
-    result = match_clinic_walks([seg], log, tol=1.0)
-    assert len(result.matches) == 1
-    assert result.matches[0][0].walk_index == 0
-    assert result.unmatched == ()
+    assert match_clinic_walks([seg], log, tol=1.0) == [(log.entries[0], seg)]
 
 
 def test_match_offset_track_excluded():
     log = WalkLog(entries=(WalkEntry("P1", 0, "control", 2.0),))
     assistant = walkway_segment(2.0, track_id=1, x_off=1.5)
-    result = match_clinic_walks([assistant], log, tol=1.0)
-    assert result.matches == ()
-    assert len(result.unmatched) == 1
+    assert match_clinic_walks([assistant], log, tol=1.0) == [(log.entries[0], None)]
 
 
 def test_match_two_walks_by_time():
@@ -318,18 +315,85 @@ def test_match_two_walks_by_time():
     )
     seg_a = walkway_segment(2.2, track_id=0)
     seg_b = walkway_segment(31.8, track_id=1)
-    result = match_clinic_walks([seg_b, seg_a], log, tol=1.0)
-    assert len(result.matches) == 2
-    pairs = {entry.walk_index: seg.parent_track for entry, seg in result.matches}
-    assert pairs == {0: 0, 1: 1}
+    pairs = match_clinic_walks([seg_b, seg_a], log, tol=1.0)
+    assert [(entry.walk_index, seg.parent_track) for entry, seg in pairs] == [(0, 0), (1, 1)]
 
 
 def test_match_nearest_in_time_disambiguates():
     log = WalkLog(entries=(WalkEntry("P1", 0, "control", 10.0),))
     near = walkway_segment(9.0, track_id=0)
     far = walkway_segment(20.0, track_id=1)
-    result = match_clinic_walks([far, near], log, tol=1.0)
-    assert result.matches[0][1].parent_track == 0
+    [(entry, seg)] = match_clinic_walks([far, near], log, tol=1.0)
+    assert seg is near
+
+
+def test_match_pairs_every_walk_in_start_order():
+    # One pair per logged walk, in order of start time, participant and index;
+    # a walk left without a candidate pairs with None.
+    log = WalkLog(
+        entries=(
+            WalkEntry("P2", 0, "fast", 500.0),
+            WalkEntry("P1", 0, "control", 2.0),
+            WalkEntry("P1", 1, "control", 32.0),
+        )
+    )
+    seg_a = walkway_segment(2.2, track_id=0)
+    seg_b = walkway_segment(31.8, track_id=1)
+    pairs = match_clinic_walks([seg_b, seg_a], log, tol=1.0)
+    assert pairs == [(log.entries[1], seg_a), (log.entries[2], seg_b), (log.entries[0], None)]
+
+
+_GOOD_ENTRY = {"participant": "P1", "walk_index": 0, "walk_type": "control", "t_start": 1.0}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("walk_index", [0]), ("walk_index", 2.7), ("walk_index", True), ("walk_index", "0"),
+        ("walk_type", "jog"), ("walk_type", None), ("walk_type", 3),
+        ("t_start", None), ("t_start", True), ("t_start", "1.0"), ("t_start", 10**400),
+        ("reference_step_length", False), ("reference_step_length", "0.5"),
+        ("reference_step_length", [0.5]),
+    ],
+)
+def test_walk_entry_rejects_what_the_reader_rejects(tmp_path, field, value):
+    bad = {**_GOOD_ENTRY, field: value}
+    path = tmp_path / "bad.walklog.json"
+    path.write_text(json.dumps({"format": WALKLOG_FORMAT, "entries": [bad]}))
+    with pytest.raises(ValueError, match=f"^entry 0: '{field}'"):
+        read_walklog(path)
+    with pytest.raises(ValueError, match=f"^'{field}'"):
+        WalkEntry(**bad)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("g_s", "far"), ("g_s", None), ("g_s", 6.0), ("g_e", [1.0]), ("g_e", [0.0, 2.0, 1.0]),
+     ("g_e", [True, 2.0]), ("g_s", ["0", 6.0]), ("g_s", {"x": 0.0, "y": 6.0})],
+)
+def test_walklog_rejects_the_walkway_the_reader_rejects(tmp_path, field, value):
+    path = tmp_path / "bad.walklog.json"
+    path.write_text(json.dumps({"format": WALKLOG_FORMAT, "entries": [_GOOD_ENTRY], field: value}))
+    with pytest.raises(ValueError, match=f"^'{field}'"):
+        read_walklog(path)
+    with pytest.raises(ValueError, match=f"^'{field}'"):
+        WalkLog(entries=(WalkEntry(**_GOOD_ENTRY),), **{field: value})
+
+
+def test_walklog_reader_stores_numbers_as_floats(tmp_path):
+    # JSON integers read as floats and a participant as its str(), in a file
+    # as in code; keys the log does not know are ignored.
+    path = tmp_path / "ints.walklog.json"
+    path.write_text(json.dumps({
+        "format": WALKLOG_FORMAT, "g_s": [0, 6], "g_e": [0, 2],
+        "entries": [{"participant": 7, "walk_index": 0, "walk_type": "fast", "t_start": 3,
+                     "reference_step_length": 1, "note": "x"}],
+    }))
+    log = read_walklog(path)
+    assert log == WalkLog((WalkEntry("7", 0, "fast", 3, 1),), g_s=[0, 6], g_e=(0, 2))
+    entry = log.entries[0]
+    assert [type(v) for v in (entry.t_start, entry.reference_step_length, *log.g_s, *log.g_e)] \
+        == [float] * 6
 
 
 def test_walklog_duplicate_start_times_rejected():
