@@ -65,7 +65,7 @@ def _read(kind: str, path, reader):
 
 
 def _json_dump(obj: dict, path: Path) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------- simulate
@@ -255,26 +255,19 @@ def cmd_process(args: argparse.Namespace) -> int:
         atomic_write_text(out / f"heatmap_{room}.csv", grid.to_csv())
 
     rate = detection_rate(outcomes)
-    tracks_stats = valid_track_stats(valid_flags)
     report = {
         "mode": args.mode,
         "config": asdict(cfg),
         "sessions": {s.pop("stem"): s for s in summaries},
-        "n_walks": rate.total,
-        "n_measured": rate.detected,
-        "detection_rate": rate.rate,
-        "detection_by_type": {
-            name: {"detected": d, "total": t} for name, (d, t) in rate.by_type.items()
-        },
-        "valid_track_pct": {
-            "per_home": tracks_stats.per_home,
-            "mean": tracks_stats.mean,
-            "sd": tracks_stats.sd,
-        },
+        "n_walks": rate["total"],
+        "n_measured": rate["detected"],
+        "detection_rate": rate["rate"],
+        "detection_by_type": rate["by_type"],
+        "valid_track_pct": valid_track_stats(valid_flags),
     }
     _json_dump(report, out / "report.json")
     done = len(sessions) - len(failures)
-    print(f"processed {done} session(s): {rate.detected}/{rate.total} walks measured")
+    print(f"processed {done} session(s): {rate['detected']}/{rate['total']} walks measured")
     for failure, trace in zip(failures, tracebacks):
         prefix = "internal error" if failure["exit_code"] == EXIT_INTERNAL else "error"
         print(f"{prefix}: {failure['error']}", file=sys.stderr)
@@ -373,34 +366,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary = error_table(pairs)
-    rate = detection_rate(outcomes)
+    error, detection = error_table(pairs), detection_rate(outcomes)
 
+    columns = ("mean_cm", "sd_cm", "mean_pct", "sd_pct")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["walk_type", "n", "mean_cm", "sd_cm", "mean_pct", "sd_pct"])
-    rows = list(summary.by_type.items()) + [("all", summary.overall)]
-    for name, row in rows:
-        values = (row.mean_cm, row.sd_cm, row.mean_pct, row.sd_pct)
-        writer.writerow([name, row.n] + ["" if v is None else f"{v:.4f}" for v in values])
+    writer.writerow(["walk_type", "n", *columns])
+    for name, row in [*error["by_type"].items(), ("all", error["overall"])]:
+        values = (row[c] for c in columns)
+        writer.writerow([name, row["n"]] + ["" if v is None else f"{v:.4f}" for v in values])
     atomic_write_text(out / "error_table.csv", buf.getvalue())
-
-    report = {
-        "n_pairs": len(pairs),
-        "error": {
-            "overall": summary.overall.__dict__,
-            "by_type": {name: row.__dict__ for name, row in summary.by_type.items()},
-        },
-        "detection": {
-            "total": rate.total,
-            "detected": rate.detected,
-            "rate": rate.rate,
-            "by_type": {
-                name: {"detected": d, "total": t} for name, (d, t) in rate.by_type.items()
-            },
-        },
-    }
-    _json_dump(report, out / "report.json")
+    _json_dump({"n_pairs": len(pairs), "error": error, "detection": detection},
+               out / "report.json")
 
     if len(pairs) >= 2:
         matrix = np.array([[est, ref] for est, ref, _ in pairs])
@@ -414,9 +391,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:  # no earlier run's ICC beside this run's report
         (out / "icc.json").unlink(missing_ok=True)
 
-    error = (f"mean error {summary.overall.mean_cm:.2f} cm / {summary.overall.mean_pct:.2f}%"
-             if pairs else "no walk was measured, so no mean error")
-    print(f"evaluated {len(pairs)} measured walks (detection {rate.detected}/{rate.total}); {error}")
+    overall = error["overall"]
+    mean = (f"mean error {overall['mean_cm']:.2f} cm / {overall['mean_pct']:.2f}%"
+            if pairs else "no walk was measured, so no mean error")
+    print(f"evaluated {len(pairs)} measured walks "
+          f"(detection {detection['detected']}/{detection['total']}); {mean}")
     return EXIT_OK
 
 
@@ -436,7 +415,7 @@ def cmd_icc(args: argparse.Namespace) -> int:
     }
     if args.out:
         _json_dump(result, Path(args.out))
-    print(json.dumps(result, sort_keys=True, indent=1))
+    print(json.dumps(result, sort_keys=True, indent=1, allow_nan=False))
     return EXIT_OK
 
 

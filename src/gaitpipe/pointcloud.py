@@ -317,7 +317,10 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}.part")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the artifact, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -84,6 +84,8 @@ class WalkEntry:
     reference_step_length: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.participant, str):
+            raise ValueError(f"'participant' must be a string, got {self.participant!r}")
         if not isinstance(self.walk_index, int) or isinstance(self.walk_index, bool):
             raise ValueError(f"'walk_index' must be an integer, got {self.walk_index!r}")
         if self.walk_type not in WALK_TYPES:

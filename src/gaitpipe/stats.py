@@ -48,6 +48,9 @@ class RatingsMatrix:
 
 @dataclass(frozen=True)
 class IccResult:
+    """An ICC and its confidence interval. A value the ratings leave
+    undefined (a zero denominator) is NaN here and null in as_dict()."""
+
     icc: float
     ci_low: float
     ci_high: float
@@ -55,10 +58,16 @@ class IccResult:
     n_raters: int
     degenerate: bool = False
 
+    def __post_init__(self):
+        for name in ("icc", "ci_low", "ci_high"):
+            value = float(getattr(self, name))
+            object.__setattr__(self, name, value if math.isfinite(value) else math.nan)
+
     def as_dict(self) -> dict:
+        icc, lo, hi = (None if math.isnan(v) else v for v in (self.icc, self.ci_low, self.ci_high))
         return {
-            "icc": self.icc,
-            "ci95": [self.ci_low, self.ci_high],
+            "icc": icc,
+            "ci95": [lo, hi],
             "n_subjects": self.n_subjects,
             "n_raters": self.n_raters,
             "degenerate": self.degenerate,
@@ -66,14 +75,15 @@ class IccResult:
         }
 
 
-def _mean_squares(values: np.ndarray) -> tuple[float, float, float]:
-    """(MSR, MSC, MSE) for the two-way layout, via the variance shortcut."""
+def _mean_squares(values: np.ndarray) -> tuple[np.float64, np.float64, np.float64]:
+    """(MSR, MSC, MSE) for the two-way layout, via the variance shortcut, as numpy
+    scalars: a zero denominator then gives inf or NaN, not ZeroDivisionError."""
     n, k = values.shape
-    msr = float(np.var(values.mean(axis=1), ddof=1) * k)
-    msc = float(np.var(values.mean(axis=0), ddof=1) * n)
-    sst = float(np.var(values, ddof=1) * (n * k - 1))
+    msr = np.var(values.mean(axis=1), ddof=1) * k
+    msc = np.var(values.mean(axis=0), ddof=1) * n
+    sst = np.var(values, ddof=1) * (n * k - 1)
     sse = sst - msr * (n - 1) - msc * (k - 1)
-    mse = max(sse, 0.0) / ((n - 1) * (k - 1))
+    mse = np.maximum(sse, 0.0) / ((n - 1) * (k - 1))
     return msr, msc, mse
 
 
@@ -101,11 +111,10 @@ def icc2k(m: RatingsMatrix | np.ndarray | Sequence, confidence: float = 0.95) ->
         icc = msr / (msr + msc_eff / n)
         return IccResult(icc, icc, icc, n, k, degenerate=True)
 
-    icc = (msr - mse) / (msr + (msc - mse) / n)
-
     alpha = 1.0 - confidence
-    # CI via the single-score form, stepped up to the average-of-k form.
     with np.errstate(all="ignore"):
+        icc = (msr - mse) / (msr + (msc - mse) / n)
+        # CI via the single-score form, stepped up to the average-of-k form.
         icc2 = (msr - mse) / (msr + (k - 1) * mse + k * (msc - mse) / n)
         fj = msc / mse
         a = k * icc2 * fj + n * (1 + (k - 1) * icc2) - k * icc2
@@ -135,38 +144,24 @@ def icc3k(m: RatingsMatrix | np.ndarray | Sequence, confidence: float = 0.95) ->
     if mse < _DEGENERATE_TOL * scale:
         return IccResult(1.0, 1.0, 1.0, n, k, degenerate=True)
 
-    icc = (msr - mse) / msr
     alpha = 1.0 - confidence
-    fvalue = msr / mse
     df1 = n - 1
     df2 = (n - 1) * (k - 1)
-    fl = fvalue / fdtri(df1, df2, 1 - alpha / 2)
-    fu = fvalue * fdtri(df2, df1, 1 - alpha / 2)
-    return IccResult(icc, 1 - 1 / fl, 1 - 1 / fu, n, k)
+    with np.errstate(all="ignore"):
+        icc = (msr - mse) / msr
+        fvalue = msr / mse
+        fl = fvalue / fdtri(df1, df2, 1 - alpha / 2)
+        fu = fvalue * fdtri(df2, df1, 1 - alpha / 2)
+        return IccResult(icc, 1 - 1 / fl, 1 - 1 / fu, n, k)
 
 
-@dataclass(frozen=True)
-class ErrorRow:
-    n: int
-    mean_cm: float | None  # None when n is 0
-    sd_cm: float | None    # None when n is under 2
-    mean_pct: float | None
-    sd_pct: float | None
-
-
-@dataclass(frozen=True)
-class ErrorSummary:
-    by_type: dict[str, ErrorRow]
-    overall: ErrorRow
-
-
-def error_table(
-    pairs: Iterable[tuple[float, float, str | None]]
-) -> ErrorSummary:
+def error_table(pairs: Iterable[tuple[float, float, str | None]]) -> dict:
     """Absolute and percent step-length error, per walk type and pooled.
 
     Each pair is (estimate_m, reference_m, walk_type); references must be
-    positive. Percent error is 100*|est - ref|/ref.
+    positive. Percent error is 100*|est - ref|/ref. Returns {"overall": row,
+    "by_type": {type: row}}, a row {"n", "mean_cm", "sd_cm", "mean_pct", "sd_pct"}
+    with its means None when n is 0 and its SDs when n is under 2.
     """
     groups: dict[str, list[tuple[float, float]]] = {}
     all_errors: list[tuple[float, float]] = []
@@ -178,54 +173,40 @@ def error_table(
         groups.setdefault(walk_type or "all", []).append((err_cm, err_pct))
         all_errors.append((err_cm, err_pct))
 
-    def row(errors: list[tuple[float, float]]) -> ErrorRow:
+    def row(errors: list[tuple[float, float]]) -> dict:
+        n = len(errors)
         cm = np.array([e[0] for e in errors])
         pct = np.array([e[1] for e in errors])
-        return ErrorRow(
-            n=len(errors),
-            mean_cm=float(cm.mean()),
-            sd_cm=float(cm.std(ddof=1)) if len(errors) > 1 else None,
-            mean_pct=float(pct.mean()),
-            sd_pct=float(pct.std(ddof=1)) if len(errors) > 1 else None,
-        )
+        return {
+            "n": n,
+            "mean_cm": float(cm.mean()) if n else None,
+            "sd_cm": float(cm.std(ddof=1)) if n > 1 else None,
+            "mean_pct": float(pct.mean()) if n else None,
+            "sd_pct": float(pct.std(ddof=1)) if n > 1 else None,
+        }
 
-    if not all_errors:
-        empty = ErrorRow(0, None, None, None, None)
-        return ErrorSummary(by_type={}, overall=empty)
-    return ErrorSummary(
-        by_type={name: row(errs) for name, errs in sorted(groups.items())},
-        overall=row(all_errors),
-    )
+    return {
+        "overall": row(all_errors),
+        "by_type": {name: row(errs) for name, errs in sorted(groups.items())},
+    }
 
 
-@dataclass(frozen=True)
-class DetectionRate:
-    total: int
-    detected: int
-    by_type: dict[str, tuple[int, int]]  # type -> (detected, total)
-
-    @property
-    def rate(self) -> float | None:  # None: no walk to count
-        return self.detected / self.total if self.total else None
-
-
-def detection_rate(
-    outcomes: Iterable[tuple[str | None, bool]]
-) -> DetectionRate:
-    """Fraction of walks that yielded a step-length measurement."""
-    total = detected = 0
-    by_type: dict[str, list[int]] = {}
+def detection_rate(outcomes: Iterable[tuple[str | None, bool]]) -> dict:
+    """Walks that yielded a step-length measurement: {"total", "detected", "rate",
+    "by_type": {type: {"detected", "total"}}}, the rate None with no walk."""
+    by_type: dict[str, dict[str, int]] = {}
     for walk_type, got_measurement in outcomes:
-        total += 1
-        detected += bool(got_measurement)
-        tally = by_type.setdefault(walk_type or "all", [0, 0])
-        tally[0] += bool(got_measurement)
-        tally[1] += 1
-    return DetectionRate(
-        total=total,
-        detected=detected,
-        by_type={name: (d, t) for name, (d, t) in sorted(by_type.items())},
-    )
+        tally = by_type.setdefault(walk_type or "all", {"detected": 0, "total": 0})
+        tally["detected"] += bool(got_measurement)
+        tally["total"] += 1
+    total = sum(t["total"] for t in by_type.values())
+    detected = sum(t["detected"] for t in by_type.values())
+    return {
+        "total": total,
+        "detected": detected,
+        "rate": detected / total if total else None,
+        "by_type": dict(sorted(by_type.items())),
+    }
 
 
 def interval_reliability(
@@ -257,32 +238,21 @@ def interval_reliability(
     return results
 
 
-@dataclass(frozen=True)
-class ValidTrackStats:
-    per_home: dict[str, float]  # percentage of valid segments
-
-    @property
-    def mean(self) -> float | None:  # None: no home has a segment
-        return float(np.mean(list(self.per_home.values()))) if self.per_home else None
-
-    @property
-    def sd(self) -> float | None:
-        if len(self.per_home) < 2:
-            return None
-        return float(np.std(list(self.per_home.values()), ddof=1))
-
-
-def valid_track_stats(
-    segments_per_home: Mapping[str, Iterable[bool]]
-) -> ValidTrackStats:
-    """Percentage of valid linear segments per home, plus the mean (SD)."""
+def valid_track_stats(segments_per_home: Mapping[str, Iterable[bool]]) -> dict:
+    """{"per_home": percentage of valid linear segments, "mean", "sd"} over the
+    homes with a segment; the mean is None with no such home, the SD with one."""
     per_home = {}
     for home in sorted(segments_per_home):
         flags = [bool(v) for v in segments_per_home[home]]
         if not flags:
             continue
         per_home[home] = 100.0 * sum(flags) / len(flags)
-    return ValidTrackStats(per_home=per_home)
+    pcts = list(per_home.values())
+    return {
+        "per_home": per_home,
+        "mean": float(np.mean(pcts)) if pcts else None,
+        "sd": float(np.std(pcts, ddof=1)) if len(pcts) > 1 else None,
+    }
 
 
 MAX_HEATMAP_CELLS = 10**6  # grid cells per room, checked before allocating

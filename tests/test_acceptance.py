@@ -103,9 +103,9 @@ def test_criterion_03_radial_alignment_gating():
         result = process_session(session, CFG, mode="home")
         flags[name] = [bool(s.valid) for s in result.segments]
     stats = valid_track_stats(flags)
-    perp = stats.per_home["home_perpendicular"]
+    perp = stats["per_home"]["home_perpendicular"]
     radial_valid = sum(flags["home_radial"])
-    mixed = stats.per_home["home_L_shape"]
+    mixed = stats["per_home"]["home_L_shape"]
     report(
         3,
         "radial-alignment gating across home presets",

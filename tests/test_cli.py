@@ -185,15 +185,6 @@ def test_clinic_batch_matches_each_session_to_its_own_walk_log(sim_dir, tmp_path
         assert (alone / stem / "walks.jsonl").read_text() == walks
 
 
-def test_readme_python_blocks_run():
-    # "Library use" and the data-model example run as written, so a stale
-    # name in either fails here.
-    blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
-    assert len(blocks) >= 2
-    for k, block in enumerate(blocks):
-        exec(compile(block.split("```", 1)[0], f"README.md python block {k}", "exec"), {})
-
-
 def test_config_defaults_equivalence(sim_dir, tmp_path):
     # The README's config block is the documented copy of the defaults.
     readme = README.read_text(encoding="utf-8")
@@ -1127,6 +1118,22 @@ def test_evaluate_references_at_the_bounds_stay_finite(tmp_path, capsys, source)
     assert capsys.readouterr().err == ""
 
 
+def _strict_json(text: str):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_evaluate_undefined_icc_is_null(tmp_path, capsys):
+    # Estimates 0.55, 0.6 against references 0.6, 0.55: the ICC denominators
+    # are 0, which raised ZeroDivisionError after report.json was written.
+    code, _, out = _evaluate_two_walks(tmp_path, "reference", 0.6, 0.55)
+    assert code == 0 and capsys.readouterr().err == ""
+    icc = _strict_json((out / "icc.json").read_text())["est_vs_ref"]
+    assert icc["icc3k"]["icc"] is None and icc["icc3k"]["ci95"] == [None, None]
+
+
 @pytest.mark.parametrize("estimate", [1e300, -1.7e308, 1000.5])
 def test_evaluate_huge_estimate_exit_2(tmp_path, capsys, estimate):
     results = _results_tree(tmp_path, _WALK, {**_WALK, "avg_step_len_m": estimate})
@@ -1218,3 +1225,27 @@ def test_icc_huge_ratings_exit_2(tmp_path, capsys, huge):
     assert captured.err.startswith(f"error: ratings matrix {str(path)!r}")
     assert "at most 1e+100 in magnitude; row 2 is" in captured.err
     assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("rows,model", [
+    pytest.param("1,2\n2,1\n", "icc2k", id="zero_icc2_denominator"),
+    pytest.param("0.5,0.6\n0.6,0.5\n0.55,0.55\n", "icc3k", id="zero_msr"),
+    pytest.param("0.368,-0.496\n0.370,-0.497\n0.370,-0.498\n", "icc2k", id="ci_not_finite"),
+])
+def test_icc_undefined_values_are_null(tmp_path, capsys, rows, model):
+    path = tmp_path / "m.csv"
+    path.write_text(rows)
+    out = tmp_path / "icc.json"
+    assert main(["icc", "--matrix", str(path), "--out", str(out)]) == 0
+    printed = _strict_json(capsys.readouterr().out)
+    assert _strict_json(out.read_text()) == printed
+    assert printed[model]["ci95"] == [None, None]
+
+
+def test_write_error_names_the_artifact(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("0.5,0.6\n0.7,0.65\n0.4,0.5\n")
+    out = tmp_path / "nodir" / "x.json"
+    assert main(["icc", "--matrix", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2]") and repr(str(out)) in err and ".tmp-" not in err

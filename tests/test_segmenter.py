@@ -366,6 +366,12 @@ def test_walk_entry_rejects_what_the_reader_rejects(tmp_path, field, value):
         WalkEntry(**bad)
 
 
+def test_walk_entry_participant_must_be_a_string():
+    # Built in code, a participant 7 beside "P1" broke the sort in matching.
+    with pytest.raises(ValueError, match="^'participant' must be a string, got 7$"):
+        WalkEntry(7, 0, "control", 1.0)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("g_s", "far"), ("g_s", None), ("g_s", 6.0), ("g_e", [1.0]), ("g_e", [0.0, 2.0, 1.0]),

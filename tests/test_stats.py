@@ -170,15 +170,15 @@ def test_icc_negative_reported_not_clamped():
 def test_error_table_zero_when_equal():
     pairs = [(0.5, 0.5, "control"), (0.61, 0.61, "fast")]
     summary = error_table(pairs)
-    assert summary.overall.mean_cm == 0.0
-    assert summary.overall.mean_pct == 0.0
+    assert summary["overall"]["mean_cm"] == 0.0
+    assert summary["overall"]["mean_pct"] == 0.0
 
 
 def test_error_table_single_pair():
     summary = error_table([(0.55, 0.50, "control")])
-    assert summary.overall.mean_cm == pytest.approx(5.0)
-    assert summary.overall.mean_pct == pytest.approx(10.0)
-    assert summary.overall.sd_cm is None
+    assert summary["overall"]["mean_cm"] == pytest.approx(5.0)
+    assert summary["overall"]["mean_pct"] == pytest.approx(10.0)
+    assert summary["overall"]["sd_cm"] is None
 
 
 def test_error_table_reference_must_be_positive():
@@ -195,10 +195,10 @@ def test_error_table_pooled_mean_is_weighted_mean():
                 (float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.4, 0.8)), walk_type)
             )
     summary = error_table(pairs)
-    weighted = sum(r.mean_cm * r.n for r in summary.by_type.values()) / sum(
-        r.n for r in summary.by_type.values()
+    weighted = sum(r["mean_cm"] * r["n"] for r in summary["by_type"].values()) / sum(
+        r["n"] for r in summary["by_type"].values()
     )
-    assert summary.overall.mean_cm == pytest.approx(weighted, abs=1e-9)
+    assert summary["overall"]["mean_cm"] == pytest.approx(weighted, abs=1e-9)
 
 
 def test_error_table_matches_spreadsheet_style_oracle():
@@ -212,22 +212,22 @@ def test_error_table_matches_spreadsheet_style_oracle():
     pct = [abs(e - r) / r * 100 for e, r, _ in pairs]
     mean_cm = sum(cm) / len(cm)
     sd_cm = math.sqrt(sum((v - mean_cm) ** 2 for v in cm) / (len(cm) - 1))
-    assert summary.overall.mean_cm == pytest.approx(mean_cm, abs=1e-9)
-    assert summary.overall.sd_cm == pytest.approx(sd_cm, abs=1e-9)
-    assert summary.overall.mean_pct == pytest.approx(sum(pct) / len(pct), abs=1e-9)
+    assert summary["overall"]["mean_cm"] == pytest.approx(mean_cm, abs=1e-9)
+    assert summary["overall"]["sd_cm"] == pytest.approx(sd_cm, abs=1e-9)
+    assert summary["overall"]["mean_pct"] == pytest.approx(sum(pct) / len(pct), abs=1e-9)
 
 
 # ---------------------------------------------------------- detection rate
 
 
 def test_detection_rate_bounds():
-    assert detection_rate([("control", True)] * 5).rate == 1.0
-    assert detection_rate([("control", False)] * 5).rate == 0.0
+    assert detection_rate([("control", True)] * 5)["rate"] == 1.0
+    assert detection_rate([("control", False)] * 5)["rate"] == 0.0
     rate = detection_rate([("control", True), ("fast", False), ("fast", True)])
-    assert rate.rate == pytest.approx(2 / 3)
-    assert rate.by_type["fast"] == (1, 2)
+    assert rate["rate"] == pytest.approx(2 / 3)
+    assert rate["by_type"]["fast"] == {"detected": 1, "total": 2}
     # No walk is not a miss: nothing to average reads None.
-    assert detection_rate([]).rate is None
+    assert detection_rate([])["rate"] is None
 
 
 # ----------------------------------------------------- interval reliability
@@ -281,18 +281,18 @@ def test_valid_track_stats():
             "h3": [True, False, False, True],
         }
     )
-    assert stats.per_home == {"h1": 100.0, "h2": 0.0, "h3": 50.0}
-    assert stats.mean == pytest.approx(50.0)
-    assert stats.sd == pytest.approx(50.0)
+    assert stats["per_home"] == {"h1": 100.0, "h2": 0.0, "h3": 50.0}
+    assert stats["mean"] == pytest.approx(50.0)
+    assert stats["sd"] == pytest.approx(50.0)
 
 
 def test_valid_track_stats_empty_home_skipped():
     stats = valid_track_stats({"h1": [], "h2": [True]})
-    assert stats.per_home == {"h2": 100.0}
-    assert stats.sd is None
+    assert stats["per_home"] == {"h2": 100.0}
+    assert stats["sd"] is None
     # No home with a segment: nothing to average reads None.
-    assert valid_track_stats({"h1": []}).mean is None
-    assert valid_track_stats({}).mean is None
+    assert valid_track_stats({"h1": []})["mean"] is None
+    assert valid_track_stats({})["mean"] is None
 
 
 # ----------------------------------------------------------------- heatmap
