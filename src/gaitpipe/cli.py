@@ -313,7 +313,12 @@ def _read_reference(path) -> dict[str, float]:
         rows = csv.DictReader(fh, restval="")
         if not {"key", "reference_m"} <= set(rows.fieldnames or ()):
             raise ValueError("needs 'key' and 'reference_m' columns")
-        return {row["key"]: float(row["reference_m"]) for row in rows}
+        reference = {}
+        for row in rows:
+            if row["key"] in reference:
+                raise ValueError(f"line {rows.line_num}: key {row['key']!r} is listed twice")
+            reference[row["key"]] = float(row["reference_m"])
+        return reference
 
 
 def _truth_reference(walkers: list[dict], record: dict) -> float:
@@ -404,7 +409,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _read_matrix(path) -> RatingsMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return RatingsMatrix([[float(v) for v in row] for row in csv.reader(fh) if row])
+        rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+    for number, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"row {number} has {len(row)} ratings, row 1 has {len(rows[0])}")
+    return RatingsMatrix(rows)
 
 
 def cmd_icc(args: argparse.Namespace) -> int:

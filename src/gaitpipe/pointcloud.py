@@ -319,16 +319,16 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}.part")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # name the artifact, not the temp file
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # a failed open, write or rename: name the artifact
         raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def json_float(value: object, where: str) -> float:

@@ -1,12 +1,21 @@
 """Evaluation statistics: agreement, error tables, and track summaries.
 
-Intraclass correlations follow the two-way ANOVA forms: icc2k is the
-two-way random-effects, absolute-agreement, average-of-k-raters
-coefficient (MSR - MSE) / (MSR + (MSC - MSE)/n); icc3k is the consistency
-form (MSR - MSE) / MSR. Confidence intervals use the standard F-based
-constructions with alpha/2 tails, matching the output of the usual
-statistical packages. Negative estimates are reported as computed, never
-clamped.
+Intraclass correlations follow the two-way ANOVA forms of Shrout & Fleiss
+(1979) and McGraw & Wong (1996): icc2k is the random-effects, absolute-
+agreement, average-of-k-raters coefficient (MSR - MSE) / (MSR + (MSC -
+MSE)/n), with the single-score F interval stepped up to k raters by
+k r / (1 + (k - 1) r); icc3k is the consistency form (MSR - MSE) / MSR,
+with the exact F interval. F quantiles take alpha/2 tails.
+
+A value is defined only when its denominator is positive on the data's
+own scale: above _DEGENERATE_TOL times the ratings' total mean square (a
+mean square at or below that counts as 0), or above _DEGENERATE_TOL for
+the dimensionless step-up. So which values exist does not change under
+a*M + b. An undefined value is NaN (null in JSON), as is an interval
+missing an end or with an infinite F quantile. Every defined value is at
+most 1; negative estimates are never clamped. Identical entries give ICC
+1; a zero residual gives the point interval at the estimate's limit,
+flagged degenerate.
 """
 
 from __future__ import annotations
@@ -49,14 +58,14 @@ class RatingsMatrix:
 @dataclass(frozen=True)
 class IccResult:
     """An ICC and its confidence interval. A value the ratings leave
-    undefined (a zero denominator) is NaN here and null in as_dict()."""
+    undefined is NaN here and null in as_dict(), as is `negative` then."""
 
     icc: float
     ci_low: float
     ci_high: float
     n_subjects: int
     n_raters: int
-    degenerate: bool = False
+    degenerate: bool = False  # a zero residual: the interval is the point at icc
 
     def __post_init__(self):
         for name in ("icc", "ci_low", "ci_high"):
@@ -71,19 +80,21 @@ class IccResult:
             "n_subjects": self.n_subjects,
             "n_raters": self.n_raters,
             "degenerate": self.degenerate,
-            "negative": self.icc < 0,
+            "negative": None if icc is None else icc < 0,
         }
 
 
 def _mean_squares(values: np.ndarray) -> tuple[np.float64, np.float64, np.float64]:
-    """(MSR, MSC, MSE) for the two-way layout, via the variance shortcut, as numpy
-    scalars: a zero denominator then gives inf or NaN, not ZeroDivisionError."""
+    """(MSR, MSC, MSE) for the two-way layout, as numpy scalars: a zero
+    denominator then gives inf or NaN, not ZeroDivisionError. MSE sums the
+    squared residuals directly, not by subtracting sums of squares, so a
+    zero residual stays near 0 however far the ratings are shifted."""
     n, k = values.shape
-    msr = np.var(values.mean(axis=1), ddof=1) * k
-    msc = np.var(values.mean(axis=0), ddof=1) * n
-    sst = np.var(values, ddof=1) * (n * k - 1)
-    sse = sst - msr * (n - 1) - msc * (k - 1)
-    mse = np.maximum(sse, 0.0) / ((n - 1) * (k - 1))
+    row_means, col_means = values.mean(axis=1), values.mean(axis=0)
+    msr = np.var(row_means, ddof=1) * k
+    msc = np.var(col_means, ddof=1) * n
+    resid = values - row_means[:, None] - col_means + values.mean()
+    mse = np.sum(resid * resid) / ((n - 1) * (k - 1))
     return msr, msc, mse
 
 
@@ -93,66 +104,52 @@ def _coerce(m: RatingsMatrix | np.ndarray | Sequence) -> np.ndarray:
     return RatingsMatrix(np.asarray(m, dtype=float)).values
 
 
-def icc2k(m: RatingsMatrix | np.ndarray | Sequence, confidence: float = 0.95) -> IccResult:
-    """Two-way random effects, absolute agreement, average of k raters."""
+def _ratio(num: float, den: float) -> float:
+    """num / den when den exceeds _DEGENERATE_TOL, else NaN (undefined)."""
+    return num / den if den > _DEGENERATE_TOL else math.nan
+
+
+def _icc(m: RatingsMatrix | np.ndarray | Sequence, confidence: float,
+         agreement: bool) -> IccResult:
     values = _coerce(m)
     n, k = values.shape
-    msr, msc, mse = _mean_squares(values)
-    scale = max(1.0, msr, msc)
-
-    if msr < _DEGENERATE_TOL * scale and msc < _DEGENERATE_TOL and mse < _DEGENERATE_TOL:
-        # All entries identical: perfect agreement by definition.
+    if values.min() == values.max():  # identical entries: perfect agreement by definition
         return IccResult(1.0, 1.0, 1.0, n, k, degenerate=True)
-
-    if mse < _DEGENERATE_TOL * scale:
-        # Zero residual: evaluate at the mse -> 0 limit so perfect
-        # agreement comes out exactly 1.
-        msc_eff = 0.0 if msc < _DEGENERATE_TOL * scale else msc
-        icc = msr / (msr + msc_eff / n)
+    z = (values - values.mean()) / np.ptp(values)  # every ICC is invariant under a*M + b
+    ms = np.array(_mean_squares(z)) / np.var(z, ddof=1)  # in units of the total mean square
+    msr, msc, mse = np.where(ms > _DEGENERATE_TOL, ms, 0.0)
+    icc = _ratio(msr - mse, msr + (msc - mse) / n if agreement else msr)
+    if mse == 0.0:  # zero residual: the interval shrinks to the estimate
         return IccResult(icc, icc, icc, n, k, degenerate=True)
 
-    alpha = 1.0 - confidence
+    q = 1.0 - (1.0 - confidence) / 2
+    if not agreement:  # the exact F interval: 1 - F_crit / F at each tail
+        lo = _ratio(msr - fdtri(n - 1, (n - 1) * (k - 1), q) * mse, msr)
+        hi = _ratio(msr - mse / fdtri((n - 1) * (k - 1), n - 1, q), msr)
+        return IccResult(icc, lo, hi, n, k)
     with np.errstate(all="ignore"):
-        icc = (msr - mse) / (msr + (msc - mse) / n)
-        # CI via the single-score form, stepped up to the average-of-k form.
-        icc2 = (msr - mse) / (msr + (k - 1) * mse + k * (msc - mse) / n)
-        fj = msc / mse
-        a = k * icc2 * fj + n * (1 + (k - 1) * icc2) - k * icc2
-        vn = (k - 1) * (n - 1) * a * a
-        vd = (n - 1) * k * k * icc2 * icc2 * fj * fj + (
-            n * (1 + (k - 1) * icc2) - k * icc2
-        ) ** 2
-        v = vn / vd
-        fl = fdtri(n - 1, v, 1 - alpha / 2)
-        fu = fdtri(v, n - 1, 1 - alpha / 2)
-        lo2 = n * (msr - fl * mse) / (fl * (k * msc + (k * n - k - n) * mse) + n * msr)
-        hi2 = n * (fu * msr - mse) / (k * msc + (k * n - k - n) * mse + n * fu * msr)
-        lo = lo2 * k / (1 + (k - 1) * lo2)
-        hi = hi2 * k / (1 + (k - 1) * hi2)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        lo = hi = float("nan")
+        # The single-score interval with Satterthwaite's degrees of freedom v
+        # (0 when MSR is), each bound then stepped up to k raters.
+        v = (k - 1) * (n - 1) * (msr * (msc + (n - 1) * mse)) ** 2 / (
+            (n - 1) * ((msr - mse) * msc) ** 2 + (mse * ((n - 1) * msr + msc)) ** 2)
+        fl, fu = fdtri(n - 1, v, q), fdtri(v, n - 1, q)
+        c = k * msc + (k * n - k - n) * mse
+        lo1 = n * (msr - fl * mse) / (fl * c + n * msr)  # NaN when fl is infinite
+        hi1 = n * (fu * msr - mse) / (c + n * fu * msr)
+        lo, hi = (_ratio(k * r, 1 + (k - 1) * r) for r in (lo1, hi1))
+    if math.isnan(lo) or math.isnan(hi):  # an interval without both ends is undefined
+        lo = hi = math.nan
     return IccResult(icc, lo, hi, n, k)
+
+
+def icc2k(m: RatingsMatrix | np.ndarray | Sequence, confidence: float = 0.95) -> IccResult:
+    """Two-way random effects, absolute agreement, average of k raters."""
+    return _icc(m, confidence, agreement=True)
 
 
 def icc3k(m: RatingsMatrix | np.ndarray | Sequence, confidence: float = 0.95) -> IccResult:
     """Two-way model, consistency, average of k raters."""
-    values = _coerce(m)
-    n, k = values.shape
-    msr, msc, mse = _mean_squares(values)
-    scale = max(1.0, msr, msc)
-
-    if mse < _DEGENERATE_TOL * scale:
-        return IccResult(1.0, 1.0, 1.0, n, k, degenerate=True)
-
-    alpha = 1.0 - confidence
-    df1 = n - 1
-    df2 = (n - 1) * (k - 1)
-    with np.errstate(all="ignore"):
-        icc = (msr - mse) / msr
-        fvalue = msr / mse
-        fl = fvalue / fdtri(df1, df2, 1 - alpha / 2)
-        fu = fvalue * fdtri(df2, df1, 1 - alpha / 2)
-        return IccResult(icc, 1 - 1 / fl, 1 - 1 / fu, n, k)
+    return _icc(m, confidence, agreement=False)
 
 
 def error_table(pairs: Iterable[tuple[float, float, str | None]]) -> dict:

@@ -524,6 +524,20 @@ def test_run_failing_at_the_heatmaps_leaves_no_report(sim_dir, tmp_path, capsys)
     assert list(out.glob("heatmap_*.csv")) == []
 
 
+@pytest.mark.parametrize("artifact", ["report.json", "heatmap_walkway.csv"])
+def test_directory_in_place_of_a_root_artifact_is_named(sim_dir, tmp_path, capsys, artifact):
+    # The write fails with exit 2 naming the artifact, not its temp file,
+    # leaves no temp file, and the directory stays.
+    out = tmp_path / "o"
+    (out / artifact).mkdir(parents=True)
+    session = str(sim_dir / "clinic_control-5.session.jsonl")
+    assert main(["process", "--input", session, "--mode", "clinic", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21]") and repr(str(out / artifact)) in err
+    assert ".tmp-" not in err and list(out.rglob(".tmp-*")) == []
+    assert (out / artifact).is_dir()
+
+
 def test_rerun_leaves_files_process_does_not_write(sim_dir, tmp_path):
     inp = tmp_path / "in"
     inp.mkdir()
@@ -1151,8 +1165,9 @@ def test_evaluate_huge_estimate_exit_2(tmp_path, capsys, estimate):
     "text,field",
     [("id,ref\ns/0,0.55\n", "'key' and 'reference_m' columns"),
      ("key,reference_m\ns/0,far\n", "far"),
-     ("key,reference_m\ns/0\n", "could not convert")],
-    ids=["wrong_columns", "non_numeric", "short_row"],
+     ("key,reference_m\ns/0\n", "could not convert"),
+     ("key,reference_m\ns/0,0.55\ns/0,0.9\n", "line 3: key 's/0' is listed twice")],
+    ids=["wrong_columns", "non_numeric", "short_row", "duplicate_key"],
 )
 def test_evaluate_malformed_reference_csv_exit_2(tmp_path, capsys, text, field):
     results = _results_tree(tmp_path, _WALK)
@@ -1231,6 +1246,7 @@ def test_icc_huge_ratings_exit_2(tmp_path, capsys, huge):
     pytest.param("1,2\n2,1\n", "icc2k", id="zero_icc2_denominator"),
     pytest.param("0.5,0.6\n0.6,0.5\n0.55,0.55\n", "icc3k", id="zero_msr"),
     pytest.param("0.368,-0.496\n0.370,-0.497\n0.370,-0.498\n", "icc2k", id="ci_not_finite"),
+    pytest.param("0,-1\n0,1\n", "icc2k", id="step_up_pole"),
 ])
 def test_icc_undefined_values_are_null(tmp_path, capsys, rows, model):
     path = tmp_path / "m.csv"
@@ -1240,6 +1256,16 @@ def test_icc_undefined_values_are_null(tmp_path, capsys, rows, model):
     printed = _strict_json(capsys.readouterr().out)
     assert _strict_json(out.read_text()) == printed
     assert printed[model]["ci95"] == [None, None]
+    for result in printed.values():  # no sign for an undefined ICC
+        assert result["negative"] is (None if result["icc"] is None else result["icc"] < 0)
+
+
+def test_icc_ragged_matrix_names_the_row(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("0.5,0.6\n0.7\n0.4,0.5\n")
+    assert main(["icc", "--matrix", str(path)]) == 2
+    assert capsys.readouterr().err == (f"error: ratings matrix {str(path)!r}: "
+                                       "ValueError: row 2 has 1 ratings, row 1 has 2\n")
 
 
 def test_write_error_names_the_artifact(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gaitpipe.stats import (
     MAX_RATING,
@@ -17,7 +18,7 @@ from gaitpipe.stats import (
 )
 
 from builders import make_track
-from oracles import anova_icc2k, anova_icc3k, icc_ci_mcgraw_wong
+from oracles import anova_icc2k, anova_icc3k, anova_mean_squares, icc_ci_mcgraw_wong
 
 # Shrout & Fleiss (1979), six targets rated by four judges. Published
 # averages: ICC(2,k)=0.62, ICC(3,k)=0.91; psych::ICC CIs (0.071, 0.93)
@@ -93,20 +94,35 @@ def test_icc_shrout_fleiss_worked_example():
     assert r3.ci_high == pytest.approx(0.99, abs=5e-3)
 
 
+def _estimate_denominators(m):
+    """The oracle's ICC(2,k) and ICC(3,k) denominators, from its own mean squares."""
+    msr, msc, mse = anova_mean_squares(m)
+    return msr + (msc - mse) / len(m), msr
+
+
 def test_icc_matches_anova_oracle():
+    # Equal to the oracle where its denominator is positive, undefined elsewhere.
     rng = np.random.default_rng(10)
+    undefined = 0
     for _ in range(40):
         n = int(rng.integers(2, 12))
         k = int(rng.integers(2, 6))
         m = rng.normal(5, 2, size=(n, k)) + rng.normal(0, 1, size=(n, 1))
-        assert icc2k(m).icc == pytest.approx(anova_icc2k(m), abs=1e-9)
-        assert icc3k(m).icc == pytest.approx(anova_icc3k(m), abs=1e-9)
+        pairs = ((icc2k(m), anova_icc2k(m)), (icc3k(m), anova_icc3k(m)))
+        for (result, expected), den in zip(pairs, _estimate_denominators(m)):
+            if den > 0:
+                assert result.icc == pytest.approx(expected, abs=1e-9)
+            else:
+                assert math.isnan(result.icc) and result.as_dict()["icc"] is None
+                undefined += 1
+    assert undefined == 1  # one of the 80 estimates: the oracle's reads above 1
 
 
 def test_icc_ci_matches_f_ppf_oracle():
     # Intervals against McGraw & Wong's construction with scipy.stats.f.ppf
     # quantiles, fed the same mean squares, over random matrices and
-    # near-degenerate ones.
+    # near-degenerate ones. Compared where the oracle's denominators are
+    # positive, and undefined (null) elsewhere.
     rng = np.random.default_rng(40)
     matrices = []
     for _ in range(60):
@@ -122,18 +138,32 @@ def test_icc_ci_matches_f_ppf_oracle():
         offset[0, -1] = rng.choice([0.0, 1e-6, 5.0])
         matrices.append(base + noise + offset)
 
-    checked = 0
+    checked = undefined_estimates = undefined_intervals = 0
     for m in matrices:
         n, k = m.shape
+        den2, den3 = _estimate_denominators(m)
         for confidence in (0.9, 0.95, 0.99):
             r2, r3 = icc2k(m, confidence), icc3k(m, confidence)
             if r2.degenerate or r3.degenerate:
                 continue
             ci2, ci3 = icc_ci_mcgraw_wong(*_mean_squares(m), n, k, confidence)
-            np.testing.assert_allclose((r2.ci_low, r2.ci_high), ci2, rtol=1e-7, atol=1e-9)
+            if not den2 > 0:
+                assert math.isnan(r2.icc)
+                undefined_estimates += 1
+            # A stepped-up bound b = k r / (1 + (k - 1) r) has 1 + (k - 1) r
+            # = k / (k - (k - 1) b), so that denominator is positive where
+            # (k - 1) b < k; the oracle makes both bounds NaN if either is.
+            if all((k - 1) * b < k for b in ci2):
+                np.testing.assert_allclose((r2.ci_low, r2.ci_high), ci2, rtol=1e-7, atol=1e-9)
+                checked += 1
+            else:
+                assert math.isnan(r2.ci_low) and math.isnan(r2.ci_high)
+                undefined_intervals += 1
+            assert den3 > 0
             np.testing.assert_allclose((r3.ci_low, r3.ci_high), ci3, rtol=1e-9, atol=1e-12)
-            checked += 1
-    assert checked > 200
+            for value in (r2.icc, r2.ci_low, r2.ci_high, r3.icc, r3.ci_low, r3.ci_high):
+                assert math.isnan(value) or value <= 1
+    assert (checked, undefined_estimates, undefined_intervals) == (331, 9, 26)
 
 
 def test_icc_at_most_one_and_offset_ordering():
@@ -162,6 +192,84 @@ def test_icc_negative_reported_not_clamped():
     result = icc3k(m)
     assert result.icc < 0
     assert result.as_dict()["negative"] is True
+
+
+# Ten walks' step lengths (m) from two raters: ICC(2,k) 0.9817, ICC(3,k)
+# 0.9837, the same in mm or km.
+STEP_LENGTHS = [
+    [0.543, 0.524], [0.535, 0.528], [0.701, 0.693], [0.486, 0.468], [0.632, 0.617],
+    [0.681, 0.671], [0.511, 0.513], [0.451, 0.478], [0.563, 0.508], [0.621, 0.625],
+]
+
+
+@st.composite
+def ratings_grids(draw):
+    """Small integer n x k grids: free, or with constant rows, constant
+    columns, raters swapped within each subject, additive (zero residual),
+    or every entry identical."""
+    n, k = draw(st.integers(2, 7)), draw(st.integers(2, 5))
+    entry = st.integers(-6, 6)
+    rows = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    cols = np.array(draw(st.lists(entry, min_size=k, max_size=k)))
+    kind = draw(st.sampled_from(
+        ["free", "constant_rows", "constant_columns", "swapped", "additive", "identical"]))
+    if kind == "free":
+        grid = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    elif kind == "constant_rows":
+        grid = np.repeat(rows[:, None], k, axis=1)
+    elif kind == "constant_columns":
+        grid = np.tile(cols, (n, 1))
+    elif kind == "swapped":
+        grid = [np.roll(cols, draw(st.integers(0, k - 1))) for _ in range(n)]
+    elif kind == "additive":
+        grid = rows[:, None] + cols[None, :]
+    else:
+        grid = np.full((n, k), rows[0])
+    return np.asarray(grid, dtype=float).tolist()
+
+
+def _values(result):
+    return result.icc, result.ci_low, result.ci_high
+
+
+@settings(max_examples=300)
+@example(STEP_LENGTHS, -5.0, 0.0)  # was 1.0 and degenerate at this scale
+@example([[0.5, 0.6], [0.6, 0.5], [0.55, 0.55]], 0.0, 0.0)  # was ICC(2,k) 3.0
+@example([[1.0, 2.0], [2.0, 1.0]], 0.0, 0.0)  # was ICC(2,k) 2.0
+@example([[0.0, -1.0], [0.0, 1.0]], 0.0, 0.0)  # was ci95 [2.003, 0.999]
+@example([[4.0, -2.0], [1.0, 0.0]], 0.0, 0.0)  # ICC(2,k) below its own interval
+@example([[0.368, -0.496], [0.370, -0.497], [0.370, -0.498]], 3.0, -700.0)  # infinite F quantile
+@example([[0.0, -4.0]] * 5 + [[-4.0, -8.0], [6.0, 2.0]], -2.5, 765.0)  # zero residual, far shifted
+@example([[0.0, 1.0], [-2.0, 4.0]], 2.0, 0.0)  # an F quantile near 1e305
+@example([[0.0, 0.0, 0.0, 1.0]] * 5 + [[1.0, 0.0, 0.0, 0.0]] * 2, 1.0, 0.0)  # MSR 0: no df
+@given(ratings_grids(), st.floats(-8.0, 8.0), st.floats(-1e3, 1e3))
+def test_icc_defined_by_one_scale_free_rule(grid, log_scale, shift):
+    # a*M + b for a in [1e-8, 1e8] and |b| <= 1e3 * a * range(M) leaves
+    # which values are defined, and each estimate, unchanged; every defined
+    # value is at most 1, and an interval holds its estimate (McGraw and
+    # Wong's ICC(2,k) interval only a non-negative one).
+    m = np.array(grid)
+    a = 10.0 ** log_scale
+    moved = a * m + shift * a * np.ptp(m)
+    for icc in (icc2k, icc3k):
+        plain, scaled = icc(m), icc(moved)
+        assert plain.degenerate == scaled.degenerate
+        assert np.array_equal(np.isnan(_values(plain)), np.isnan(_values(scaled)))
+        if not math.isnan(plain.icc):
+            assert abs(scaled.icc - plain.icc) <= 1e-6 * max(1.0, abs(plain.icc))
+        for result in (plain, scaled):
+            est, lo, hi = _values(result)
+            assert all(math.isnan(v) or v <= 1.0 for v in (est, lo, hi))
+            assert (result.as_dict()["negative"] is None) == math.isnan(est)
+            if not math.isnan(est + lo + hi) and (icc is icc3k or est >= 0):
+                assert lo <= est <= hi
+
+
+def test_icc_step_lengths_at_any_unit():
+    for unit in (1.0, 1e-5, 1e3):
+        r2, r3 = icc2k(np.array(STEP_LENGTHS) * unit), icc3k(np.array(STEP_LENGTHS) * unit)
+        assert r2.icc == pytest.approx(0.9817, abs=5e-5) and not r2.degenerate
+        assert r3.icc == pytest.approx(0.9837, abs=5e-5) and not r3.degenerate
 
 
 # ------------------------------------------------------------- error table
