@@ -160,7 +160,7 @@ def _write_bundle(session_path: str, stem: str, cfg: PipelineConfig, mode: str, 
     session_out = Path(out_dir) / stem
     session_out.mkdir(parents=True, exist_ok=True)
 
-    texts = ["".join(json.dumps(w.as_dict(), sort_keys=True) + "\n" for w in result.walks),
+    texts = ["".join(json.dumps(w, sort_keys=True, allow_nan=False) + "\n" for w in result.walks),
              _segments_csv(result.segments)]
     if dump_tracks:
         texts.append("".join(
@@ -172,6 +172,7 @@ def _write_bundle(session_path: str, stem: str, cfg: PipelineConfig, mode: str, 
     for name, text in zip(BUNDLE_FILES, texts):
         atomic_write_text(session_out / name, text)
 
+    measured = [w["avg_step_len_m"] is not None for w in result.walks]
     return {
         "stem": stem,
         "room": session.room_label,
@@ -179,10 +180,10 @@ def _write_bundle(session_path: str, stem: str, cfg: PipelineConfig, mode: str, 
         "n_segments": len(result.segments),
         "segment_valid_flags": [bool(s.valid) for s in result.segments],
         "n_walks": len(result.walks),
-        "n_measured": result.n_measured,
+        "n_measured": sum(measured),
         "suppressed_segments": result.suppressed_segments,
         "dropped_points": session.dropped_points,
-        "walk_outcomes": [(w.walk_type, w.avg_step_len_m is not None) for w in result.walks],
+        "walk_outcomes": [(w.get("walk_type"), m) for w, m in zip(result.walks, measured)],
         "track_xy": np.concatenate(
             [np.empty((0, 2))] + [np.column_stack((tr.x, tr.y)) for tr in result.tracks]),
     }

@@ -1,15 +1,21 @@
 """End-to-end per-session processing: frames to walk records.
 
-Home mode keeps the valid radially-aligned segments, suppressing any
-segment whose time span overlaps another confirmed track (step length is
-only reported when a single person is being tracked). Clinic mode matches
-segments to the logged walkway passes instead and reports one record per
-logged walk, detected or not.
+Each walk leaves as the dict that its walks.jsonl line holds. Home mode
+keeps the valid radially-aligned segments, suppressing any segment whose
+time span meets another confirmed track's lifetime (step length is only
+reported when a single person is being tracked). Over the tracks' sorted
+starts and ends, the lifetimes that meet [t_start, t_end] number
+#(start <= t_end) - #(end < t_start); a segment's own track is always
+among them, so a count above 1 suppresses the segment. Clinic mode
+matches segments to the logged walkway passes instead and reports one
+record per logged walk, detected or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import PipelineConfig
 from .gaitmetrics import WalkResult, analyze_segment, direction_sign
@@ -27,95 +33,53 @@ from .tracker import Track, track_frames
 MODES = ("home", "clinic")
 
 
-@dataclass(frozen=True)
-class WalkRecord:
-    """One reportable walk: the JSON-facing record of a measurement.
-
-    An unmatched clinic walk leaves the segment fields at their defaults.
-    """
-
-    track_id: int | None = None
-    seg_index: int | None = None
-    t_start: float | None = None
-    direction: str | None = None    # "approach" | "recede"
-    n_peaks: int = 0
-    steps: tuple[tuple[float, float], ...] = ()  # (length_m, time_s)
-    avg_step_len_m: float | None = None
-    walk_index: int | None = None   # clinic only
-    walk_type: str | None = None
-    matched: bool | None = None
-    reference_step_length: float | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "track_id": self.track_id,
-            "seg_index": self.seg_index,
-            "t_start": None if self.t_start is None else round(self.t_start, 6),
-            "direction": self.direction,
-            "n_peaks": self.n_peaks,
-            "steps": [
-                {"len_m": round(length, 6), "time_s": round(time, 6)}
-                for length, time in self.steps
-            ],
-            "avg_step_len_m": (
-                None if self.avg_step_len_m is None else round(self.avg_step_len_m, 6)
-            ),
-        }
-        if self.walk_index is not None:
-            out["walk_index"] = self.walk_index
-            out["walk_type"] = self.walk_type
-            out["matched"] = self.matched
-            out["reference_step_length"] = self.reference_step_length
-        return out
-
-
 @dataclass
 class SessionResult:
     tracks: list[Track]
     segments: list[LinearSegment]
-    walks: list[WalkRecord] = field(default_factory=list)
+    walks: list[dict] = field(default_factory=list)  # walks.jsonl records, in file order
     suppressed_segments: int = 0
 
-    @property
-    def n_measured(self) -> int:
-        return sum(1 for w in self.walks if w.avg_step_len_m is not None)
 
-
-def _walk_record(result: WalkResult | None, entry: WalkEntry | None = None) -> WalkRecord:
-    """Build the one walks.jsonl record of a walk.
+def _walk_record(result: WalkResult | None, entry: WalkEntry | None = None) -> dict:
+    """The one walks.jsonl record of a walk.
 
     A home walk passes its analysed segment, a matched clinic walk that and
-    its walk-log entry, an unmatched clinic walk only the entry.
+    its walk-log entry, an unmatched clinic walk only the entry, which
+    leaves the segment fields at null, 0 and []. The clinic keys appear
+    only with an entry.
     """
-    values = {}
+    record = {"track_id": None, "seg_index": None, "t_start": None, "direction": None,
+              "n_peaks": 0, "steps": [], "avg_step_len_m": None}
     if result is not None:
-        seg = result.segment
-        values.update(
+        seg, avg = result.segment, result.avg_step_length
+        record.update(
             track_id=seg.parent_track,
             seg_index=seg.seg_index,
-            t_start=seg.t_start,
+            t_start=round(seg.t_start, 6),
             direction="approach" if direction_sign(seg) < 0 else "recede",
             n_peaks=result.n_peaks,
-            steps=tuple((s.step_length, s.step_time) for s in result.steps),
-            avg_step_len_m=result.avg_step_length,
+            steps=[{"len_m": round(s.step_length, 6), "time_s": round(s.step_time, 6)}
+                   for s in result.steps],
+            avg_step_len_m=None if avg is None else round(avg, 6),
         )
     if entry is not None:
-        values.update(
+        record.update(
             walk_index=entry.walk_index,
             walk_type=entry.walk_type,
             matched=result is not None,
             reference_step_length=entry.reference_step_length,
         )
-    return WalkRecord(**values)
+    return record
 
 
-def _overlaps_other_track(seg: LinearSegment, tracks: list[Track]) -> bool:
-    for track in tracks:
-        if track.track_id == seg.parent_track:
-            continue
-        if track.t[0] <= seg.t_end and seg.t_start <= track.t[-1]:
-            return True
-    return False
+def _suppressed(segments: list[LinearSegment], tracks: list[Track]) -> np.ndarray:
+    """Per segment, whether another track's lifetime meets its time span."""
+    starts = np.sort([track.t[0] for track in tracks])
+    ends = np.sort([track.t[-1] for track in tracks])
+    met = (np.searchsorted(starts, [seg.t_end for seg in segments], side="right")
+           - np.searchsorted(ends, [seg.t_start for seg in segments], side="left"))
+    return met > 1
 
 
 def process_session(
@@ -130,31 +94,27 @@ def process_session(
         raise ValueError("clinic mode requires a walk log")
 
     tracks = track_frames(session, cfg)
-    segments: list[LinearSegment] = []
-    for track in tracks:
-        for seg in split_track(track, cfg.segmenter.rdp_epsilon):
-            seg.valid = classify(
-                seg, cfg.segmenter.min_length, cfg.segmenter.max_angle_deg
-            )
-            segments.append(seg)
+    segments = [seg for track in tracks for seg in split_track(track, cfg.segmenter.rdp_epsilon)]
+    for seg in segments:
+        seg.valid = classify(seg, cfg.segmenter.min_length, cfg.segmenter.max_angle_deg)
 
     result = SessionResult(tracks=tracks, segments=segments)
 
     if mode == "clinic":
-        for entry, seg in match_clinic_walks(segments, walklog, cfg.segmenter.clinic_tol):
-            measured = None if seg is None else analyze_segment(seg, cfg.gait)
-            result.walks.append(_walk_record(measured, entry))
-        result.walks.sort(
-            key=lambda w: (w.walk_index, w.t_start if w.t_start is not None else -1.0)
+        pairs = sorted(
+            match_clinic_walks(segments, walklog, cfg.segmenter.clinic_tol),
+            key=lambda p: (p[0].walk_index, -1.0 if p[1] is None else p[1].t_start),
         )
+        result.walks = [
+            _walk_record(None if seg is None else analyze_segment(seg, cfg.gait), entry)
+            for entry, seg in pairs
+        ]
         return result
 
-    for seg in segments:
-        if not seg.valid:
-            continue
-        if _overlaps_other_track(seg, tracks):
-            result.suppressed_segments += 1
-            continue
-        result.walks.append(_walk_record(analyze_segment(seg, cfg.gait)))
-    result.walks.sort(key=lambda w: (w.t_start, w.track_id, w.seg_index))
+    valid = sorted((seg for seg in segments if seg.valid),
+                   key=lambda seg: (seg.t_start, seg.parent_track, seg.seg_index))
+    suppressed = _suppressed(valid, tracks)
+    result.suppressed_segments = int(suppressed.sum())
+    result.walks = [_walk_record(analyze_segment(seg, cfg.gait))
+                    for seg, out in zip(valid, suppressed) if not out]
     return result

@@ -145,7 +145,7 @@ def _parse_point(raw: object, line: int) -> tuple[float, float, float, float]:
             f"point must be a 4-element [x, y, z, s] array, got {raw!r}", line
         )
     try:
-        return tuple(json_float(v, "point entry") for v in raw)
+        return tuple(json_float(v, "point entry", finite=False) for v in raw)
     except ValueError:
         raise SessionFormatError(f"non-numeric point entry {raw!r}", line) from None
 
@@ -220,7 +220,7 @@ def read_session(path: str | os.PathLike) -> Session:
                 if "t" not in obj or "pts" not in obj:
                     raise SessionFormatError("frame line must have 't' and 'pts'", lineno)
                 try:
-                    t = json_float(obj["t"], "t")
+                    t = json_float(obj["t"], "t", finite=False)
                 except ValueError:
                     raise SessionFormatError(f"non-numeric t {obj['t']!r}", lineno) from None
                 if not 0 <= t <= MAX_TIME_S:  # NaN fails both bounds
@@ -270,7 +270,7 @@ def _check_header(obj: dict, lineno: int) -> tuple[float, str]:
         if key not in obj:
             raise SessionFormatError(f"header missing {key!r}", lineno)
     try:
-        frame_rate = json_float(obj["frame_rate"], "frame_rate")
+        frame_rate = json_float(obj["frame_rate"], "frame_rate", finite=False)
     except ValueError:
         frame_rate = math.nan
     if not frame_rate > 0:
@@ -331,16 +331,20 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def json_float(value: object, where: str) -> float:
+def json_float(value: object, where: str, finite: bool = True) -> float:
     """A parsed JSON number as a float; ValueError naming `where` for any other
-    value (true and false included, though Python counts them as ints), and
-    for an integer past the float range."""
+    value (true and false included, though Python counts them as ints), for
+    an integer past the float range and, when `finite`, for the NaN and
+    infinities that Python's json reads from NaN, Infinity and 1e999."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
             pass
-    raise ValueError(f"{where} must be a number in float range, got {value!r}")
+        else:
+            if not finite or math.isfinite(number):
+                return number
+    raise ValueError(f"{where} must be a finite number, got {value!r}")
 
 
 def build_session(

@@ -9,13 +9,13 @@ with the exact F interval. F quantiles take alpha/2 tails.
 
 A value is defined only when its denominator is positive on the data's
 own scale: above _DEGENERATE_TOL times the ratings' total mean square (a
-mean square at or below that counts as 0), or above _DEGENERATE_TOL for
-the dimensionless step-up. So which values exist does not change under
-a*M + b. An undefined value is NaN (null in JSON), as is an interval
-missing an end or with an infinite F quantile. Every defined value is at
-most 1; negative estimates are never clamped. Identical entries give ICC
-1; a zero residual gives the point interval at the estimate's limit,
-flagged degenerate.
+mean square, or an estimate's numerator MSR - MSE, at or below that
+counts as 0), or above _DEGENERATE_TOL for the dimensionless step-up. So
+which values exist does not change under a*M + b. An undefined value is
+NaN (null in JSON), as is an interval missing an end or with an infinite
+F quantile. Every defined value is at most 1; negative estimates are
+never clamped. Identical entries give ICC 1; a zero residual gives the
+point interval at the estimate's limit, flagged degenerate.
 """
 
 from __future__ import annotations
@@ -118,7 +118,8 @@ def _icc(m: RatingsMatrix | np.ndarray | Sequence, confidence: float,
     z = (values - values.mean()) / np.ptp(values)  # every ICC is invariant under a*M + b
     ms = np.array(_mean_squares(z)) / np.var(z, ddof=1)  # in units of the total mean square
     msr, msc, mse = np.where(ms > _DEGENERATE_TOL, ms, 0.0)
-    icc = _ratio(msr - mse, msr + (msc - mse) / n if agreement else msr)
+    num = msr - mse if abs(msr - mse) > _DEGENERATE_TOL else 0.0  # exact 0, not its noise
+    icc = _ratio(num, msr + (msc - mse) / n if agreement else msr)
     if mse == 0.0:  # zero residual: the interval shrinks to the estimate
         return IccResult(icc, icc, icc, n, k, degenerate=True)
 

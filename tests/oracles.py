@@ -408,3 +408,15 @@ def brute_force_peaks(
         if all(abs(t[i] - t[j]) >= min_gap - slack for j in accepted):
             accepted.append(i)
     return [float(t[i]) for i in sorted(accepted, key=lambda i: t[i])]
+
+
+def overlaps_other_track(seg, tracks) -> bool:
+    """Home mode's pairwise suppression rule, one track at a time: whether
+    the lifetime [t[0], t[-1]] of a track other than the segment's own
+    meets the segment's [t_start, t_end], endpoints included."""
+    for track in tracks:
+        if track.track_id == seg.parent_track:
+            continue
+        if track.t[0] <= seg.t_end and seg.t_start <= track.t[-1]:
+            return True
+    return False

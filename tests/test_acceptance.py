@@ -42,7 +42,7 @@ def run_clinic_scene(name: str, seed: int, v0: float, t_step: float):
     scene = make_scenario(name, seed=seed, base_speed=v0, step_period=t_step, n_walks=1)
     session, truth = simulate(scene)
     result = process_session(session, CFG, mode="clinic", walklog=scene.walklog)
-    measured = [w.avg_step_len_m for w in result.walks if w.avg_step_len_m is not None]
+    measured = [w["avg_step_len_m"] for w in result.walks if w["avg_step_len_m"] is not None]
     return (measured[0] if measured else None), truth.walkers[0].true_step_length
 
 
@@ -262,7 +262,7 @@ def _cohort_day_average(home_idx: int, week: int, day: int) -> float | None:
     )
     session, _ = simulate(scene)
     result = process_session(session, CFG, mode="home")
-    vals = [w.avg_step_len_m for w in result.walks if w.avg_step_len_m is not None]
+    vals = [w["avg_step_len_m"] for w in result.walks if w["avg_step_len_m"] is not None]
     return float(np.mean(vals)) if vals else None
 
 
@@ -316,17 +316,17 @@ def test_criterion_10_direction_and_mirror_symmetry():
         session, toward = _home_walk_average(((0.3, 6.0), (0.3, 1.4)), seed)
         reversed_session = _remap_session(session, (1, 1, 1, -1), reverse=True)
         away = process_session(reversed_session, CFG, mode="home")
-        assert {w.direction for w in toward.walks} == {"approach"}
-        assert {w.direction for w in away.walks} == {"recede"}
-        a = toward.walks[0].avg_step_len_m
-        b = away.walks[0].avg_step_len_m
+        assert {w["direction"] for w in toward.walks} == {"approach"}
+        assert {w["direction"] for w in away.walks} == {"recede"}
+        a = toward.walks[0]["avg_step_len_m"]
+        b = away.walks[0]["avg_step_len_m"]
         worst_dir = max(worst_dir, abs(a - b) / ((a + b) / 2))
 
         session, original = _home_walk_average(((0.8, 6.0), (-0.4, 1.4)), seed)
         mirrored_session = _remap_session(session, (-1, 1, 1, 1))
         mirrored = process_session(mirrored_session, CFG, mode="home")
-        ma = original.walks[0].avg_step_len_m
-        mb = mirrored.walks[0].avg_step_len_m
+        ma = original.walks[0]["avg_step_len_m"]
+        mb = mirrored.walks[0]["avg_step_len_m"]
         worst_mirror = max(worst_mirror, abs(ma - mb) / ((ma + mb) / 2))
     report(
         10,

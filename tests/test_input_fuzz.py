@@ -1,5 +1,6 @@
-"""Fuzz the four hand-edited inputs through `main`: session header, walk log,
-config file and truth header; then the magnitudes in frame lines.
+"""Fuzz the hand-edited inputs through `main`: session header, walk log,
+config file and truth header, and the walks.jsonl line that `evaluate`
+reads; then the magnitudes in frame lines.
 
 Each case mutates a valid input: it drops a key, replaces a value with
 null, a string, a list, true, a negative number, NaN or an integer past
@@ -93,7 +94,7 @@ def _ini(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_main(argv: list[str], named: Path) -> None:
+def run_main(argv: list[str], named: Path) -> tuple[int, str]:
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
@@ -102,6 +103,25 @@ def run_main(argv: list[str], named: Path) -> None:
     assert "Traceback" not in text and "internal error" not in text, text
     if code == 2:
         assert str(named) in text, text
+    return code, text
+
+
+def assert_strict_json(out: Path) -> None:
+    """No artifact under `out` holds NaN or Infinity, which are not JSON."""
+    for artifact in out.rglob("*"):
+        if artifact.is_file():
+            text = artifact.read_text()
+            assert "NaN" not in text and "Infinity" not in text, artifact.name
+
+
+def with_value(obj, path: tuple, value):
+    """A copy of obj with `value` at the key or index path `path`."""
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
 
 
 @pytest.fixture(scope="module")
@@ -129,20 +149,64 @@ def test_fuzz_session_header(clinic):
     check()
 
 
+def walklog_run(clinic: Path, tmp: Path, text: str) -> tuple[list[str], Path]:
+    """`process` in clinic mode with `text` as the walk log beside the session."""
+    shutil.copy(clinic / "clinic_control-5.session.jsonl", tmp / "w.session.jsonl")
+    path = tmp / "w.walklog.json"
+    path.write_text(text)
+    return ["process", "--input", str(tmp / "w.session.jsonl"), "--mode", "clinic",
+            "--out", str(tmp / "o")], path
+
+
+def walks_run(clinic: Path, tmp: Path, text: str) -> tuple[list[str], Path]:
+    """`evaluate --truth` over a results tree whose one walks.jsonl holds `text`."""
+    path = tmp / "r" / "clinic_control-5" / "walks.jsonl"
+    path.parent.mkdir(parents=True)
+    path.write_text(text + "\n")
+    return ["evaluate", "--results", str(tmp / "r"), "--truth", str(clinic),
+            "--out", str(tmp / "o")], path
+
+
+def truth_run(clinic: Path, tmp: Path, text: str) -> tuple[list[str], Path]:
+    """`evaluate --truth` over the home-mode results with `text` as the truth header."""
+    samples = (clinic / "clinic_control-5.truth.jsonl").read_text().split("\n", 1)[1]
+    path = tmp / "clinic_control-5.truth.jsonl"
+    path.write_text(text + "\n" + samples)
+    return ["evaluate", "--results", str(clinic / "results"), "--truth", str(tmp),
+            "--out", str(tmp / "o")], path
+
+
+def first_value(path: Path) -> dict:
+    """The first JSON value in a file: a walk log, or a JSONL file's first line."""
+    return json.JSONDecoder().raw_decode(path.read_text())[0]
+
+
 def test_fuzz_walklog(clinic):
     walklog = json.loads((clinic / "clinic_control-5.walklog.json").read_text())
-    session = clinic / "clinic_control-5.session.jsonl"
 
     @FUZZ
+    # json.dumps writes NaN and Infinity, which Python's json reads back.
+    @example(json.dumps(with_value(walklog, ("entries", 0, "reference_step_length"), math.nan)))
+    @example(json.dumps(with_value(walklog, ("entries", 0, "t_start"), math.inf)))
     @given(mutations(walklog))
     def check(text):
         with tempfile.TemporaryDirectory() as tmp:
-            # The walk log is the one beside the session.
-            shutil.copy(session, Path(tmp) / "w.session.jsonl")
-            path = Path(tmp) / "w.walklog.json"
-            path.write_text(text)
-            run_main(["process", "--input", str(Path(tmp) / "w.session.jsonl"),
-                      "--mode", "clinic", "--out", str(Path(tmp) / "o")], path)
+            run_main(*walklog_run(clinic, Path(tmp), text))
+            assert_strict_json(Path(tmp) / "o")
+
+    check()
+
+
+def test_fuzz_walks_line(clinic):
+    record = first_value(clinic / "results" / "clinic_control-5" / "walks.jsonl")
+
+    @FUZZ
+    @example(json.dumps(with_value(record, ("avg_step_len_m",), math.nan)))
+    @given(mutations(record))
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            run_main(*walks_run(clinic, Path(tmp), text))
+            assert_strict_json(Path(tmp) / "o")
 
     check()
 
@@ -164,18 +228,33 @@ def test_fuzz_config(clinic):
 
 
 def test_fuzz_truth_header(clinic):
-    header, samples = (clinic / "clinic_control-5.truth.jsonl").read_text().split("\n", 1)
+    header = first_value(clinic / "clinic_control-5.truth.jsonl")
 
     @FUZZ
-    @given(mutations(json.loads(header)))
+    @example(json.dumps(with_value(header, ("walkers", 0, "t_start"), math.nan)))
+    @given(mutations(header))
     def check(text):
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "clinic_control-5.truth.jsonl"
-            path.write_text(text + "\n" + samples)
-            run_main(["evaluate", "--results", str(clinic / "results"), "--truth", tmp,
-                      "--out", str(Path(tmp) / "ev")], path)
+            run_main(*truth_run(clinic, Path(tmp), text))
+            assert_strict_json(Path(tmp) / "o")
 
     check()
+
+
+@pytest.mark.parametrize("run, source, path, value", [
+    (walklog_run, "clinic_control-5.walklog.json", ("entries", 0, "reference_step_length"),
+     math.nan),
+    (walklog_run, "clinic_control-5.walklog.json", ("entries", 0, "t_start"), math.inf),
+    (walks_run, "results/clinic_control-5/walks.jsonl", ("avg_step_len_m",), math.nan),
+    (truth_run, "clinic_control-5.truth.jsonl", ("walkers", 0, "t_start"), math.nan),
+    (truth_run, "clinic_control-5.truth.jsonl", ("walkers", 0, "true_step_length"), -math.inf),
+])
+def test_non_finite_number_is_bad_input(clinic, tmp_path, run, source, path, value):
+    # A number that Python's json reads as NaN or an infinity exits 2,
+    # naming the field, where it once passed into the outputs or exited 1.
+    text = json.dumps(with_value(first_value(clinic / source), path, value))
+    code, err = run_main(*run(clinic, tmp_path, text))
+    assert code == 2 and repr(path[-1]) in err and "finite" in err, err
 
 
 # Frame times start at and step by these, from sub-nanosecond to past the
@@ -240,10 +319,7 @@ def test_fuzz_frame_magnitudes(clinic):
             path.write_text("\n".join([header] + [_frame_line(t, p) for t, p in lines]) + "\n")
             out = Path(tmp) / "o"
             run_main(["process", "--input", str(path), "--out", str(out), "--dump-tracks"], path)
-            for artifact in out.rglob("*"):
-                if artifact.is_file():
-                    text = artifact.read_text()
-                    assert "NaN" not in text and "Infinity" not in text, artifact.name
+            assert_strict_json(out)
 
     check()
 
@@ -267,7 +343,4 @@ def test_huge_torso_doppler(clinic, doppler):
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["process", "--input", str(path), "--out", str(out), "--dump-tracks"])
         assert code == 0, err.getvalue()
-        for artifact in out.rglob("*"):
-            if artifact.is_file():
-                text = artifact.read_text()
-                assert "NaN" not in text and "Infinity" not in text, artifact.name
+        assert_strict_json(out)

@@ -194,6 +194,16 @@ def test_icc_negative_reported_not_clamped():
     assert result.as_dict()["negative"] is True
 
 
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_icc_exact_zero_reads_zero(n):
+    # Estimates against a constant reference make MSR = MSE exactly, so
+    # both ICCs are 0; rounding left +-1e-16 with a sign.
+    est = np.random.default_rng(n).normal(0.55, 0.03, n)
+    m = np.column_stack([est, np.full(n, 0.55)])
+    for result in (icc2k(m), icc3k(m)):
+        assert result.icc == 0.0 and result.as_dict()["negative"] is False
+
+
 # Ten walks' step lengths (m) from two raters: ICC(2,k) 0.9817, ICC(3,k)
 # 0.9837, the same in mm or km.
 STEP_LENGTHS = [
