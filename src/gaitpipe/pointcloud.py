@@ -106,8 +106,7 @@ class Session:
              times: np.ndarray, points: np.ndarray, counts: list[int]) -> None:
         """Check the metadata and store the columns of frames at `times`
         holding `counts` of `points` each, less the points out of bounds."""
-        if not frame_rate > 0:
-            raise ValueError(f"frame_rate must be positive, got {frame_rate}")
+        _check_frame_rate(frame_rate)
         if site not in SITES:
             raise ValueError(f"site must be one of {SITES}, got {site!r}")
         # Spurious returns behind the sensor plane or out of range are
@@ -258,6 +257,13 @@ def read_session(path: str | os.PathLike) -> Session:
     return session
 
 
+def _check_frame_rate(frame_rate: float) -> None:
+    """ValueError unless the frame rate is finite and positive, for a
+    session built in code as from a file."""
+    if not 0 < frame_rate < math.inf:
+        raise ValueError(f"frame_rate must be a finite positive number, got {frame_rate}")
+
+
 def _check_header(obj: dict, lineno: int) -> tuple[float, str]:
     """The frame rate and room of a valid header line; SessionFormatError otherwise."""
     if obj.get("format") != FORMAT_NAME:
@@ -270,13 +276,12 @@ def _check_header(obj: dict, lineno: int) -> tuple[float, str]:
         if key not in obj:
             raise SessionFormatError(f"header missing {key!r}", lineno)
     try:
-        frame_rate = json_float(obj["frame_rate"], "frame_rate", finite=False)
+        frame_rate = json_float(obj["frame_rate"], "frame_rate")
+        _check_frame_rate(frame_rate)
     except ValueError:
-        frame_rate = math.nan
-    if not frame_rate > 0:
         raise SessionFormatError(
-            f"frame_rate must be a positive number, got {obj['frame_rate']!r}", lineno
-        )
+            f"frame_rate must be a finite positive number, got {obj['frame_rate']!r}", lineno
+        ) from None
     if obj["site"] not in SITES:
         raise SessionFormatError(f"site must be one of {SITES}, got {obj['site']!r}", lineno)
     # The room names an output file, so it must not be a path.

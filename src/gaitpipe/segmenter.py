@@ -26,6 +26,7 @@ from .tracker import Track
 WALK_TYPES = ("control", "fast", "narrow", "obstacle", "dual_task")
 
 WALKLOG_FORMAT = "gaitpipe-walklog"
+WALKLOG_VERSION = 1
 
 # The clinic walkway's start and end in radar coordinates, meters.
 WALKWAY_START = (0.0, 6.03)
@@ -268,6 +269,8 @@ def read_walklog(path: str | os.PathLike) -> WalkLog:
         obj = json.load(fh)
     if not isinstance(obj, dict) or obj.get("format") != WALKLOG_FORMAT:
         raise ValueError("not a walk log file")
+    if obj.get("version") != WALKLOG_VERSION or isinstance(obj["version"], bool):
+        raise ValueError(f"unsupported version {obj.get('version')!r}")
     if not isinstance(obj.get("entries"), list):
         raise ValueError("'entries' must be a list")
     entries = []
@@ -288,7 +291,7 @@ def read_walklog(path: str | os.PathLike) -> WalkLog:
 def write_walklog(log: WalkLog, path: str | os.PathLike) -> None:
     obj = {
         "format": WALKLOG_FORMAT,
-        "version": 1,
+        "version": WALKLOG_VERSION,
         "g_s": list(log.g_s),
         "g_e": list(log.g_e),
         "entries": [

@@ -32,6 +32,16 @@ _FORBIDDEN = 1e12  # cost surrogate for pairs outside the gate
 # points) share 2048-point stacks too made track_frames 1.15-1.5x slower.
 CHUNK_POINTS = 2048
 DENSE_FRAME_POINTS = 128
+# dbscan_labels builds its cKDTree with this layout. Tree build plus
+# query_pairs, summed over the benchmark's seed-1 and seed-2 stacks (best of
+# 11-21 runs per stack, 2-vCPU host), against scipy's default (leafsize 16,
+# balanced, compact): home_dense one-frame stacks of 122-347 points
+# 167-204 -> 140-166 us a stack, clinic_sweep stacks of about 720 points in
+# 4D 259-271 -> 231-244 us. Against this layout, leafsize 128 was as fast on
+# home_dense but 1.4x slower on clinic_sweep; leafsize 32 or compact nodes
+# were faster on clinic_sweep but 1.1x slower on home_dense, and balanced
+# trees were slower on both.
+TREE_LAYOUT = {"leafsize": 64, "balanced_tree": False, "compact_nodes": False}
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,25 +117,28 @@ def dbscan_labels(
     neighbors. Each frame's labels are then the ones it gets alone plus the
     number of clusters in the frames before it.
 
-    Neighbor pairs (i, j) come from a `scipy.spatial.cKDTree` with i < j,
-    the order `_component_roots` takes its core-core edges in; it drops each
-    edge once its ends share a root. Each core point's component root is
-    the smallest core index in its component, so numbering the roots in
-    index order gives the cluster ids. When two or more stacked frames hold
-    points, each point gets a 4th coordinate, its frame's rank among the
-    non-empty frames times max(2 * eps, 1): within a frame it adds exactly
-    0 to the squared distance, across frames at least max(4 * eps * eps, 1),
-    which no eps, however small, rounds to 0. cKDTree raises ValueError
-    when that coordinate or the squared extent of the stack overflows.
+    Neighbor pairs (i, j) come from a `scipy.spatial.cKDTree` built with
+    TREE_LAYOUT, as an (m, 2) array with i < j, the order `_component_roots`
+    takes its core-core edges in; it drops each edge once its ends share a
+    root. One `np.bincount` over the pair array counts every point's
+    neighbors. Each core point's component root is the smallest core index
+    in its component, so numbering the roots in index order gives the
+    cluster ids. When every point is core, as on a dense frame of people,
+    the roots over all pairs give the labels and there is no border point
+    to place. When two or more stacked frames hold points, each point gets
+    a 4th coordinate, its frame's rank among the non-empty frames times
+    max(2 * eps, 1): within a frame it adds exactly 0 to the squared
+    distance, across frames at least max(4 * eps * eps, 1), which no eps,
+    however small, rounds to 0. cKDTree raises ValueError when that
+    coordinate or the squared extent of the stack overflows.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     n = len(xyz)
-    labels = np.full(n, NOISE, dtype=int)
     if n == 0:
-        return labels
+        return np.full(0, NOISE, dtype=int)
 
     xyz = np.asarray(xyz, dtype=float)
     coords = xyz
@@ -134,13 +147,17 @@ def dbscan_labels(
         if np.count_nonzero(sizes) > 1:
             rank = np.repeat((sizes > 0).cumsum() - 1, sizes)
             coords = np.column_stack([xyz, rank * max(2.0 * eps, 1.0)])
-    # Contiguous columns with i < j, as query_pairs yields them.
-    i, j = cKDTree(coords).query_pairs(eps, output_type="ndarray").T.copy()
-    core = np.bincount(i, minlength=n) + np.bincount(j, minlength=n) + 1 >= min_pts
+    pairs = cKDTree(coords, **TREE_LAYOUT).query_pairs(eps, output_type="ndarray")
+    i, j = pairs.T
+    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
+    if core.all():
+        root = _component_roots(n, i, j)
+        return (np.cumsum(root == np.arange(n)) - 1)[root]
     core_i, core_j = core[i], core[j]
     both = core_i & core_j
     root = _component_roots(n, i[both], j[both])
     ids = np.cumsum(core & (root == np.arange(n))) - 1
+    labels = np.full(n, NOISE, dtype=int)
     labels[core] = ids[root[core]]
 
     # Border points: nearest core neighbor, ties to the lower core index.

@@ -598,33 +598,33 @@ def test_malformed_session_exit_2(tmp_path, capsys):
         assert str(bad) in err and "line 2" in err and field in err
 
 
+_LOG = {"format": "gaitpipe-walklog", "version": 1}
 _ENTRY = {"participant": "p1", "walk_index": 0, "walk_type": "control", "t_start": 1.0}
 
 
 @pytest.mark.parametrize(
     "walklog,field",
     [
-        ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "t_start": None}]}, "t_start"),
-        ({"format": "gaitpipe-walklog",
-          "entries": [{k: v for k, v in _ENTRY.items() if k != "t_start"}]}, "t_start"),
-        ([{"format": "gaitpipe-walklog"}], "not a walk log"),
-        ({"format": "gaitpipe-walklog", "entries": {"0": _ENTRY}}, "entries"),
-        ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "walk_index": [0]}]}, "walk_index"),
-        ({"format": "gaitpipe-walklog", "entries": [_ENTRY], "g_s": "far"}, "g_s"),
-        ({"format": "gaitpipe-walklog", "entries": [3]}, "entry 0"),
+        ({**_LOG, "entries": [{**_ENTRY, "t_start": None}]}, "t_start"),
+        ({**_LOG, "entries": [{k: v for k, v in _ENTRY.items() if k != "t_start"}]}, "t_start"),
+        ([_LOG], "not a walk log"),
+        ({**_LOG, "entries": {"0": _ENTRY}}, "entries"),
+        ({**_LOG, "entries": [{**_ENTRY, "walk_index": [0]}]}, "walk_index"),
+        ({**_LOG, "entries": [_ENTRY], "g_s": "far"}, "g_s"),
+        ({**_LOG, "entries": [3]}, "entry 0"),
         ("not json", "JSONDecodeError"),
-        ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "t_start": 10**400}]},
-         "entry 0: 't_start'"),
-        ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "t_start": True}]},
-         "entry 0: 't_start'"),
-        ({"format": "gaitpipe-walklog", "entries": [{**_ENTRY, "walk_index": 2.7}]},
-         "entry 0: 'walk_index'"),
-        ({"format": "gaitpipe-walklog", "entries": [_ENTRY, {**_ENTRY, "walk_type": "jog"}]},
-         "entry 1: 'walk_type'"),
+        ({**_LOG, "entries": [{**_ENTRY, "t_start": 10**400}]}, "entry 0: 't_start'"),
+        ({**_LOG, "entries": [{**_ENTRY, "t_start": True}]}, "entry 0: 't_start'"),
+        ({**_LOG, "entries": [{**_ENTRY, "walk_index": 2.7}]}, "entry 0: 'walk_index'"),
+        ({**_LOG, "entries": [_ENTRY, {**_ENTRY, "walk_type": "jog"}]}, "entry 1: 'walk_type'"),
+        ({**_LOG, "version": 99, "entries": [_ENTRY]}, "unsupported version 99"),
+        ({**_LOG, "version": True, "entries": [_ENTRY]}, "unsupported version True"),
+        ({"format": "gaitpipe-walklog", "entries": [_ENTRY]}, "unsupported version None"),
     ],
     ids=["null_value", "missing_key", "top_level_list", "entries_not_list",
          "non_numeric_index", "bad_walkway", "entry_not_object", "not_json",
-         "t_start_past_float_range", "t_start_bool", "fractional_index", "unknown_walk_type"],
+         "t_start_past_float_range", "t_start_bool", "fractional_index", "unknown_walk_type",
+         "version_99", "version_true", "version_missing"],
 )
 def test_malformed_walklog_exit_2(sim_dir, tmp_path, capsys, walklog, field):
     session = tmp_path / "bad.session.jsonl"

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,7 @@ def test_invalid_json_and_missing_header(tmp_path):
     # Header values a Session rejects are format errors on the header line,
     # here line 2 after a blank line.
     bad_values = [("site", "garden"), ("frame_rate", 0), ("frame_rate", float("nan")),
+                  ("frame_rate", float("inf")),
                   ("frame_rate", "fast"), ("frame_rate", "10"), ("frame_rate", True),
                   ("version", True)]
     # The room names an output file, so a path in it is a format error.
@@ -211,8 +213,9 @@ def test_round_trip_simulator_output(tmp_path):
 
 
 def test_session_validation():
-    with pytest.raises(ValueError):
-        Session(frame_rate=0.0, site="home", room_label="x", device_id="y")
+    for frame_rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="frame_rate"):
+            Session(frame_rate=frame_rate, site="home", room_label="x", device_id="y")
     with pytest.raises(ValueError):
         Session(frame_rate=10.0, site="garden", room_label="x", device_id="y")
 

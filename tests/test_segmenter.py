@@ -9,6 +9,7 @@ from gaitpipe.segmenter import (
     _chord_distances,
     LinearSegment,
     WALKLOG_FORMAT,
+    WALKLOG_VERSION,
     WalkEntry,
     WalkLog,
     classify,
@@ -359,7 +360,8 @@ _GOOD_ENTRY = {"participant": "P1", "walk_index": 0, "walk_type": "control", "t_
 def test_walk_entry_rejects_what_the_reader_rejects(tmp_path, field, value):
     bad = {**_GOOD_ENTRY, field: value}
     path = tmp_path / "bad.walklog.json"
-    path.write_text(json.dumps({"format": WALKLOG_FORMAT, "entries": [bad]}))
+    path.write_text(json.dumps({"format": WALKLOG_FORMAT, "version": WALKLOG_VERSION,
+                                "entries": [bad]}))
     with pytest.raises(ValueError, match=f"^entry 0: '{field}'"):
         read_walklog(path)
     with pytest.raises(ValueError, match=f"^'{field}'"):
@@ -379,7 +381,8 @@ def test_walk_entry_participant_must_be_a_string():
 )
 def test_walklog_rejects_the_walkway_the_reader_rejects(tmp_path, field, value):
     path = tmp_path / "bad.walklog.json"
-    path.write_text(json.dumps({"format": WALKLOG_FORMAT, "entries": [_GOOD_ENTRY], field: value}))
+    path.write_text(json.dumps({"format": WALKLOG_FORMAT, "version": WALKLOG_VERSION,
+                                "entries": [_GOOD_ENTRY], field: value}))
     with pytest.raises(ValueError, match=f"^'{field}'"):
         read_walklog(path)
     with pytest.raises(ValueError, match=f"^'{field}'"):
@@ -391,7 +394,7 @@ def test_walklog_reader_stores_numbers_as_floats(tmp_path):
     # as in code; keys the log does not know are ignored.
     path = tmp_path / "ints.walklog.json"
     path.write_text(json.dumps({
-        "format": WALKLOG_FORMAT, "g_s": [0, 6], "g_e": [0, 2],
+        "format": WALKLOG_FORMAT, "version": WALKLOG_VERSION, "g_s": [0, 6], "g_e": [0, 2],
         "entries": [{"participant": 7, "walk_index": 0, "walk_type": "fast", "t_start": 3,
                      "reference_step_length": 1, "note": "x"}],
     }))

@@ -91,10 +91,27 @@ def test_dbscan_matches_naive_reference():
         min_pts = int(rng.integers(1, 6))
         assert np.array_equal(dbscan_labels(xyz, eps, min_pts), naive_dbscan(xyz, eps, min_pts))
     # 0.1 m lattices put many pairs at exactly eps, where the squared-distance
-    # rule and a square-root comparison can disagree.
-    for _ in range(40):
-        xyz = rng.integers(0, 20, size=(int(rng.integers(20, 80)), 3)) * 0.1
-        assert np.array_equal(dbscan_labels(xyz, 0.5, 3), naive_dbscan(xyz, 0.5, 3))
+    # rule and a square-root comparison can disagree. Hundreds of points
+    # split the tree into many leaves, so its pruning meets those ties too,
+    # one frame at a time and stacked. The cases take both label passes:
+    # every point core, and some not.
+    all_core = set()
+    for trial in range(30):
+        lattices = [rng.integers(0, 20, size=(int(rng.integers(200, 700)), 3)) * 0.1
+                    for _ in range(int(rng.integers(1, 4)))]
+        min_pts = 3 if trial % 2 else int(rng.integers(4, 30))
+        offsets = np.cumsum([0] + [len(xyz) for xyz in lattices])
+        stacked = dbscan_labels(np.concatenate(lattices), 0.5, min_pts, offsets)
+        before = 0  # clusters in the frames before this one
+        for k, xyz in enumerate(lattices):
+            ref = naive_dbscan(xyz, 0.5, min_pts)
+            assert np.array_equal(dbscan_labels(xyz, 0.5, min_pts), ref)
+            got = stacked[offsets[k] : offsets[k + 1]]
+            assert np.array_equal(got, np.where(ref >= 0, ref + before, ref))
+            before += ref.max(initial=-1) + 1
+        d2 = [((xyz[:, None, :] - xyz[None, :, :]) ** 2).sum(axis=-1) for xyz in lattices]
+        all_core.add(all(((d <= 0.25).sum(axis=1) >= min_pts).all() for d in d2))
+    assert all_core == {True, False}
 
 
 def test_dense_touching_walkers_match_naive_reference():
