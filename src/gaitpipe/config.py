@@ -19,13 +19,17 @@ from .pointcloud import MAX_COORD_M
 
 # Bounds of some fields, beyond finite and positive. eps is a length in
 # the room like a session's coordinates, and bounding both keeps the
-# squared extent of stacked frames' trees finite. The noise levels' squares
+# squared extent of stacked frames' trees finite. The gate is a length in
+# the room too; so bounded, in-gate association costs stay far below the
+# cost that forbids a pair, and the in-gate pairs of a frame where no two
+# contend are its optimal assignment. The noise levels' squares
 # then keep the Kalman covariance finite over any gap up to
 # pointcloud.MAX_TIME_S, and the measurement noise's square is a normal
 # float, so the filter's innovation variance never underflows to 0.
 MAX_SIGMA = 1e3
 MIN_SIGMA_M = 1e-150
-_AT_MOST = {"dbscan.eps": MAX_COORD_M, "tracker.sigma_a": MAX_SIGMA, "tracker.sigma_m": MAX_SIGMA}
+_AT_MOST = {"dbscan.eps": MAX_COORD_M, "tracker.gate": MAX_COORD_M,
+            "tracker.sigma_a": MAX_SIGMA, "tracker.sigma_m": MAX_SIGMA}
 _AT_LEAST = {"tracker.sigma_m": MIN_SIGMA_M}
 
 

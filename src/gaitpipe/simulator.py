@@ -118,8 +118,11 @@ class SceneSpec:
     walklog: WalkLog | None = None
 
     def __post_init__(self):
-        if not (self.duration > 0 and self.frame_rate > 0):
-            raise ValueError("duration and frame_rate must be positive")
+        if not (0 < self.duration < math.inf and 0 < self.frame_rate < math.inf):
+            raise ValueError("duration and frame_rate must be finite and positive")
+        if self.duration * self.frame_rate == math.inf:  # the frame count
+            raise ValueError(f"duration x frame_rate must be finite, got "
+                             f"{self.duration} s x {self.frame_rate} fps")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -290,7 +293,9 @@ def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
 
     n_frames = int(round(scene.duration * scene.frame_rate))
     truth_samples: list[list[TruthSample]] = [[] for _ in scene.walkers]
-    peak_flags = [{round(tc * scene.frame_rate) for tc in kin.step_times} for kin in kinematics]
+    # Frame positions past the last frame flag nothing, and may overflow.
+    peak_flags = [{round(f) for f in (tc * scene.frame_rate for tc in kin.step_times) if f < n_frames}
+                  for kin in kinematics]
 
     frames = []
     for idx in range(n_frames):

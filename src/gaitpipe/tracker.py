@@ -22,7 +22,9 @@ from .config import DbscanConfig, PipelineConfig, TrackerConfig
 from .pointcloud import Session
 
 NOISE = -1
-_FORBIDDEN = 1e12  # cost surrogate for pairs outside the gate
+# Cost surrogate for pairs outside the gate, far above any total of in-gate
+# costs: the config bounds the gate to pointcloud.MAX_COORD_M (1e3 m).
+_FORBIDDEN = 1e12
 # track_frames clusters consecutive frames holding at most CHUNK_POINTS points
 # in one dbscan call, except that a frame of more than DENSE_FRAME_POINTS
 # points shares its call only with empty frames. Measured on the benchmark's
@@ -287,9 +289,9 @@ def min_cost_assignment(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]
     matrices match min(rows, cols) pairs.
 
     scipy.optimize (about 11 MB) loads on the first call. `associate` calls
-    this only for a frame with tracks and detections to assign and more
-    than one of either, so a session that only ever tracks one person
-    never loads it.
+    this only when a track has two detections within its gate or a
+    detection lies within the gate of two tracks, so a session without
+    such a contention never loads it.
     """
     cost = np.atleast_2d(np.asarray(cost, dtype=float))
     if cost.size == 0:
@@ -308,8 +310,14 @@ def associate(
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Assign detections to predicted track positions.
 
-    Cost is Euclidean distance; pairs farther than the gate are forbidden.
-    Returns (matches, unmatched_track_indices, unmatched_detection_indices).
+    Cost is Euclidean distance; pairs farther than the gate are forbidden,
+    and the matches are the minimum-cost assignment among those that use
+    the most in-gate pairs. When no track has two detections within the
+    gate and no detection is within the gate of two tracks, the in-gate
+    pairs are that assignment: dropping one pays a forbidden cost far above
+    any gate the config allows. Only a contention calls the solver.
+    Returns (matches, unmatched_track_indices, unmatched_detection_indices),
+    matches in track order.
     """
     n, m = len(predicted), len(detections)
     if n == 0 or m == 0:
@@ -323,9 +331,13 @@ def associate(
     for i, (px, py) in enumerate(predicted):
         for j, det in enumerate(detections):
             cost[i, j] = math.hypot(px - det.centroid_x, py - det.centroid_y)
-    gated = np.where(cost > gate, _FORBIDDEN, cost)
-    pairs, _ = min_cost_assignment(gated)
-    matches = [(i, j) for i, j in pairs if cost[i, j] <= gate]
+    inside = cost <= gate
+    if inside.sum(axis=0).max() <= 1 and inside.sum(axis=1).max() <= 1:
+        rows, cols = np.nonzero(inside)
+        matches = list(zip(rows.tolist(), cols.tolist()))
+    else:
+        pairs, _ = min_cost_assignment(np.where(cost > gate, _FORBIDDEN, cost))
+        matches = [(i, j) for i, j in pairs if inside[i, j]]
     matched_tracks = {i for i, _ in matches}
     matched_dets = {j for _, j in matches}
     unmatched_tracks = [i for i in range(n) if i not in matched_tracks]

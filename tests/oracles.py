@@ -217,6 +217,27 @@ def brute_force_assignment(cost: np.ndarray) -> float:
     return best
 
 
+def solver_associate(predicted, detections, gate: float):
+    """`tracker.associate` with the assignment solver for every frame.
+
+    Out-of-gate pairs cost 1e12 so the solver keeps as many in-gate pairs
+    as it can; the pairs it returns within the gate are the matches, in
+    the solver's row order.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    n, m = len(predicted), len(detections)
+    if n == 0 or m == 0:
+        return [], list(range(n)), list(range(m))
+    cost = np.array([[math.hypot(px - det.centroid_x, py - det.centroid_y) for det in detections]
+                     for px, py in predicted])
+    rows, cols = linear_sum_assignment(np.where(cost > gate, 1e12, cost))
+    matches = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if cost[i, j] <= gate]
+    return (matches,
+            [i for i in range(n) if i not in {a for a, _ in matches}],
+            [j for j in range(m) if j not in {b for _, b in matches}])
+
+
 def kalman_state(kf) -> np.ndarray:
     """A closed-form filter's state (x, y, vx, vy) as an array."""
     return np.array([kf.x, kf.y, kf.vx, kf.vy])

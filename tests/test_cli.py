@@ -1191,24 +1191,31 @@ def test_cli_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
-def test_process_loads_the_assignment_solver_only_for_two_people(sim_dir, tmp_path):
-    # One person never makes an assignment bigger than 1x1, so a clinic
-    # session runs without scipy.optimize (about 11 MB); two residents need it.
+def test_process_loads_the_assignment_solver_only_when_tracks_contend(sim_dir, tmp_path):
+    # A frame whose in-gate pairs are disjoint is assigned without
+    # scipy.optimize (about 11 MB). Neither a clinic session nor two
+    # residents who keep apart make a contention; a detection within the
+    # gate of two tracks does.
     assert main(["simulate", "--scenario", "two_residents", "--seed", "1",
                  "--out", str(tmp_path)]) == 0
     src = str(Path(gaitpipe.__file__).resolve().parents[1])
     probe = ("import sys\n"
              "from gaitpipe.cli import main\n"
+             "import numpy as np\n"
+             "from gaitpipe.tracker import Detection, associate\n"
              "seen = ['scipy.optimize' in sys.modules]\n"
              "for path, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
              "    code = main(['process', '--input', path, '--out', out])\n"
              "    seen.append((code, 'scipy.optimize' in sys.modules))\n"
+             "det = Detection(0.5, 0.0, np.zeros((1, 4)))\n"
+             "matches, _, _ = associate([(0.0, 0.0), (1.0, 0.0)], [det], 1.0)\n"
+             "seen.append((matches, 'scipy.optimize' in sys.modules))\n"
              "print(seen)\n")
     argv = [str(sim_dir / "clinic_control-5.session.jsonl"), str(tmp_path / "clinic"),
             str(tmp_path / "two_residents-1.session.jsonl"), str(tmp_path / "home")]
     out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.splitlines()[-1] == "[False, (0, False), (0, True)]"
+    assert out.stdout.splitlines()[-1] == "[False, (0, False), (0, False), ([(0, 0)], True)]"
 
 
 def test_icc_command(tmp_path, capsys):

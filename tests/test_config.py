@@ -68,6 +68,14 @@ def test_validation_rules(tmp_path):
         path.write_text(line)
         with pytest.raises(ConfigError, match="finite and positive"):
             load_config(path)
+    # The gate is a length in the room: so bounded, in-gate association
+    # costs stay far below the 1e12 that forbids a pair.
+    path.write_text(f"[tracker]\ngate = {MAX_COORD_M!r}\n")
+    assert load_config(path).tracker.gate == MAX_COORD_M
+    for value in (MAX_COORD_M * (1 + 2**-52), 1e13):
+        path.write_text(f"[tracker]\ngate = {value!r}\n")
+        with pytest.raises(ConfigError, match="^tracker.gate must be at most 1000, got"):
+            load_config(path)
 
 
 def test_config_built_in_code_is_checked_like_a_file(tmp_path):

@@ -135,11 +135,25 @@ def test_walker_spec_validation():
     for value in (0.0, -1.0, math.nan, 1e-3, MIN_STEP_PERIOD * (1 - 2**-52)):
         with pytest.raises(ValueError, match="step_period must be at least 0.1 s"):
             WalkerSpec(walker_id="w", path=path, step_period=value)
-    for value in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
+    for value in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite and positive"):
             SceneSpec(name="x", site="home", duration=value, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be finite and positive"):
             SceneSpec(name="x", site="home", duration=9.0, seed=1, frame_rate=value)
+
+
+def test_scene_frame_count_must_be_finite():
+    # A frame count that overflows is refused when the spec is built, not
+    # by simulate's int(). 1.7e308 fps over 1e-308 s is 2 frames; a
+    # walker's step times then overflow only past the last frame.
+    for duration, frame_rate in ((9.0, 1e308), (1e300, 1e10), (1.7e308, 1.1)):
+        with pytest.raises(ValueError, match="duration x frame_rate must be finite"):
+            SceneSpec(name="x", site="home", duration=duration, seed=1, frame_rate=frame_rate)
+    walker = WalkerSpec(walker_id="w", path=((0, 5), (0, 1)))
+    scene = SceneSpec(name="x", site="home", duration=1e-308, seed=1, frame_rate=1.7e308,
+                      walkers=(walker,))
+    session, _ = simulate(scene)
+    assert len(session.frames) == 2
 
 
 def test_ramp_time_rule():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gaitpipe.tracker
 from gaitpipe.cli import main
@@ -33,6 +34,7 @@ from oracles import (
     kalman_state,
     naive_dbscan,
     set_kalman_state,
+    solver_associate,
     union_find_roots,
 )
 
@@ -299,6 +301,15 @@ def test_merge_close_detections():
 # --------------------------------------------------------------- associate
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """The shapes of the cost matrices `associate` passes to the solver."""
+    shapes = []
+    monkeypatch.setattr(gaitpipe.tracker, "min_cost_assignment",
+                        lambda cost: shapes.append(cost.shape) or min_cost_assignment(cost))
+    return shapes
+
+
 def test_associate_single_pair_within_gate():
     det = Detection(0.0, 3.1, pts((0.0, 3.1)))
     matches, un_tr, un_det = associate([(0.0, 3.0)], [det], gate=1.0)
@@ -329,20 +340,78 @@ def test_associate_prefers_total_cost():
     assert sorted(matches) == [(0, 0), (1, 1)]
 
 
-def test_associate_one_to_one_gate_is_inclusive():
-    # The 1x1 case skips the solver; with a second, far detection the same
-    # pair goes through it. Both must match exactly up to the gate.
+def test_associate_one_to_one_gate_is_inclusive(solved):
+    # The pair of track 0 and det matches exactly up to the gate on all
+    # three paths: alone (1x1), beside a far detection (no contention), and
+    # beside a second track sitting on det with a second detection inside
+    # its gate, so that track 1 contends and the solver decides.
     rng = np.random.default_rng(8)
     far = Detection(1e3, 1e3, pts((1e3, 1e3)))
     for _ in range(200):
         px, py, cx, cy = (float(v) for v in rng.uniform(-5, 5, 4))
         det = Detection(cx, cy, pts((cx, cy)))
+        # Half a gap beyond det, away from track 0: in track 1's gate only.
+        ox, oy = cx + (cx - px) / 2, cy + (cy - py) / 2
+        near = Detection(ox, oy, pts((ox, oy)))
         d = math.hypot(px - cx, py - cy)
         for gate, matched in ((d, True), (float(np.nextafter(d, -np.inf)), False)):
             one = associate([(px, py)], [det], gate)
-            general = associate([(px, py)], [det, far], gate)
+            disjoint = associate([(px, py)], [det, far], gate)
             assert one == (([(0, 0)], [], []) if matched else ([], [0], [0]))
-            assert general == (([(0, 0)], [], [1]) if matched else ([], [0], [0, 1]))
+            assert disjoint == (([(0, 0)], [], [1]) if matched else ([], [0], [0, 1]))
+            assert solved == []
+            contended = associate([(px, py), (cx, cy)], [det, near], gate)
+            assert contended == (([(0, 0), (1, 1)], [], []) if matched else ([(1, 0)], [0], [1]))
+            assert solved == [(2, 2)]
+            solved.clear()
+
+
+def test_associate_calls_the_solver_only_when_pairs_contend(solved):
+    tracks = [(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)]
+    dets = [Detection(x, 0.5, pts((x, 0.5))) for x in (6.0, 3.0, 9.0)]
+    # Disjoint in-gate pairs, in track order; track 0 and det 2 are left out.
+    assert associate(tracks, dets, gate=1.0) == ([(1, 1), (2, 0)], [0], [2])
+    assert solved == []
+    # At gate 3.1 neighbours contend: three in-gate pairs beat the two near
+    # ones, so no track keeps its nearest detection.
+    assert associate(tracks, dets, gate=3.1) == ([(0, 1), (1, 0), (2, 2)], [], [])
+    assert solved == [(3, 3)]
+
+
+@st.composite
+def association_frames(draw):
+    """Tracks, detection centroids and a gate; coordinates on a half-metre
+    grid make ties and contention common, and the gate is often exactly a
+    pair's distance or the float just below it."""
+    coord = st.one_of(st.integers(-6, 6).map(lambda v: v / 2), st.floats(-5, 5))
+    point = st.tuples(coord, coord)
+    predicted = draw(st.lists(point, max_size=5))
+    centroids = draw(st.lists(point, max_size=5))
+    gate = draw(st.floats(0.1, 4.0))
+    gaps = [math.hypot(px - cx, py - cy) for px, py in predicted for cx, cy in centroids]
+    if gaps and draw(st.booleans()):
+        gate = draw(st.sampled_from(gaps))
+        if draw(st.booleans()):
+            gate = math.nextafter(gate, -math.inf)
+    return predicted, centroids, gate
+
+
+@settings(max_examples=400, deadline=None)
+@example(([(0.0, 0.0), (5.0, 0.0)], [(0.0, 1.0), (5.0, 0.5)], 1.0))  # a pair on the gate
+@example(([(0.0, 0.0), (5.0, 0.0)], [(0.0, 1.0), (5.0, 0.5)], math.nextafter(1.0, 0.0)))  # just off
+@example(([(0.0, 0.0), (3.0, 0.0)], [(3.0, 0.5), (0.0, 0.5)], 1.0))  # disjoint 2x2, crossed
+@example(([(0.0, 0.0), (3.0, 0.0)], [(3.0, 0.5)], 1.0))  # disjoint 2x1
+@example(([(0.0, 0.0)], [(3.0, 0.0), (0.0, 0.5)], 1.0))  # disjoint 1x2
+@example(([(0.0, 0.0), (1.0, 0.0)], [(0.5, 0.0)], 1.0))  # one detection in two gates
+@example(([(0.0, 0.0), (1.0, 0.0)], [(0.5, 0.0), (1.9, 0.0)], 1.0))  # chain t0-d0-t1-d1
+@example(([], [(0.0, 0.0)], 1.0))  # no tracks
+@example(([(0.0, 0.0)], [], 1.0))  # no detections
+@example(([], [], 1.0))
+@given(association_frames())
+def test_associate_matches_solver_oracle(frame):
+    predicted, centroids, gate = frame
+    dets = [Detection(cx, cy, pts((cx, cy))) for cx, cy in centroids]
+    assert associate(predicted, dets, gate) == solver_associate(predicted, dets, gate)
 
 
 def test_assignment_matches_brute_force():
