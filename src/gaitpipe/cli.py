@@ -37,8 +37,9 @@ from .stats import (
     icc3k,
     valid_track_stats,
 )
-from .pipeline import MODES, process_session
+from .pipeline import process_session
 
+MODES = ("home", "clinic")  # `process --mode`; clinic reads each session's walk log
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
@@ -155,7 +156,7 @@ def _write_bundle(session_path: str, stem: str, cfg: PipelineConfig, mode: str, 
     sibling = Path(session_path).with_name(f"{stem}.walklog.json")
     walklog = _read("walk log", sibling, read_walklog) if mode == "clinic" else None
     cfg.check_frame_rate(session.frame_rate, f"session {session_path!r}: ")
-    result = process_session(session, cfg, mode=mode, walklog=walklog)
+    result = process_session(session, cfg, walklog)
 
     session_out = Path(out_dir) / stem
     session_out.mkdir(parents=True, exist_ok=True)

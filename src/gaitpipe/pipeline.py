@@ -6,9 +6,9 @@ time span meets another confirmed track's lifetime (step length is only
 reported when a single person is being tracked). Over the tracks' sorted
 starts and ends, the lifetimes that meet [t_start, t_end] number
 #(start <= t_end) - #(end < t_start); a segment's own track is always
-among them, so a count above 1 suppresses the segment. Clinic mode
-matches segments to the logged walkway passes instead and reports one
-record per logged walk, detected or not.
+among them, so a count above 1 suppresses the segment. Given a walk log,
+clinic mode matches segments to its logged walkway passes instead and
+reports one record per logged walk, detected or not.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .segmenter import (
     split_track,
 )
 from .tracker import Track, track_frames
-
-MODES = ("home", "clinic")
 
 
 @dataclass
@@ -82,17 +80,9 @@ def _suppressed(segments: list[LinearSegment], tracks: list[Track]) -> np.ndarra
     return met > 1
 
 
-def process_session(
-    session: Session,
-    cfg: PipelineConfig,
-    mode: str = "home",
-    walklog: WalkLog | None = None,
-) -> SessionResult:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "clinic" and walklog is None:
-        raise ValueError("clinic mode requires a walk log")
-
+def process_session(session: Session, cfg: PipelineConfig,
+                    walklog: WalkLog | None = None) -> SessionResult:
+    """Track, segment and measure one session; a walk log selects clinic mode."""
     tracks = track_frames(session, cfg)
     segments = [seg for track in tracks for seg in split_track(track, cfg.segmenter.rdp_epsilon)]
     for seg in segments:
@@ -100,7 +90,7 @@ def process_session(
 
     result = SessionResult(tracks=tracks, segments=segments)
 
-    if mode == "clinic":
+    if walklog is not None:
         pairs = sorted(
             match_clinic_walks(segments, walklog, cfg.segmenter.clinic_tol),
             key=lambda p: (p[0].walk_index, -1.0 if p[1] is None else p[1].t_start),

@@ -79,8 +79,9 @@ class Session:
 
     `points` (N, 4) holds every frame's points back to back, rows x, y, z, s;
     frame k at `times[k]` owns rows `offsets[k]:offsets[k + 1]`. Built from
-    (t, (k, 4) array) pairs. However it is built, a session keeps only the
-    points within `_POINT_LOW` and `_POINT_HIGH` and counts the others in
+    (t, (k, 4) array) pairs. However it is built, its metadata passes
+    `check_metadata`, so it reads back as written, and it keeps only the
+    points within `_POINT_LOW` and `_POINT_HIGH`, counting the others in
     `dropped_points`. The arrays are read-only: immutable after load; safe
     to share read-only across threads.
     """
@@ -106,9 +107,7 @@ class Session:
              times: np.ndarray, points: np.ndarray, counts: list[int]) -> None:
         """Check the metadata and store the columns of frames at `times`
         holding `counts` of `points` each, less the points out of bounds."""
-        _check_frame_rate(frame_rate)
-        if site not in SITES:
-            raise ValueError(f"site must be one of {SITES}, got {site!r}")
+        check_metadata(frame_rate, site, room_label)
         # Spurious returns behind the sensor plane or out of range are
         # expected from CFAR output; drop rather than fail the whole session.
         keep = ((points >= _POINT_LOW) & (points <= _POINT_HIGH)).all(axis=1)
@@ -257,42 +256,43 @@ def read_session(path: str | os.PathLike) -> Session:
     return session
 
 
-def _check_frame_rate(frame_rate: float) -> None:
-    """ValueError unless the frame rate is finite and positive, for a
-    session built in code as from a file."""
-    if not 0 < frame_rate < math.inf:
-        raise ValueError(f"frame_rate must be a finite positive number, got {frame_rate}")
+def check_format(obj: object, name: str, version: int, what: str) -> None:
+    """ValueError unless `obj` is a JSON object of format `name` and version
+    `version` (not `true`, which Python counts as 1): the header rule of every
+    gaitpipe file."""
+    if not isinstance(obj, dict) or obj.get("format") != name:
+        raise ValueError(f"not a {what} file")
+    if obj.get("version") != version or isinstance(obj["version"], bool):
+        raise ValueError(f"unsupported version {obj.get('version')!r}")
+
+
+def check_metadata(frame_rate: float, site: str, room: str) -> None:
+    """ValueError unless the frame rate is a finite positive number that JSON
+    writes as one, the site one of SITES and the room a plain name that fits
+    in heatmap_<room>.csv, the output file it names: the rule for a session
+    built in code as from a file."""
+    if not 0 < json_float(frame_rate, "frame_rate", finite=False) < math.inf:
+        raise ValueError(f"frame_rate must be a finite positive number, got {frame_rate!r}")
+    if site not in SITES:
+        raise ValueError(f"site must be one of {SITES}, got {site!r}")
+    if room in ("", ".", "..") or any(c in room for c in "/\\\0"):
+        raise ValueError(f"room must be a plain name, got {room!r}")
+    if len(f"heatmap_{room}.csv".encode("utf-8")) > NAME_MAX:
+        raise ValueError(f"room of {len(room)} characters is too long for a file name")
 
 
 def _check_header(obj: dict, lineno: int) -> tuple[float, str]:
     """The frame rate and room of a valid header line; SessionFormatError otherwise."""
-    if obj.get("format") != FORMAT_NAME:
-        raise SessionFormatError(
-            f"first line must be a header with format={FORMAT_NAME!r}", lineno
-        )
-    if obj.get("version") != FORMAT_VERSION or isinstance(obj["version"], bool):
-        raise SessionFormatError(f"unsupported version {obj.get('version')!r}", lineno)
-    for key in ("frame_rate", "site", "room", "device"):
-        if key not in obj:
-            raise SessionFormatError(f"header missing {key!r}", lineno)
     try:
-        frame_rate = json_float(obj["frame_rate"], "frame_rate")
-        _check_frame_rate(frame_rate)
-    except ValueError:
-        raise SessionFormatError(
-            f"frame_rate must be a finite positive number, got {obj['frame_rate']!r}", lineno
-        ) from None
-    if obj["site"] not in SITES:
-        raise SessionFormatError(f"site must be one of {SITES}, got {obj['site']!r}", lineno)
-    # The room names an output file, so it must not be a path.
-    room = str(obj["room"])
-    if room in ("", ".", "..") or any(c in room for c in "/\\\0"):
-        raise SessionFormatError(f"room must be a plain name, got {room!r}", lineno)
-    if len(f"heatmap_{room}.csv".encode("utf-8")) > NAME_MAX:
-        raise SessionFormatError(
-            f"room of {len(room)} characters is too long for a file name", lineno
-        )
-    return frame_rate, room
+        check_format(obj, FORMAT_NAME, FORMAT_VERSION, "session")
+        for key in ("frame_rate", "site", "room", "device"):
+            if key not in obj:
+                raise ValueError(f"header missing {key!r}")
+        room = str(obj["room"])
+        check_metadata(obj["frame_rate"], obj["site"], room)
+    except ValueError as exc:
+        raise SessionFormatError(str(exc), lineno) from None
+    return float(obj["frame_rate"]), room
 
 
 def write_session(session: Session, path: str | os.PathLike) -> None:

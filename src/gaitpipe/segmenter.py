@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .pointcloud import atomic_write_text, json_float
+from .pointcloud import atomic_write_text, check_format, json_float
 from .tracker import Track
 
 WALK_TYPES = ("control", "fast", "narrow", "obstacle", "dual_task")
@@ -267,10 +267,7 @@ def read_walklog(path: str | os.PathLike) -> WalkLog:
     """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict) or obj.get("format") != WALKLOG_FORMAT:
-        raise ValueError("not a walk log file")
-    if obj.get("version") != WALKLOG_VERSION or isinstance(obj["version"], bool):
-        raise ValueError(f"unsupported version {obj.get('version')!r}")
+    check_format(obj, WALKLOG_FORMAT, WALKLOG_VERSION, "walk log")
     if not isinstance(obj.get("entries"), list):
         raise ValueError("'entries' must be a list")
     entries = []

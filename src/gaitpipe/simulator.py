@@ -13,8 +13,9 @@ circling a center.
 
 A walker's spec fields are its path, gait (`base_speed`, `step_period`
 of at least `MIN_STEP_PERIOD`, `speed_amp`), start time, points per
-scatterer group, Doppler noise and dropout; `WalkerSpec` also rejects a
-path too short for the ramps. A pet's only field is its center; a
+scatterer group, Doppler noise and dropout; `WalkerSpec` rejects a
+non-finite number among them and a path too short for the ramps. A pet's
+only field is its center, which must be finite; a
 scene's are its walkers, pets, duration, seed, frame rate and room
 label. The rest of a scene is fixed by the module constants below: the
 phase of the speed cycle, the torso band, the arm swing, the position
@@ -36,10 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointcloud import Session, atomic_write_text, build_session, json_float
+from .pointcloud import Session, atomic_write_text, build_session, check_format, json_float
 from .segmenter import WALKWAY_END, WALKWAY_START, WalkEntry, WalkLog
 
 TRUTH_FORMAT = "gaitpipe-truth"
+TRUTH_VERSION = 1
 DEVICE_ID = "SIM"
 MIN_DOPPLER = 0.05  # static-clutter model: slower returns are not reported
 _NO_POINTS = np.empty((0, 4))
@@ -74,6 +76,8 @@ class WalkerSpec:
     def __post_init__(self):
         if len(self.path) < 2:
             raise ValueError("walker path needs at least 2 waypoints")
+        if not np.isfinite(self.path).all():
+            raise ValueError(f"walker path must be finite, got {self.path}")
         if not self.base_speed > self.speed_amp >= 0:
             raise ValueError("need base_speed > speed_amp >= 0 so the torso never reverses")
         if not self.step_period >= MIN_STEP_PERIOD:
@@ -82,8 +86,15 @@ class WalkerSpec:
             )
         if self.base_speed * self.step_period > 1.0 + 1e-9:
             raise ValueError("nominal step length base_speed*step_period exceeds 1 m")
-        if self.start_time < 0:
-            raise ValueError("start_time must be >= 0")
+        if not 0 <= self.start_time < math.inf:
+            raise ValueError(f"start_time must be finite and >= 0, got {self.start_time}")
+        if not 0 <= self.noise_doppler < math.inf:
+            raise ValueError(f"noise_doppler must be finite and >= 0, got {self.noise_doppler}")
+        if not 0 <= self.dropout <= 1:
+            raise ValueError(f"dropout must be in [0, 1], got {self.dropout}")
+        counts = (self.points_torso, self.points_arms, self.points_legs)
+        if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in counts):
+            raise ValueError(f"points per scatterer group must be integers >= 0, got {counts}")
         # Each ramp covers about base_speed * ramp_time / 2, and the walk
         # needs a cruise at least that long between them.
         ramps = self.base_speed * self.ramp_time
@@ -103,6 +114,10 @@ class WalkerSpec:
 @dataclass(frozen=True)
 class PetSpec:
     center: tuple[float, float]
+
+    def __post_init__(self):
+        if not np.isfinite(self.center).all():
+            raise ValueError(f"pet center must be finite, got {self.center}")
 
 
 @dataclass(frozen=True)
@@ -378,7 +393,7 @@ def simulate(scene: SceneSpec) -> tuple[Session, GroundTruth]:
 def write_truth(truth: GroundTruth, path: str | os.PathLike) -> None:
     header = {
         "format": TRUTH_FORMAT,
-        "version": 1,
+        "version": TRUTH_VERSION,
         "scene": truth.scene_name,
         "seed": truth.seed,
         "walkers": [
@@ -417,8 +432,7 @@ def read_truth_header(path: str | os.PathLike) -> dict:
     """Read a ground-truth header; ValueError says what is wrong with it."""
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-    if not isinstance(header, dict) or header.get("format") != TRUTH_FORMAT:
-        raise ValueError("not a ground-truth file")
+    check_format(header, TRUTH_FORMAT, TRUTH_VERSION, "ground-truth")
     walkers = header.get("walkers")
     if not walkers or not isinstance(walkers, list) or not all(isinstance(w, dict) for w in walkers):
         raise ValueError("'walkers' must be a non-empty list of objects")
@@ -525,12 +539,8 @@ def _build_home(
         )
         for i, (path, start) in enumerate(passes)
     ] + list(concurrent)
-    t_end = max(
-        start + sum(
-            math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(path, path[1:])
-        ) / (base_speed * 0.8)
-        for path, start in passes
-    )
+    t_end = max(start + float(_arc_lengths(path)[-1]) / (base_speed * 0.8)
+                for path, start in passes)
     return SceneSpec(
         name=name,
         site="home",

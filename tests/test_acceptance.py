@@ -41,7 +41,7 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 def run_clinic_scene(name: str, seed: int, v0: float, t_step: float):
     scene = make_scenario(name, seed=seed, base_speed=v0, step_period=t_step, n_walks=1)
     session, truth = simulate(scene)
-    result = process_session(session, CFG, mode="clinic", walklog=scene.walklog)
+    result = process_session(session, CFG, scene.walklog)
     measured = [w["avg_step_len_m"] for w in result.walks if w["avg_step_len_m"] is not None]
     return (measured[0] if measured else None), truth.walkers[0].true_step_length
 
@@ -100,7 +100,7 @@ def test_criterion_03_radial_alignment_gating():
     for name in ("home_perpendicular", "home_radial", "home_L_shape"):
         scene = make_scenario(name)
         session, _ = simulate(scene)
-        result = process_session(session, CFG, mode="home")
+        result = process_session(session, CFG)
         flags[name] = [bool(s.valid) for s in result.segments]
     stats = valid_track_stats(flags)
     perp = stats["per_home"]["home_perpendicular"]
@@ -261,7 +261,7 @@ def _cohort_day_average(home_idx: int, week: int, day: int) -> float | None:
         walkers=(walker,),
     )
     session, _ = simulate(scene)
-    result = process_session(session, CFG, mode="home")
+    result = process_session(session, CFG)
     vals = [w["avg_step_len_m"] for w in result.walks if w["avg_step_len_m"] is not None]
     return float(np.mean(vals)) if vals else None
 
@@ -288,7 +288,7 @@ def _home_walk_average(path, seed):
     walker = WalkerSpec(walker_id="w", path=path, start_time=1.0)
     scene = SceneSpec(name="sym", site="home", duration=9.5, seed=seed, walkers=(walker,))
     session, _ = simulate(scene)
-    return session, process_session(session, CFG, mode="home")
+    return session, process_session(session, CFG)
 
 
 def _remap_session(session, scale, reverse=False):
@@ -315,7 +315,7 @@ def test_criterion_10_direction_and_mirror_symmetry():
         # flips sign, and the same gait is seen receding.
         session, toward = _home_walk_average(((0.3, 6.0), (0.3, 1.4)), seed)
         reversed_session = _remap_session(session, (1, 1, 1, -1), reverse=True)
-        away = process_session(reversed_session, CFG, mode="home")
+        away = process_session(reversed_session, CFG)
         assert {w["direction"] for w in toward.walks} == {"approach"}
         assert {w["direction"] for w in away.walks} == {"recede"}
         a = toward.walks[0]["avg_step_len_m"]
@@ -324,7 +324,7 @@ def test_criterion_10_direction_and_mirror_symmetry():
 
         session, original = _home_walk_average(((0.8, 6.0), (-0.4, 1.4)), seed)
         mirrored_session = _remap_session(session, (-1, 1, 1, 1))
-        mirrored = process_session(mirrored_session, CFG, mode="home")
+        mirrored = process_session(mirrored_session, CFG)
         ma = original.walks[0]["avg_step_len_m"]
         mb = mirrored.walks[0]["avg_step_len_m"]
         worst_mirror = max(worst_mirror, abs(ma - mb) / ((ma + mb) / 2))

@@ -970,7 +970,8 @@ def test_evaluate_missing_truth_file(sim_dir, tmp_path):
                  "--out", str(tmp_path / "ev")]) == 2
 
 
-_TRUTH = '{"format": "gaitpipe-truth", "walkers": [%s]}'
+_TRUTH = '{"format": "gaitpipe-truth", "version": 1, "walkers": [%s]}'
+_TRUTH_WALKER = '{"t_start": 0.0, "t_end": 99.0, "true_step_length": 0.6}'
 
 
 @pytest.mark.parametrize(
@@ -985,9 +986,15 @@ _TRUTH = '{"format": "gaitpipe-truth", "walkers": [%s]}'
          "walker 0: 'true_step_length'"),
         (_TRUTH % '{"t_start": 0.0, "t_end": 99.0, "true_step_length": true}',
          "walker 0: 'true_step_length'"),
+        (_TRUTH.replace('"version": 1', '"version": 99') % _TRUTH_WALKER,
+         "unsupported version 99"),
+        (_TRUTH.replace('"version": 1', '"version": true') % _TRUTH_WALKER,
+         "unsupported version True"),
+        (_TRUTH.replace('"version": 1, ', "") % _TRUTH_WALKER, "unsupported version None"),
     ],
     ids=["not_json", "other_format", "not_object", "walker_no_t_start", "walker_no_step_length",
-         "step_length_past_float_range", "step_length_bool"],
+         "step_length_past_float_range", "step_length_bool",
+         "version_99", "version_true", "version_missing"],
 )
 def test_evaluate_malformed_truth_exit_2(sim_dir, tmp_path, capsys, header, field):
     proc = tmp_path / "proc"
@@ -1086,7 +1093,7 @@ def _evaluate_two_walks(tmp_path, source, first, second):
     truth = tmp_path / "truth"
     truth.mkdir()
     (truth / "s.truth.jsonl").write_text(json.dumps(
-        {"format": "gaitpipe-truth",
+        {"format": "gaitpipe-truth", "version": 1,
          "walkers": [{"t_start": 2.0, "t_end": 9.0, "true_step_length": first},
                      {"t_start": 20.0, "t_end": 29.0, "true_step_length": second}]}) + "\n")
     ref = tmp_path / "ref.csv"

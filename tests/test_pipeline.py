@@ -20,18 +20,19 @@ CFG = PipelineConfig()
 def run_preset(name, seed=None, **kwargs):
     scene = make_scenario(name, seed=seed, **kwargs)
     session, truth = simulate(scene)
-    mode = "clinic" if scene.site == "clinic" else "home"
-    result = process_session(session, CFG, mode=mode, walklog=scene.walklog)
+    result = process_session(session, CFG, scene.walklog)
     return scene, truth, result
 
 
-def test_mode_validation():
-    scene = make_scenario("home_radial")
+def test_walklog_selects_clinic_mode():
+    # With its walk log a session gives one record per logged walk; without
+    # one the same session gives home records, which carry no walk index.
+    scene = make_scenario("clinic_control")
     session, _ = simulate(scene)
-    with pytest.raises(ValueError):
-        process_session(session, CFG, mode="lab")
-    with pytest.raises(ValueError):
-        process_session(session, CFG, mode="clinic", walklog=None)
+    clinic = process_session(session, CFG, scene.walklog)
+    assert [w["walk_index"] for w in clinic.walks] == [e.walk_index for e in scene.walklog.entries]
+    home = process_session(session, CFG)
+    assert home.walks and all("walk_index" not in w for w in home.walks)
 
 
 def test_home_radial_measures_both_passes():
@@ -113,7 +114,7 @@ def test_clinic_unmatched_walk_reported():
         g_s=scene.walklog.g_s,
         g_e=scene.walklog.g_e,
     )
-    result = process_session(session, CFG, mode="clinic", walklog=log)
+    result = process_session(session, CFG, log)
     by_index = {w["walk_index"]: w for w in result.walks}
     assert by_index[9]["matched"] is False
     assert by_index[9]["avg_step_len_m"] is None
@@ -197,7 +198,6 @@ def test_library_walks_are_cli_records(tmp_path, scenario, mode, walks):
     assert main(["process", "--input", f"{stem}.session.jsonl", "--mode", mode,
                  "--out", str(tmp_path / "out")]) == 0
     walklog = read_walklog(f"{stem}.walklog.json") if mode == "clinic" else None
-    result = process_session(read_session(f"{stem}.session.jsonl"), CFG, mode=mode,
-                             walklog=walklog)
+    result = process_session(read_session(f"{stem}.session.jsonl"), CFG, walklog)
     lines = (tmp_path / "out" / stem.name / "walks.jsonl").read_text().splitlines()
     assert lines and [json.dumps(w, sort_keys=True) for w in result.walks] == lines

@@ -220,6 +220,35 @@ def test_session_validation():
         Session(frame_rate=10.0, site="garden", room_label="x", device_id="y")
 
 
+# "heatmap_" + room + ".csv" of 255 UTF-8 bytes, the most a file name holds,
+# and of 256.
+_ROOM_AT_NAME_MAX = "é" * 121 + "a"
+_ROOMS = ["", ".", "..", "a/b", "q/../../escaped", "a\\b", "a\0b", "/", _ROOM_AT_NAME_MAX,
+          _ROOM_AT_NAME_MAX + "a", "kitchen", "living room", "..a", "é"]
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    frame_rate=st.sampled_from([0.0, -10.0, math.nan, math.inf, -math.inf, 1e-300, 1e300, 10.0,
+                                10, True, np.float32(10.0)]) | st.floats(),
+    site=st.sampled_from(["clinic", "home", "garden", "", "Home"]),
+    room=st.sampled_from(_ROOMS) | st.text(max_size=12),
+)
+def test_any_session_that_builds_reads_back(tmp_path, frame_rate, site, room):
+    # A session built in code obeys the metadata rule of the file reader, so
+    # it either fails to build or reads back as written.
+    try:
+        session = build_session(frame_rate, site, room, "d", [(0.5, [(0.1, 2.0, 0.0, -1.0)])])
+    except ValueError:
+        return
+    path = tmp_path / "meta.session.jsonl"
+    write_session(session, path)
+    back = read_session(path)
+    assert (back.frame_rate, back.site, back.room_label, back.device_id) == (
+        frame_rate, site, room, "d")
+    assert same_frames(back, session)
+
+
 def test_random_sessions_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     for trial in range(10):

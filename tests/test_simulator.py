@@ -140,6 +140,21 @@ def test_walker_spec_validation():
             SceneSpec(name="x", site="home", duration=value, seed=1)
         with pytest.raises(ValueError, match="must be finite and positive"):
             SceneSpec(name="x", site="home", duration=9.0, seed=1, frame_rate=value)
+    # A NaN start time would reach the truth file as bare NaN; a NaN noise,
+    # dropout or waypoint would simulate a session of 0 points, a negative
+    # noise would fail inside numpy, a negative point count would pass.
+    bad = [("start_time", v) for v in (math.nan, math.inf, -1.0)]
+    bad += [("noise_doppler", v) for v in (math.nan, math.inf, -1.0)]
+    bad += [("dropout", v) for v in (math.nan, -0.1, 1.5)]
+    bad += [(key, v) for key in ("points_torso", "points_arms", "points_legs")
+            for v in (-3, math.inf, 2.5)]
+    bad += [("path", ((0, math.nan), (0, 1))), ("path", ((0, 5), (0, 1), (math.inf, 2)))]
+    for key, value in bad:
+        with pytest.raises(ValueError, match=key.split("_")[0]):
+            WalkerSpec(**{"walker_id": "w", "path": path, key: value})
+    for center in ((math.nan, 2.0), (2.0, math.inf)):
+        with pytest.raises(ValueError, match="center"):
+            PetSpec(center=center)
 
 
 def test_scene_frame_count_must_be_finite():
