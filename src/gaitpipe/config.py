@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, fields
 from .pointcloud import MAX_COORD_M
 
 # Bounds of some fields, beyond finite and positive. eps is a length in
-# the room like a session's coordinates, and bounding both keeps the
-# squared extent of stacked frames' trees finite. The gate is a length in
+# the room, bounded like a session's coordinates. The gate is a length in
 # the room too; so bounded, in-gate association costs stay far below the
 # cost that forbids a pair, and the in-gate pairs of a frame where no two
 # contend are its optimal assignment. The noise levels' squares

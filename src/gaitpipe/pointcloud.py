@@ -107,7 +107,7 @@ class Session:
              times: np.ndarray, points: np.ndarray, counts: list[int]) -> None:
         """Check the metadata and store the columns of frames at `times`
         holding `counts` of `points` each, less the points out of bounds."""
-        check_metadata(frame_rate, site, room_label)
+        check_metadata(frame_rate, site, room_label, device_id)
         # Spurious returns behind the sensor plane or out of range are
         # expected from CFAR output; drop rather than fail the whole session.
         keep = ((points >= _POINT_LOW) & (points <= _POINT_HIGH)).all(axis=1)
@@ -266,15 +266,18 @@ def check_format(obj: object, name: str, version: int, what: str) -> None:
         raise ValueError(f"unsupported version {obj.get('version')!r}")
 
 
-def check_metadata(frame_rate: float, site: str, room: str) -> None:
+def check_metadata(frame_rate: float, site: str, room: str, device: str) -> None:
     """ValueError unless the frame rate is a finite positive number that JSON
-    writes as one, the site one of SITES and the room a plain name that fits
-    in heatmap_<room>.csv, the output file it names: the rule for a session
-    built in code as from a file."""
+    writes as one, the site one of SITES, the device a string and the room a
+    plain name that fits in heatmap_<room>.csv, the output file it names:
+    the rule for a session built in code as from a file."""
     if not 0 < json_float(frame_rate, "frame_rate", finite=False) < math.inf:
         raise ValueError(f"frame_rate must be a finite positive number, got {frame_rate!r}")
     if site not in SITES:
         raise ValueError(f"site must be one of {SITES}, got {site!r}")
+    for key, value in (("room", room), ("device", device)):
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
     if room in ("", ".", "..") or any(c in room for c in "/\\\0"):
         raise ValueError(f"room must be a plain name, got {room!r}")
     if len(f"heatmap_{room}.csv".encode("utf-8")) > NAME_MAX:
@@ -289,7 +292,7 @@ def _check_header(obj: dict, lineno: int) -> tuple[float, str]:
             if key not in obj:
                 raise ValueError(f"header missing {key!r}")
         room = str(obj["room"])
-        check_metadata(obj["frame_rate"], obj["site"], room)
+        check_metadata(obj["frame_rate"], obj["site"], room, str(obj["device"]))
     except ValueError as exc:
         raise SessionFormatError(str(exc), lineno) from None
     return float(obj["frame_rate"]), room

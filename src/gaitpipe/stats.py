@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import fdtri
 
 _DEGENERATE_TOL = 1e-12
 # Ratings up to this magnitude keep every sum of squares, and so the mean
@@ -122,6 +121,8 @@ def _icc(m: RatingsMatrix | np.ndarray | Sequence, confidence: float,
     icc = _ratio(num, msr + (msc - mse) / n if agreement else msr)
     if mse == 0.0:  # zero residual: the interval shrinks to the estimate
         return IccResult(icc, icc, icc, n, k, degenerate=True)
+
+    from scipy.special import fdtri  # about 0.3 CPU s and 23 MB to load, for intervals only
 
     q = 1.0 - (1.0 - confidence) / 2
     if not agreement:  # the exact F interval: 1 - F_crit / F at each tail

@@ -16,7 +16,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import DbscanConfig, PipelineConfig, TrackerConfig
 from .pointcloud import Session
@@ -28,22 +27,30 @@ _FORBIDDEN = 1e12
 # track_frames clusters consecutive frames holding at most CHUNK_POINTS points
 # in one dbscan call, except that a frame of more than DENSE_FRAME_POINTS
 # points shares its call only with empty frames. Measured on the benchmark's
-# seed-1 sessions on a 2-vCPU host: a one-walk clinic session (95 frames,
-# 720 points) is one call in place of 3.4 with a 256-point cap, and
-# track_frames takes 0.7x the time; letting the dense home frames (122-347
-# points) share 2048-point stacks too made track_frames 1.15-1.5x slower.
+# seed-1 sessions on a 2-vCPU host, when the frames of a call shared one
+# tree: a one-walk clinic session (95 frames, 720 points) is one call in
+# place of 3.4 with a 256-point cap, and track_frames takes 0.7x the time;
+# letting the dense home frames (122-347 points) share 2048-point stacks too
+# made track_frames 1.15-1.5x slower.
 CHUNK_POINTS = 2048
 DENSE_FRAME_POINTS = 128
-# dbscan_labels builds its cKDTree with this layout. Tree build plus
+# dbscan_labels builds each cKDTree with this layout. Tree build plus
 # query_pairs, summed over the benchmark's seed-1 and seed-2 stacks (best of
 # 11-21 runs per stack, 2-vCPU host), against scipy's default (leafsize 16,
 # balanced, compact): home_dense one-frame stacks of 122-347 points
-# 167-204 -> 140-166 us a stack, clinic_sweep stacks of about 720 points in
-# 4D 259-271 -> 231-244 us. Against this layout, leafsize 128 was as fast on
-# home_dense but 1.4x slower on clinic_sweep; leafsize 32 or compact nodes
-# were faster on clinic_sweep but 1.1x slower on home_dense, and balanced
-# trees were slower on both.
+# 167-204 -> 140-166 us a stack. Against this layout, leafsize 128 was as
+# fast, and leafsize 32, compact nodes or balanced trees were slower.
 TREE_LAYOUT = {"leafsize": 64, "balanced_tree": False, "compact_nodes": False}
+# dbscan_labels compares all pairs of a frame of at most ALL_PAIRS_POINTS
+# points, and builds a tree for each larger frame. Microseconds per frame,
+# best of 7, all pairs / a tree per frame, with equal pair sets, on
+# 2048-point stacks of equal frames of person-like normal blobs (sd 0.25 m
+# in x-y, 0.4 m in z), eps 0.4 m, 2-vCPU host:
+#    8 points:  0.7 / 16.0      40 points:  27.9 / 23.1
+#   16 points:  4.1 / 17.1      48 points:  37.9 / 25.1
+#   24 points:  9.4 / 18.7      64 points:  80.6 / 44.0
+#   32 points: 18.7 / 20.4     128 points: 357.6 / 96.9
+ALL_PAIRS_POINTS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,20 +126,25 @@ def dbscan_labels(
     neighbors. Each frame's labels are then the ones it gets alone plus the
     number of clusters in the frames before it.
 
-    Neighbor pairs (i, j) come from a `scipy.spatial.cKDTree` built with
-    TREE_LAYOUT, as an (m, 2) array with i < j, the order `_component_roots`
-    takes its core-core edges in; it drops each edge once its ends share a
-    root. One `np.bincount` over the pair array counts every point's
-    neighbors. Each core point's component root is the smallest core index
-    in its component, so numbering the roots in index order gives the
-    cluster ids. When every point is core, as on a dense frame of people,
-    the roots over all pairs give the labels and there is no border point
-    to place. When two or more stacked frames hold points, each point gets
-    a 4th coordinate, its frame's rank among the non-empty frames times
-    max(2 * eps, 1): within a frame it adds exactly 0 to the squared
-    distance, across frames at least max(4 * eps * eps, 1), which no eps,
-    however small, rounds to 0. cKDTree raises ValueError when that
-    coordinate or the squared extent of the stack overflows.
+    Neighbor pairs (i, j) come by frame size: the pairs of every frame of
+    at most ALL_PAIRS_POINTS points come from one numpy pass that compares
+    each of its rows with every later row of the frame, and each larger
+    frame gets its own 3D `scipy.spatial.cKDTree` built with TREE_LAYOUT.
+    scipy.spatial (about 35 MB with the scipy.special it imports) loads at
+    the first such frame. Both searches evaluate the squared distance in
+    the order above. The pairs form an (m, 2) array with i < j, in no
+    particular order. One `np.bincount` over it counts every point's
+    neighbors. `_component_roots` takes the core-core pairs as edges, and
+    each core point's component root is the smallest core index in its
+    component, so numbering the roots in index order gives the cluster ids.
+    When every point is core, as on a dense frame of people, the roots over
+    all pairs give the labels and there is no border point to place;
+    otherwise the border pass sorts its own candidates.
+
+    Coordinates must be finite. A squared distance that overflows makes no
+    pair in the numpy pass, and a tree raises ValueError when its frame's
+    squared extent overflows; a session's coordinates and the config's eps
+    are at most pointcloud.MAX_COORD_M, far from either.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -143,13 +155,10 @@ def dbscan_labels(
         return np.full(0, NOISE, dtype=int)
 
     xyz = np.asarray(xyz, dtype=float)
-    coords = xyz
-    if offsets is not None:
-        sizes = np.diff(offsets)
-        if np.count_nonzero(sizes) > 1:
-            rank = np.repeat((sizes > 0).cumsum() - 1, sizes)
-            coords = np.column_stack([xyz, rank * max(2.0 * eps, 1.0)])
-    pairs = cKDTree(coords, **TREE_LAYOUT).query_pairs(eps, output_type="ndarray")
+    if not np.isfinite(xyz).all():
+        raise ValueError("coordinates must be finite")
+    sizes = np.array([n]) if offsets is None else np.diff(offsets)
+    pairs = _neighbor_pairs(xyz, float(eps), sizes)
     i, j = pairs.T
     core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
     if core.all():
@@ -172,6 +181,44 @@ def dbscan_labels(
     _, first = np.unique(border, return_index=True)
     labels[border[first]] = labels[near[first]]
     return labels
+
+
+def _neighbor_pairs(xyz: np.ndarray, eps: float, sizes: np.ndarray) -> np.ndarray:
+    """(m, 2) neighbor pairs (i, j), i < j, within each frame of a stack
+    whose frames hold the given numbers of rows (see `dbscan_labels`)."""
+    parts = []
+    start = 0
+    small = False  # a frame of 2 to ALL_PAIRS_POINTS points
+    for size in sizes.tolist():
+        if size > ALL_PAIRS_POINTS:
+            from scipy.spatial import cKDTree
+
+            pairs = cKDTree(xyz[start : start + size], **TREE_LAYOUT).query_pairs(
+                eps, output_type="ndarray")
+            if start:
+                pairs += start
+            parts.append(pairs)
+        elif size > 1:
+            small = True
+        start += size
+    if small:
+        # Row r of a small frame pairs with the later[r] rows after it in its
+        # frame, a row of a larger frame with none. Its candidates sit at
+        # positions first[r]:first[r] + later[r].
+        rows = np.arange(len(xyz))
+        stop = np.repeat(np.where(sizes <= ALL_PAIRS_POINTS, np.cumsum(sizes), 0), sizes)
+        later = np.maximum(stop - rows - 1, 0)
+        first = np.cumsum(later) - later
+        i = np.repeat(rows, later)
+        j = np.arange(len(i)) - np.repeat(first - rows - 1, later)
+        x, y, z = xyz.T
+        with np.errstate(over="ignore"):  # an overflow to inf is no neighbor
+            dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+            near = dx * dx + dy * dy + dz * dz <= eps * eps
+        parts.append(np.column_stack([i[near], j[near]]))
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.intp)
 
 
 def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -436,11 +483,8 @@ def _frame_detections(
     """(t, detections) for each frame of the session, in time order.
 
     One `dbscan` call clusters a stack of consecutive frames (see `_stacks`):
-    sparse frames share a tree, since fewer calls pay off on them, while a
-    dense frame keeps its own, since stacking dense frames slows the neighbor
-    search more than it saves in calls. The stacked tree's squared extent
-    stays finite (see `dbscan_labels`): a session's coordinates and the
-    config's eps are at most MAX_COORD_M.
+    sparse frames share a call, since fewer calls pay off on them, while a
+    dense frame keeps its own.
     """
     times, points, offsets = session.times.tolist(), session.points, session.offsets
     firsts = offsets.tolist()

@@ -18,9 +18,10 @@ import gaitpipe
 import gaitpipe.cli
 from gaitpipe.cli import main
 from gaitpipe.config import MAX_SIGMA, MIN_SIGMA_M, PipelineConfig
-from gaitpipe.pointcloud import Session, write_session
+from gaitpipe.pointcloud import Session, read_session, write_session
 from gaitpipe.simulator import make_scenario, simulate
 from gaitpipe.stats import icc2k, icc3k
+from gaitpipe.tracker import ALL_PAIRS_POINTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -1223,6 +1224,41 @@ def test_process_loads_the_assignment_solver_only_when_tracks_contend(sim_dir, t
     out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.splitlines()[-1] == "[False, (0, False), (0, False), ([(0, 0)], True)]"
+
+
+def test_scipy_loads_only_for_a_large_frame_or_an_icc(sim_dir, tmp_path):
+    # Frames of at most ALL_PAIRS_POINTS points find their neighbors without
+    # scipy, so neither importing gaitpipe nor processing a clinic session
+    # loads any scipy module. A larger frame loads scipy.spatial for its
+    # tree, and an ICC interval loads scipy.special.
+    clinic = sim_dir / "clinic_control-5.session.jsonl"
+    assert np.diff(read_session(clinic).offsets).max() <= ALL_PAIRS_POINTS
+    big = tmp_path / "big.session.jsonl"
+    k = ALL_PAIRS_POINTS + 1
+    blob = np.column_stack([np.linspace(-0.3, 0.3, k), np.full(k, 3.0), np.zeros(k),
+                            np.full(k, -1.0)])
+    write_session(Session(10.0, "home", "r", "d", [(0.1, blob)]), big)
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("0.5,0.6\n0.7,0.7\n0.4,0.5\n")
+    src = str(Path(gaitpipe.__file__).resolve().parents[1])
+    probe = ("import sys\n"
+             "import gaitpipe, gaitpipe.cli\n"
+             "def loaded():\n"
+             "    names = ('scipy', 'scipy.spatial', 'scipy.special')\n"
+             "    return [m for m in names if m in sys.modules]\n"
+             "seen = [loaded()]\n"
+             "for argv in (['process', '--input', sys.argv[1], '--out', sys.argv[2]],\n"
+             "             ['icc', '--matrix', sys.argv[3], '--out', sys.argv[4]],\n"
+             "             ['process', '--input', sys.argv[5], '--out', sys.argv[6]]):\n"
+             "    seen.append((gaitpipe.cli.main(argv), loaded()))\n"
+             "print(seen)\n")
+    argv = [str(clinic), str(tmp_path / "clinic"), str(matrix), str(tmp_path / "icc.json"),
+            str(big), str(tmp_path / "big")]
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.splitlines()[-1] == str([
+        [], (0, []), (0, ["scipy", "scipy.special"]),
+        (0, ["scipy", "scipy.spatial", "scipy.special"])])
 
 
 def test_icc_command(tmp_path, capsys):

@@ -218,6 +218,11 @@ def test_session_validation():
             Session(frame_rate=frame_rate, site="home", room_label="x", device_id="y")
     with pytest.raises(ValueError):
         Session(frame_rate=10.0, site="garden", room_label="x", device_id="y")
+    # A device of 5 would read back as "5"; a room of 5 was a TypeError.
+    with pytest.raises(ValueError, match="device must be a string"):
+        Session(10.0, "home", "r", 5)
+    with pytest.raises(ValueError, match="room must be a string"):
+        Session(10.0, "home", 5, "d")
 
 
 # "heatmap_" + room + ".csv" of 255 UTF-8 bytes, the most a file name holds,
@@ -232,20 +237,21 @@ _ROOMS = ["", ".", "..", "a/b", "q/../../escaped", "a\\b", "a\0b", "/", _ROOM_AT
     frame_rate=st.sampled_from([0.0, -10.0, math.nan, math.inf, -math.inf, 1e-300, 1e300, 10.0,
                                 10, True, np.float32(10.0)]) | st.floats(),
     site=st.sampled_from(["clinic", "home", "garden", "", "Home"]),
-    room=st.sampled_from(_ROOMS) | st.text(max_size=12),
+    room=st.sampled_from(_ROOMS + [5, None, b"r"]) | st.text(max_size=12),
+    device=st.sampled_from(["d", "", 5, 5.0, None, True, b"d", ["d"]]) | st.text(max_size=12),
 )
-def test_any_session_that_builds_reads_back(tmp_path, frame_rate, site, room):
+def test_any_session_that_builds_reads_back(tmp_path, frame_rate, site, room, device):
     # A session built in code obeys the metadata rule of the file reader, so
     # it either fails to build or reads back as written.
     try:
-        session = build_session(frame_rate, site, room, "d", [(0.5, [(0.1, 2.0, 0.0, -1.0)])])
+        session = build_session(frame_rate, site, room, device, [(0.5, [(0.1, 2.0, 0.0, -1.0)])])
     except ValueError:
         return
     path = tmp_path / "meta.session.jsonl"
     write_session(session, path)
     back = read_session(path)
     assert (back.frame_rate, back.site, back.room_label, back.device_id) == (
-        frame_rate, site, room, "d")
+        frame_rate, site, room, device)
     assert same_frames(back, session)
 
 

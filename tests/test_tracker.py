@@ -1,9 +1,11 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 import gaitpipe.tracker
 from gaitpipe.cli import main
@@ -11,10 +13,13 @@ from gaitpipe.config import DbscanConfig, PipelineConfig
 from gaitpipe.pointcloud import MAX_COORD_M, MAX_DOPPLER_MS, Session, write_session
 from gaitpipe.simulator import WalkerSpec, SceneSpec, make_scenario, simulate
 from gaitpipe.tracker import (
+    ALL_PAIRS_POINTS,
     CHUNK_POINTS,
     DENSE_FRAME_POINTS,
+    NOISE,
     Detection,
     _component_roots,
+    _neighbor_pairs,
     KalmanCV,
     associate,
     dbscan,
@@ -97,11 +102,7 @@ def test_dbscan_matches_naive_reference():
     # split the tree into many leaves, so its pruning meets those ties too,
     # one frame at a time and stacked. The cases take both label passes:
     # every point core, and some not.
-    all_core = set()
-    for trial in range(30):
-        lattices = [rng.integers(0, 20, size=(int(rng.integers(200, 700)), 3)) * 0.1
-                    for _ in range(int(rng.integers(1, 4)))]
-        min_pts = 3 if trial % 2 else int(rng.integers(4, 30))
+    def check_lattices(lattices, min_pts):
         offsets = np.cumsum([0] + [len(xyz) for xyz in lattices])
         stacked = dbscan_labels(np.concatenate(lattices), 0.5, min_pts, offsets)
         before = 0  # clusters in the frames before this one
@@ -111,9 +112,76 @@ def test_dbscan_matches_naive_reference():
             got = stacked[offsets[k] : offsets[k + 1]]
             assert np.array_equal(got, np.where(ref >= 0, ref + before, ref))
             before += ref.max(initial=-1) + 1
+
+    all_core = set()
+    for trial in range(30):
+        lattices = [rng.integers(0, 20, size=(int(rng.integers(200, 700)), 3)) * 0.1
+                    for _ in range(int(rng.integers(1, 4)))]
+        min_pts = 3 if trial % 2 else int(rng.integers(4, 30))
+        check_lattices(lattices, min_pts)
         d2 = [((xyz[:, None, :] - xyz[None, :, :]) ** 2).sum(axis=-1) for xyz in lattices]
         all_core.add(all(((d <= 0.25).sum(axis=1) >= min_pts).all() for d in d2))
     assert all_core == {True, False}
+    # Frames of 2 to ALL_PAIRS_POINTS points take the all-pairs search, and
+    # one of a point more a tree: alone, stacked together, and stacked with
+    # a large frame on either side.
+    for size in [*range(2, ALL_PAIRS_POINTS + 1), ALL_PAIRS_POINTS + 1]:
+        small = rng.integers(0, 8, size=(size, 3)) * 0.1
+        other = rng.integers(0, 8, size=(int(rng.integers(2, ALL_PAIRS_POINTS + 2)), 3)) * 0.1
+        large = rng.integers(0, 20, size=(int(rng.integers(200, 400)), 3)) * 0.1
+        min_pts = (1, 2, 3, 5)[size % 4]
+        for lattices in ([small], [small, other], [small, large], [large, small, other]):
+            check_lattices(lattices, min_pts)
+
+
+# The all-pairs search and the tree agree pair for pair, at eps small
+# enough that squares round to 0 and large enough for the config's bound.
+# Lattices whose spacing puts many pairs at exactly eps meet the rule's
+# ties; a shell of points about eps from the first point of its frame
+# meets squared distances a rounding from eps*eps, where a square-root
+# comparison can disagree.
+@settings(max_examples=150, deadline=None)
+@given(
+    eps=st.sampled_from([5e-324, 1e-100, 0.4, 1000.0]),
+    spacing=st.sampled_from([0.1, 0.2, 0.25, 1 / 3, 1.0, 1e-100, None]),  # None: a shell
+    sizes=st.lists(st.integers(0, 2 * ALL_PAIRS_POINTS)
+                   | st.sampled_from([ALL_PAIRS_POINTS, ALL_PAIRS_POINTS + 1]),
+                   min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_all_pairs_match_the_tree(eps, spacing, sizes, seed):
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum([0] + sizes)
+    if spacing is None:
+        u = rng.normal(size=(starts[-1], 3))
+        xyz = eps * (u / np.linalg.norm(u, axis=1, keepdims=True))
+        xyz[starts[:-1][np.array(sizes) > 0]] = 0.0
+    else:
+        xyz = rng.integers(-5, 6, size=(starts[-1], 3)) * (spacing * eps)
+    want = set()
+    for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        want |= {(i + a, j + a) for i, j in cKDTree(xyz[a:b]).query_pairs(eps)}
+    with mock.patch.object(gaitpipe.tracker, "ALL_PAIRS_POINTS", 2 * ALL_PAIRS_POINTS):
+        all_pairs = _neighbor_pairs(xyz, eps, np.array(sizes))
+    for pairs in (all_pairs, _neighbor_pairs(xyz, eps, np.array(sizes))):
+        assert len(pairs) == len(want)
+        assert set(map(tuple, pairs.tolist())) == want
+
+
+def test_overflowing_distance_is_no_neighbor():
+    # The squared distance of these rows overflows: no pair, and no warning,
+    # which the test settings would raise. Non-finite rows raise ValueError
+    # in either search.
+    xyz = np.array([[1e200, 1.0, 0.0], [-1e200, 1.0, 0.0]])
+    assert dbscan_labels(xyz, 0.4, 1).tolist() == [0, 1]
+    assert dbscan_labels(xyz, 0.4, 2).tolist() == [NOISE, NOISE]
+    assert dbscan_labels(xyz, 0.4, 1, np.array([0, 1, 2])).tolist() == [0, 1]
+    for n in (2, ALL_PAIRS_POINTS + 1):
+        for bad in (math.inf, -math.inf, math.nan):
+            xyz = np.zeros((n, 3))
+            xyz[-1, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                dbscan_labels(xyz, 0.4, 1)
 
 
 def test_dense_touching_walkers_match_naive_reference():
@@ -248,8 +316,8 @@ def test_stacked_dbscan_matches_per_frame_calls():
 
 
 def test_tiny_eps_keeps_stacked_frames_apart():
-    # Two frames of two identical points each. A rank column of 2 * eps per
-    # frame would square to 0 at this eps and join the frames.
+    # Two frames of two identical points each: however small eps, rows of
+    # different frames are never neighbors.
     xyz = np.array([[0.5, 3.0, 0.0]] * 4)
     for eps in (1e-100, 1e-200, 5e-324):
         assert dbscan_labels(xyz, eps, 2, np.array([0, 2, 4])).tolist() == [0, 0, 1, 1]
@@ -725,9 +793,7 @@ def test_track_frames_matches_one_call_per_frame(monkeypatch, seed):
 @pytest.mark.parametrize("eps", ["1000", "1e153", "1e308"])
 def test_huge_eps_gives_the_per_frame_bundle(tmp_path, monkeypatch, capsys, eps):
     # The largest eps the config takes is MAX_COORD_M, and its stacked frames
-    # give the per-frame bundle. Past it, the stacked trees' squared extent
-    # could overflow (at 1e153) or their rank column itself (at 1e308), and
-    # process exits 2 naming the key.
+    # give the per-frame bundle. Past it, process exits 2 naming the key.
     session, _ = simulate(make_scenario("home_radial", seed=104))
     write_session(session, tmp_path / "s.session.jsonl")
     (tmp_path / "c.toml").write_text(f"[dbscan]\neps = {eps}\n")
@@ -748,8 +814,8 @@ def test_huge_eps_gives_the_per_frame_bundle(tmp_path, monkeypatch, capsys, eps)
 
 
 def test_huge_coordinate_alone_in_its_frame():
-    # A session drops a finite point at 1e200, which stacked with the next
-    # frame would overflow the tree's squared extent; its frame is empty.
+    # A session drops a finite point at 1e200, whose squared distance to any
+    # other point would overflow; its frame is empty.
     blob = pts((0.0, 2.0), (0.1, 2.0), (0.0, 2.1), (0.1, 2.1), (0.05, 2.05))
     frames = [(float(t), pts((1e200, 1.0)) if t == 1 else blob) for t in range(1, 6)]
     session = Session(frame_rate=1.0, site="home", room_label="r", device_id="d", frames=frames)
