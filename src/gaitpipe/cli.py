@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -214,6 +213,8 @@ def cmd_process(args: argparse.Namespace) -> int:
 
     workers = min(args.jobs, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads the pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_process_one, *zip(*jobs)))
     else:

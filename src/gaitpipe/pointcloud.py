@@ -97,6 +97,7 @@ class Session:
 
     def __init__(self, frame_rate: float, site: str, room_label: str, device_id: str,
                  frames: Iterable[tuple[float, np.ndarray]] = ()):
+        check_metadata(frame_rate, site, room_label, device_id)
         frames = list(frames)
         self._set(frame_rate, site, room_label, device_id,
                   np.array([t for t, _ in frames], dtype=float),
@@ -105,9 +106,10 @@ class Session:
 
     def _set(self, frame_rate: float, site: str, room_label: str, device_id: str,
              times: np.ndarray, points: np.ndarray, counts: list[int]) -> None:
-        """Check the metadata and store the columns of frames at `times`
-        holding `counts` of `points` each, less the points out of bounds."""
-        check_metadata(frame_rate, site, room_label, device_id)
+        """Store checked metadata and the columns of frames at `times`
+        holding `counts` of `points` each, less the points out of bounds.
+        The caller checks the metadata: `__init__`, or `read_session`
+        through the header check, which names the line."""
         # Spurious returns behind the sensor plane or out of range are
         # expected from CFAR output; drop rather than fail the whole session.
         keep = ((points >= _POINT_LOW) & (points <= _POINT_HIGH)).all(axis=1)

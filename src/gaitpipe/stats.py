@@ -208,35 +208,6 @@ def detection_rate(outcomes: Iterable[tuple[str | None, bool]]) -> dict:
     }
 
 
-def interval_reliability(
-    daily: Mapping[str, tuple[Sequence[float | None], Sequence[float | None]]],
-    intervals: Iterable[int] = range(2, 8),
-) -> dict[int, IccResult]:
-    """Test-retest ICC(2,k) as a function of the aggregation interval.
-
-    daily maps each room to two consecutive observation windows of
-    per-day averages (None for days without a measurement). For each
-    interval length L the first L days of each window are averaged; rooms
-    missing every day of either window are dropped listwise.
-    """
-    results = {}
-    for length in intervals:
-        rows = []
-        for room in sorted(daily):
-            week1, week2 = daily[room]
-            vals1 = [v for v in week1[:length] if v is not None]
-            vals2 = [v for v in week2[:length] if v is not None]
-            if not vals1 or not vals2:
-                continue
-            rows.append((float(np.mean(vals1)), float(np.mean(vals2))))
-        if len(rows) < 2:
-            raise ValueError(
-                f"interval {length}: need at least 2 rooms with both windows, got {len(rows)}"
-            )
-        results[length] = icc2k(np.array(rows))
-    return results
-
-
 def valid_track_stats(segments_per_home: Mapping[str, Iterable[bool]]) -> dict:
     """{"per_home": percentage of valid linear segments, "mean", "sd"} over the
     homes with a segment; the mean is None with no such home, the SD with one."""

@@ -314,7 +314,10 @@ def merge_close_detections(
 
     root = _component_roots(n, *np.array(close).T)
     merged = []
-    for r in np.unique(root):
+    # A component's root is its smallest index, its one node with
+    # root[r] == r: the roots in ascending order, as from np.unique, but
+    # without the numpy.ma import that np.unique makes.
+    for r in np.flatnonzero(root == np.arange(n)):
         members = np.flatnonzero(root == r)
         if len(members) == 1:
             merged.append(detections[members[0]])

@@ -2,18 +2,23 @@
 
 These deliberately take the dumbest correct route (full distance
 matrices, explicit permutation enumeration, textbook ANOVA sums) so they
-share no code or algorithmic structure with the package.
+share no code or algorithmic structure with the package. The last,
+`interval_reliability`, is no reference: it is the aggregation criterion
+09 and its unit tests run, which no command reaches (a session header has
+no date to group days by).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.stats import f as f_dist
 
 from gaitpipe.pointcloud import MAX_COORD_M, MAX_DOPPLER_MS
+from gaitpipe.stats import IccResult, icc2k
 
 
 def naive_dbscan(xyz: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -89,6 +94,33 @@ def union_find_roots(n: int, edges) -> np.ndarray:
     for i in range(n):
         smallest.setdefault(find(i), i)
     return np.array([smallest[find(i)] for i in range(n)], dtype=int)
+
+
+def naive_merge_groups(detections, merge_radius: float) -> list[list[int]]:
+    """Single-link groups of detections whose centroids sit within
+    merge_radius (math.hypot, inclusive), found by breadth-first search from
+    each unvisited detection in index order: each group's member indices in
+    ascending order, the groups ordered by their smallest member."""
+    n = len(detections)
+    seen = [False] * n
+    groups = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        group, queue = [], [start]
+        while queue:
+            i = queue.pop(0)
+            group.append(i)
+            a = detections[i]
+            for j in range(n):
+                b = detections[j]
+                if not seen[j] and math.hypot(a.centroid_x - b.centroid_x,
+                                              a.centroid_y - b.centroid_y) <= merge_radius:
+                    seen[j] = True
+                    queue.append(j)
+        groups.append(sorted(group))
+    return groups
 
 
 def reference_frame_points(frame_pts: list) -> tuple:
@@ -441,3 +473,32 @@ def overlaps_other_track(seg, tracks) -> bool:
         if track.t[0] <= seg.t_end and seg.t_start <= track.t[-1]:
             return True
     return False
+
+
+def interval_reliability(
+    daily: Mapping[str, tuple[Sequence[float | None], Sequence[float | None]]],
+    intervals: Iterable[int] = range(2, 8),
+) -> dict[int, IccResult]:
+    """Test-retest ICC(2,k) as a function of the aggregation interval.
+
+    daily maps each room to two consecutive observation windows of
+    per-day averages (None for days without a measurement). For each
+    interval length L the first L days of each window are averaged; rooms
+    missing every day of either window are dropped listwise.
+    """
+    results = {}
+    for length in intervals:
+        rows = []
+        for room in sorted(daily):
+            week1, week2 = daily[room]
+            vals1 = [v for v in week1[:length] if v is not None]
+            vals2 = [v for v in week2[:length] if v is not None]
+            if not vals1 or not vals2:
+                continue
+            rows.append((float(np.mean(vals1)), float(np.mean(vals2))))
+        if len(rows) < 2:
+            raise ValueError(
+                f"interval {length}: need at least 2 rooms with both windows, got {len(rows)}"
+            )
+        results[length] = icc2k(np.array(rows))
+    return results

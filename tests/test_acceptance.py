@@ -17,7 +17,7 @@ from gaitpipe.pipeline import process_session
 from gaitpipe.pointcloud import Session
 from gaitpipe.segmenter import rdp_decimate, segment_geometry
 from gaitpipe.simulator import SceneSpec, WalkerSpec, make_scenario, simulate
-from gaitpipe.stats import icc2k, icc3k, interval_reliability, valid_track_stats
+from gaitpipe.stats import icc2k, icc3k, valid_track_stats
 from gaitpipe.tracker import dbscan_labels, min_cost_assignment
 
 from oracles import (
@@ -25,6 +25,7 @@ from oracles import (
     anova_icc3k,
     brute_force_assignment,
     canonical_labels,
+    interval_reliability,
     naive_dbscan,
     point_to_chord_distance,
     radial_angle_by_vectors,

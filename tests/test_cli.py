@@ -21,7 +21,7 @@ from gaitpipe.config import MAX_SIGMA, MIN_SIGMA_M, PipelineConfig
 from gaitpipe.pointcloud import Session, read_session, write_session
 from gaitpipe.simulator import make_scenario, simulate
 from gaitpipe.stats import icc2k, icc3k
-from gaitpipe.tracker import ALL_PAIRS_POINTS
+from gaitpipe.tracker import ALL_PAIRS_POINTS, dbscan, merge_close_detections
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -897,7 +897,7 @@ def test_jobs_capped_at_session_files(sim_dir, tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(gaitpipe.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     one = sim_dir / "home_radial-6.session.jsonl"
     assert main(["process", "--input", str(one), "--jobs", "100000000",
                  "--out", str(tmp_path / "one")]) == 0
@@ -1259,6 +1259,41 @@ def test_scipy_loads_only_for_a_large_frame_or_an_icc(sim_dir, tmp_path):
     assert out.stdout.splitlines()[-1] == str([
         [], (0, []), (0, ["scipy", "scipy.special"]),
         (0, ["scipy", "scipy.spatial", "scipy.special"])])
+
+
+def test_serial_process_loads_no_pool_or_masked_arrays(tmp_path):
+    # A serial run imports neither the process pool (multiprocessing and its
+    # kin) nor numpy.ma, even when a frame's two clusters merge into one
+    # detection; the pool loads only when --jobs > 1 meets two or more files.
+    cluster = np.column_stack([np.linspace(-0.1, 0.1, 5), np.full(5, 3.0), np.zeros(5),
+                               np.full(5, -1.0)])
+    frame = np.concatenate([cluster, cluster + [0.0, 0.0, 0.8, 0.0]])
+    db = PipelineConfig().dbscan
+    clusters = dbscan(frame, db.eps, db.min_pts, db.min_cluster_size)
+    assert len(clusters) == 2 and len(merge_close_detections(clusters, db.merge_radius)) == 1
+    sessions = tmp_path / "sessions"
+    sessions.mkdir()
+    for name in ("a", "b"):
+        write_session(Session(10.0, "home", "r", "d", [(0.1 * k, frame) for k in range(5)]),
+                      sessions / f"{name}.session.jsonl")
+    src = str(Path(gaitpipe.__file__).resolve().parents[1])
+    probe = ("import sys\n"
+             "import gaitpipe, gaitpipe.cli\n"
+             "def loaded():\n"
+             "    names = ('multiprocessing', 'concurrent.futures.process', 'numpy.ma')\n"
+             "    return [m for m in names if m in sys.modules]\n"
+             "seen = [loaded()]\n"
+             "for jobs, path, out in zip(sys.argv[1::3], sys.argv[2::3], sys.argv[3::3]):\n"
+             "    argv = ['process', '--jobs', jobs, '--input', path, '--out', out]\n"
+             "    seen.append((gaitpipe.cli.main(argv), loaded()))\n"
+             "print(seen)\n")
+    argv = ["1", str(sessions / "a.session.jsonl"), str(tmp_path / "serial"),
+            "2", str(sessions / "b.session.jsonl"), str(tmp_path / "one_file"),
+            "2", str(sessions), str(tmp_path / "pool")]
+    out = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.splitlines()[-1] == str([
+        [], (0, []), (0, []), (0, ["multiprocessing", "concurrent.futures.process"])])
 
 
 def test_icc_command(tmp_path, capsys):

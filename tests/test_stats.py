@@ -13,12 +13,17 @@ from gaitpipe.stats import (
     heatmap_from_xy,
     icc2k,
     icc3k,
-    interval_reliability,
     valid_track_stats,
 )
 
 from builders import make_track
-from oracles import anova_icc2k, anova_icc3k, anova_mean_squares, icc_ci_mcgraw_wong
+from oracles import (
+    anova_icc2k,
+    anova_icc3k,
+    anova_mean_squares,
+    icc_ci_mcgraw_wong,
+    interval_reliability,
+)
 
 # Shrout & Fleiss (1979), six targets rated by four judges. Published
 # averages: ICC(2,k)=0.62, ICC(3,k)=0.91; psych::ICC CIs (0.071, 0.93)

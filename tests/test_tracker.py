@@ -38,6 +38,7 @@ from oracles import (
     kalman_cov,
     kalman_state,
     naive_dbscan,
+    naive_merge_groups,
     set_kalman_state,
     solver_associate,
     union_find_roots,
@@ -364,6 +365,59 @@ def test_merge_close_detections():
     assert len(merged[0].points) == 2
     assert merged[0].centroid_x == pytest.approx(0.025)
     assert merged[1] is c
+
+
+@st.composite
+def merge_scenes(draw):
+    """Detections of one frame in shuffled order, and a merge radius r:
+    groups 10 r apart, each a singleton, a close pair, a blob of 3-5 within
+    r/3 of its centre, or a chain of three whose neighbours are 0.5 r to r
+    apart (so its ends are beyond r of each other; past the first three
+    groups, sometimes r or a rounding from it). Every scene holds a chain,
+    a second merged group and a singleton."""
+    r = draw(st.sampled_from([0.4, 1e-3, 2.5]) | st.floats(0.01, 3.0))
+    kinds = ["chain", draw(st.sampled_from(["pair", "blob", "chain"])), "single",
+             *draw(st.lists(st.sampled_from(["single", "pair", "blob", "chain"]), max_size=4))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centroids = []
+    for k, kind in enumerate(kinds):
+        base = np.array([10 * r * k, 10 * r * rng.integers(0, 3)])
+        if kind == "chain":
+            d = draw(st.floats(0.51 * r, 0.99 * r)
+                     | st.sampled_from([r, 0.5 * r + 1e-9 * r] if k > 2 else [0.75 * r]))
+            angle = draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(0, 2 * math.pi))
+            step = d * np.array([math.cos(angle), math.sin(angle)])
+            centroids += [base, base + step, base + 2 * step]
+        else:
+            count = {"single": 1, "pair": 2, "blob": int(rng.integers(3, 6))}[kind]
+            offsets = rng.uniform(-1, 1, size=(count, 2)) * (r / 3 / math.sqrt(2))
+            centroids += list(base + offsets)
+    order = rng.permutation(len(centroids))
+    detections = []
+    for i in order.tolist():
+        points = rng.normal(0, 10.0 ** rng.integers(-3, 4), size=(int(rng.integers(1, 5)), 4))
+        x, y = map(float, centroids[i])
+        detections.append(Detection(x, y, points, frame=7))
+    return detections, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_scenes())
+def test_merge_matches_naive_reference(scene):
+    detections, r = scene
+    groups = naive_merge_groups(detections, r)
+    assert sum(len(g) > 1 for g in groups) >= 2 and any(len(g) == 1 for g in groups)
+    merged = merge_close_detections(detections, r)
+    assert len(merged) == len(groups)
+    for got, members in zip(merged, groups):
+        if len(members) == 1:
+            assert got is detections[members[0]]
+            continue
+        want = np.concatenate([detections[i].points for i in members])
+        assert got.points.tobytes() == want.tobytes() and got.points.shape == want.shape
+        assert got.centroid_x == math.fsum(want[:, 0].tolist()) / len(want)
+        assert got.centroid_y == math.fsum(want[:, 1].tolist()) / len(want)
+        assert got.frame == detections[members[0]].frame
 
 
 # --------------------------------------------------------------- associate
